@@ -7,10 +7,16 @@ variables comparison is an integer equality of count vectors.  Character-sum
 magnitudes and the bounds built from them are float64 with a pinned absolute
 tolerance.
 
+There is one count primitive, `_PointCounts`: it reads the points
+offset + t.B of one direction space B, for a batch of parallel offsets and a
+parameter grid, through shared power tables and tallies the outputs.  The
+sweep and the public change_of_vars and substitution_form checks all run on
+it; the per-point output_distribution / evaluate route is kept as its oracle.
+
 `verify_extractor` sweeps a set of affine subspaces (exhaustive, seeded
 sample, or an explicit list) and runs selected checks on each one.  The sweep
 processes one linear subspace at a time with all of its parallel offsets
-batched through shared power tables, so exhaustive runs at desk scale stay
+batched through the count primitive, so exhaustive runs at desk scale stay
 in the seconds-to-minutes range.  Work is sharded over processes in fixed
 chunks whose layout does not depend on the worker count, and partial results
 merge in chunk order, so reports are byte-identical for any worker count.
@@ -21,7 +27,8 @@ Checks
   xor                sd <= char_max * q**(m/2), the XOR-lemma aggregation
   zero_coordinate    every c^T A has at most m-1 zeros on pivot coordinates
   change_of_vars     substituting s_i**(D/d_{j_i}) for t_i permutes inputs:
-                     output counts along both routes agree exactly
+                     output counts along both routes agree exactly (the
+                     same primitive on the grid with t_i -> t_i**D_i)
   substitution_form  after that substitution each pivot coordinate powers to
                      s_i**D, and every non-pivot term has degree below D
 """
@@ -30,9 +37,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +57,6 @@ from .subspace import (
     count_affine_subspaces,
     enumerate_points,
     offsets_for_pattern,
-    parametrize,
     pattern_blocks,
     random_subspace,
 )
@@ -120,9 +125,6 @@ class OutputDistribution:
             raise ValueError("count vector length must be q**m")
         if int(self.counts.sum()) != self.total:
             raise ValueError("counts do not sum to total")
-
-    def probability(self, z: Sequence[int]) -> Fraction:
-        return Fraction(int(self.counts[encode_output(z, self.q)]), self.total)
 
 
 def output_distribution(
@@ -223,15 +225,27 @@ def character_magnitudes(
         raise BudgetExceededError(
             f"character table needs {qm * qm} operations, budget is {budget}"
         )
-    zdig = _output_digits(q, m)
-    omega = _omega_powers(q)
-    counts = dist.counts.astype(np.float64)
     out = np.empty(qm, dtype=np.float64)
-    for lo in range(0, qm, _CHAR_CHUNK):
-        hi = min(lo + _CHAR_CHUNK, qm)
-        phase = (zdig @ zdig[lo:hi].T) % q
-        out[lo:hi] = np.abs(counts @ omega[phase]) / dist.total
+    for lo, mags in _character_blocks(dist.counts, dist.total, _output_digits(q, m), q, 0):
+        out[lo : lo + mags.shape[-1]] = mags
     return out
+
+
+def _phase_blocks(zdig: np.ndarray, cs: np.ndarray, q: int):
+    """Yield (lo, phase) over blocks of _CHAR_CHUNK rows of cs, where
+    phase[z, i] = <z, cs[lo + i]> mod q for every output z (rows of zdig)."""
+    for lo in range(0, len(cs), _CHAR_CHUNK):
+        yield lo, (zdig @ cs[lo : lo + _CHAR_CHUNK].T) % q
+
+
+def _character_blocks(counts: np.ndarray, total: int, zdig: np.ndarray, q: int, start: int):
+    """The character transform of output counts, one block of characters at
+    a time: yields (lo, mags) with mags[..., i] = |E[w^<c,Z>]| for the c
+    encoded as lo + i, over every c >= start; counts is (q**m,) or (rows, q**m)."""
+    counts_f = counts.astype(np.float64)
+    omega = _omega_powers(q)
+    for lo, phase in _phase_blocks(zdig, zdig[start:], q):
+        yield start + lo, np.abs(counts_f @ omega[phase]) / total
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +297,7 @@ def xor_bound_check(
 
 
 # ---------------------------------------------------------------------------
-# change of variables and substitution form
+# the count primitive, and the change of variables on it
 
 
 def _pivot_degrees(spec: ExtractorSpec, pivots: Sequence[int]) -> tuple[int, list[int]]:
@@ -292,39 +306,157 @@ def _pivot_degrees(spec: ExtractorSpec, pivots: Sequence[int]) -> tuple[int, lis
     return D, [D // spec.d[j] for j in pivots]
 
 
-def _two_path_counts(
-    spec: ExtractorSpec,
-    V: AffineSubspace,
-    budget: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output counts over V along the direct route x = l(t) and the
-    substituted route x = l(s_1**D_1, ..., s_k**D_k)."""
-    _check_subspace(spec, V)
-    q, m = spec.modulus, spec.m
-    if q**V.k > budget:
-        raise BudgetExceededError(f"subspace has {q**V.k} points, budget is {budget}")
-    if q**m > budget:
-        raise BudgetExceededError(f"q**m = {q**m} outcome cells, budget is {budget}")
-    par = parametrize(V)
-    _, D_per_pivot = _pivot_degrees(spec, V.pivots)
-    sub_tables = [
-        [pow(s, Di, q) for s in range(q)] for Di in D_per_pivot
-    ]
-    direct = np.zeros(q**m, dtype=np.int64)
-    substituted = np.zeros(q**m, dtype=np.int64)
-    for t in product(range(q), repeat=V.k):
-        direct[encode_output(evaluate(spec, par.evaluate(t)), q)] += 1
-        u = tuple(tab[s] for tab, s in zip(sub_tables, t))
-        substituted[encode_output(evaluate(spec, par.evaluate(u)), q)] += 1
-    return direct, substituted
+def _pow_column(e: int, q: int) -> np.ndarray:
+    """s**e mod q for every residue s, indexed by s."""
+    return np.array([pow(s, e, q) for s in range(q)], dtype=np.int64)
 
 
-def _project_counts(counts: np.ndarray, c: Sequence[int], q: int, m: int) -> np.ndarray:
-    """Residue counts of <c, Z> induced by output counts."""
-    phases = (_output_digits(q, m) @ np.asarray(c, dtype=np.int64)) % q
-    out = np.zeros(q, dtype=np.int64)
-    np.add.at(out, phases, counts)
+def _lex_grid(q: int, k: int) -> np.ndarray:
+    """All q**k parameter vectors t as rows, in lexicographic order."""
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * k), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, k)
+
+
+def _substitute(grid: np.ndarray, D_per_pivot: Sequence[int], q: int) -> np.ndarray:
+    """The grid with each parameter t_i replaced by t_i**D_i."""
+    out = grid.copy()
+    for i, Di in enumerate(D_per_pivot):
+        out[:, i] = _pow_column(Di, q)[grid[:, i]]
     return out
+
+
+class _PointCounts:
+    """The one production route from points to output counts.
+
+    For a direction basis B, a batch of parallel offsets and a parameter
+    grid, every point offset + t.B is read through power tables over
+    [0, 2q-2], so the unreduced sum offset_j + (t.B)_j indexes x_j**d_j
+    directly.  The direct route uses the lexicographic grid; the change of
+    variables runs the same lookups on the grid with t_i -> t_i**D_i.  The
+    per-point evaluate() of output_distribution is its oracle.
+    """
+
+    def __init__(self, spec: ExtractorSpec, budget: int) -> None:
+        q, n, m = spec.modulus, spec.n, spec.m
+        if n * (2 * q - 1) > budget:
+            raise BudgetExceededError(
+                f"power tables need {n * (2 * q - 1)} entries, budget is {budget}"
+            )
+        self.spec, self.budget = spec, budget
+        self.q, self.n, self.m, self.qm = q, n, m, q**m
+        self.A = spec.A.array()
+        self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
+        wrap = np.arange(2 * q - 1) % q
+        self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
+        self.grids: dict[int, np.ndarray] = {}
+        self.substituted: dict[tuple[int, ...], np.ndarray] = {}
+        self.forms: dict[tuple, tuple[int, int, np.ndarray, np.ndarray]] = {}
+
+    def grid(self, k: int) -> np.ndarray:
+        if k not in self.grids:
+            self.grids[k] = _lex_grid(self.q, k)
+        return self.grids[k]
+
+    def counts(self, basis: np.ndarray, offsets: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Output counts over offset + t.B for t in grid, shape (offsets, q**m)."""
+        q, n, m, qm = self.q, self.n, self.m, self.qm
+        k = basis.shape[0]
+        T = grid.shape[0]
+        O = offsets.shape[0]
+        tB = (grid @ basis) % q if k else np.zeros((1, n), dtype=np.int64)
+        counts = np.empty((O, qm), dtype=np.int64)
+        slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
+        for lo in range(0, O, slice_rows):
+            hi = min(lo + slice_rows, O)
+            enc = np.zeros((hi - lo, T), dtype=np.int64)
+            for i in range(m):
+                acc = np.zeros((hi - lo, T), dtype=np.int64)
+                for j in range(n):
+                    X = offsets[lo:hi, j][:, None] + tB[:, j][None, :]
+                    acc += self.A[i, j] * self.powtabs[j][X]
+                enc += (acc % q) * self.weights[i]
+            flat = (np.arange(hi - lo, dtype=np.int64)[:, None] * qm + enc).ravel()
+            counts[lo:hi] = np.bincount(flat, minlength=(hi - lo) * qm).reshape(
+                hi - lo, qm
+            )
+        return counts
+
+    def change_of_vars(
+        self,
+        basis: np.ndarray,
+        pivots: tuple[int, ...],
+        offsets: np.ndarray,
+        cs: np.ndarray,
+        zdig: np.ndarray,
+        direct: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per offset, the worst residue-count gap of <c, F> between the
+        direct and the substituted route over the rows c of cs, and the
+        index of the first c attaining it (-1 where every gap is 0)."""
+        if pivots not in self.substituted:
+            _, D_per_pivot = _pivot_degrees(self.spec, pivots)
+            self.substituted[pivots] = _substitute(self.grid(len(pivots)), D_per_pivot, self.q)
+        if direct is None:
+            direct = self.counts(basis, offsets, self.grid(len(pivots)))
+        diff = direct - self.counts(basis, offsets, self.substituted[pivots])
+        worst = np.zeros(len(diff), dtype=np.int64)
+        first = np.full(len(diff), -1, dtype=np.int64)
+        q = self.q
+        for row in np.flatnonzero(diff.any(axis=1)):
+            for lo, phase in _phase_blocks(zdig, cs, q):
+                # residue counts of <c, Z> for each c of the block, exact
+                keys = phase + q * np.arange(phase.shape[1], dtype=np.int64)
+                rc = np.zeros(phase.shape[1] * q, dtype=np.int64)
+                np.add.at(rc, keys, np.broadcast_to(diff[row][:, None], keys.shape))
+                gaps = np.abs(rc).reshape(-1, q).max(axis=1)
+                best = int(gaps.argmax())
+                if gaps[best] > worst[row]:
+                    worst[row], first[row] = gaps[best], lo + best
+        return worst, first
+
+    def substitution_form(
+        self,
+        basis: np.ndarray,
+        pivots: tuple[int, ...],
+        offsets: np.ndarray,
+        sample_points: int = 10**4,
+        seed: int = 0,
+    ) -> tuple[np.ndarray, int]:
+        """Per offset, the violations of the substituted form, and D."""
+        q, k = self.q, len(pivots)
+        key = (pivots, sample_points, seed)
+        if key not in self.forms:
+            D, D_per_pivot = _pivot_degrees(self.spec, pivots)
+            # (b) degree comparison, pure integer arithmetic
+            degree = 0
+            for j in range(self.n):
+                i = sum(1 for p in pivots if p < j)
+                # a coordinate left of every pivot is constant on V
+                if j not in pivots and i and self.spec.d[j] * D_per_pivot[i - 1] >= D:
+                    degree += 1
+            if q**k <= min(self.budget, sample_points):
+                s = self.grid(k)
+            else:
+                s = np.random.default_rng(seed).integers(0, q, size=(sample_points, k))
+            u = _substitute(s, D_per_pivot, q)
+            self.forms[key] = (D, degree, (u @ basis) % q, _pow_column(D, q)[s])
+        D, degree, uB, top = self.forms[key]
+        # (a) pivot coordinate j_i of offset + u.B, raised to d_{j_i}, is s_i**D
+        bad = np.full(len(offsets), degree, dtype=np.int64)
+        slice_rows = max(1, _ELEM_SLICE // max(1, len(uB)))
+        for lo in range(0, len(offsets), slice_rows):
+            part = offsets[lo : lo + slice_rows]
+            for i, j in enumerate(pivots):
+                X = part[:, j][:, None] + uB[:, j][None, :]
+                bad[lo : lo + slice_rows] += (self.powtabs[j][X] != top[:, i]).sum(axis=1)
+        return bad, D
+
+
+def _exact_report(check: str, quantity: int, **fields) -> BoundReport:
+    """A zero-tolerance structural count: satisfied iff it is 0."""
+    return BoundReport(check=check, quantity=quantity, bound=0, satisfied=quantity == 0, **fields)
 
 
 def change_of_vars_check(
@@ -339,45 +471,18 @@ def change_of_vars_check(
     coprime to q - 1), hence substituting it cannot change any count; the
     check recomputes both sides from scratch and compares integers.
     """
-    direct, substituted = _two_path_counts(spec, V, budget)
+    _check_subspace(spec, V)
     q, m = spec.modulus, spec.m
-    rc1 = _project_counts(direct, c, q, m)
-    rc2 = _project_counts(substituted, c, q, m)
-    diff = int(np.abs(rc1 - rc2).max())
-    return BoundReport(
-        check="change_of_vars",
-        quantity=diff,
-        bound=0,
-        satisfied=diff == 0,
-        c_encoded=encode_output(tuple(int(v) % q for v in c), q),
+    if q**V.k > budget:
+        raise BudgetExceededError(f"subspace has {q**V.k} points, budget is {budget}")
+    if q**m > budget:
+        raise BudgetExceededError(f"q**m = {q**m} outcome cells, budget is {budget}")
+    cs = np.asarray(c, dtype=np.int64).reshape(1, -1) % q
+    gap, _ = _PointCounts(spec, budget).change_of_vars(
+        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1), cs, _output_digits(q, m)
     )
-
-
-def _change_of_vars_all(
-    spec: ExtractorSpec,
-    V: AffineSubspace,
-    budget: int,
-) -> BoundReport:
-    """Worst residue-count discrepancy over every nonzero c (sweep variant)."""
-    direct, substituted = _two_path_counts(spec, V, budget)
-    q, m = spec.modulus, spec.m
-    zdig = _output_digits(q, m)
-    worst = 0
-    worst_c = None
-    for enc_c in range(1, q**m):
-        c = zdig[enc_c]
-        rc1 = _project_counts(direct, c, q, m)
-        rc2 = _project_counts(substituted, c, q, m)
-        diff = int(np.abs(rc1 - rc2).max())
-        if diff > worst:
-            worst, worst_c = diff, enc_c
-    return BoundReport(
-        check="change_of_vars",
-        quantity=worst,
-        bound=0,
-        satisfied=worst == 0,
-        c_encoded=worst_c,
-    )
+    c_encoded = encode_output(tuple(int(v) % q for v in c), q)
+    return _exact_report("change_of_vars", int(gap[0]), c_encoded=c_encoded)
 
 
 def substitution_form_check(
@@ -396,43 +501,10 @@ def substitution_form_check(
     degree d_j * D_i stays strictly below D, so the pivot term dominates.
     """
     _check_subspace(spec, V)
-    q = spec.modulus
-    par = parametrize(V)
-    D, D_per_pivot = _pivot_degrees(spec, V.pivots)
-    violations = 0
-    # (b) degree comparison, pure integer arithmetic
-    for j in range(spec.n):
-        if j in V.pivots:
-            continue
-        i = sum(1 for p in V.pivots if p < j)
-        if i == 0:
-            continue  # coordinate is constant on V, no term to dominate
-        if spec.d[j] * D_per_pivot[i - 1] >= D:
-            violations += 1
-    # (a) pointwise identity on the grid
-    if q**V.k <= min(budget, sample_points):
-        grid: Iterable[tuple[int, ...]] = product(range(q), repeat=V.k)
-    else:
-        rng = np.random.default_rng(seed)
-        grid = (
-            tuple(int(v) for v in row)
-            for row in rng.integers(0, q, size=(sample_points, V.k))
-        )
-    sub_tables = [[pow(s, Di, q) for s in range(q)] for Di in D_per_pivot]
-    top_table = [pow(s, D, q) for s in range(q)]
-    for s in grid:
-        u = tuple(tab[si] for tab, si in zip(sub_tables, s))
-        x = par.evaluate(u)
-        for i, j in enumerate(V.pivots):
-            if pow(x[j], spec.d[j], q) != top_table[s[i]]:
-                violations += 1
-    return BoundReport(
-        check="substitution_form",
-        quantity=violations,
-        bound=0,
-        satisfied=violations == 0,
-        detail=f"D={D}",
+    bad, D = _PointCounts(spec, budget).substitution_form(
+        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1), sample_points, seed
     )
+    return _exact_report("substitution_form", int(bad[0]), detail=f"D={D}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +604,8 @@ class DiagonalPolynomial:
     def residues_grid(self) -> np.ndarray:
         """f over all q**num_vars points, grid in row-major point order."""
         q, v = self.q, self.num_vars
-        cols = np.meshgrid(*([np.arange(q, dtype=np.int64)] * v), indexing="ij")
-        cols = [g.reshape(-1) for g in cols]
-        deg_table = np.array([pow(x, self.degree, q) for x in range(q)], dtype=np.int64)
+        cols = _lex_grid(q, v).T
+        deg_table = _pow_column(self.degree, q)
         acc = np.zeros(q**v, dtype=np.int64)
         for a, col in zip(self.diagonal_coeffs, cols):
             acc = (acc + a * deg_table[col]) % q
@@ -542,8 +613,7 @@ class DiagonalPolynomial:
             term = np.full(q**v, coeff, dtype=np.int64)
             for col, e in zip(cols, exps):
                 if e:
-                    tab = np.array([pow(x, e, q) for x in range(q)], dtype=np.int64)
-                    term = term * tab[col] % q
+                    term = term * _pow_column(e, q)[col] % q
             acc = (acc + term) % q
         return acc
 
@@ -800,48 +870,19 @@ class _SweepState:
         self.need_counts = bool({"sd", "char_max", "xor"} & set(self.checks))
         self.need_char = bool({"char_max", "xor"} & set(self.checks))
         self.sqrt_qm = q ** (m / 2)
-        self.weights = np.array(
-            [q ** (m - 1 - i) for i in range(m)], dtype=np.int64
-        )
-        self.powtabs = self._power_tables()
-        self.A = spec.A.array()
+        self.counter = _PointCounts(spec, self.budgets.points)
         self.zdig = _output_digits(q, m)
-        self.omega = _omega_powers(q)
-        self.tgrids: dict[int, np.ndarray] = {}
         self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
         if isinstance(self.source, ExhaustiveSubspaces):
             self.blocks = pattern_blocks(spec.n, spec.k, q)
             self.offsets_cache: dict[tuple[int, ...], np.ndarray] = {}
             self.offsets_per_linear = q ** (spec.n - spec.k)
 
-    def _power_tables(self) -> np.ndarray:
-        # tables over [0, 2q-2] so offset + basis-combination sums index
-        # directly without a reduction first
-        q = self.q
-        tabs = np.empty((self.spec.n, 2 * q - 1), dtype=np.int64)
-        for j, dj in enumerate(self.spec.d):
-            col = np.array([pow(v % q, dj, q) for v in range(2 * q - 1)], dtype=np.int64)
-            tabs[j] = col
-        return tabs
-
-    def tgrid(self, k: int) -> np.ndarray:
-        if k not in self.tgrids:
-            q = self.q
-            if k == 0:
-                self.tgrids[k] = np.zeros((1, 0), dtype=np.int64)
-            else:
-                grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * k), indexing="ij")
-                self.tgrids[k] = np.stack(grids, axis=-1).reshape(-1, k)
-        return self.tgrids[k]
-
     def zero_coordinate_worst(self, pivots: tuple[int, ...]) -> tuple[int, int]:
         """Worst zero count of c^T A over pivot coordinates, over nonzero c."""
         if pivots not in self.zero_cache:
-            ball = (self.zdig[1:] @ self.A) % self.q  # (qm-1, n)
-            if pivots:
-                zeros = (ball[:, list(pivots)] == 0).sum(axis=1)
-            else:
-                zeros = np.zeros(ball.shape[0], dtype=np.int64)
+            ball = (self.zdig[1:] @ self.counter.A) % self.q  # (qm-1, n)
+            zeros = (ball[:, list(pivots)] == 0).sum(axis=1)
             worst = int(zeros.max()) if zeros.size else 0
             worst_c = int(zeros.argmax()) + 1 if zeros.size else 0
             self.zero_cache[pivots] = (worst, worst_c)
@@ -852,7 +893,6 @@ class _SweepState:
     def analyze_block(
         self,
         basis: np.ndarray,
-        basis_rows: tuple[tuple[int, ...], ...],
         pivots: tuple[int, ...],
         offsets: np.ndarray,
         ids: np.ndarray,
@@ -860,92 +900,64 @@ class _SweepState:
     ) -> None:
         """Run all selected checks for one direction space and a batch of
         parallel offsets; ids are the global subspace ids, one per offset."""
-        spec = self.spec
         q, m, qm = self.q, self.m, self.qm
         k = basis.shape[0]
-        n = spec.n
-        tgrid = self.tgrid(k)
-        T = tgrid.shape[0]
+        T = q**k
         O = offsets.shape[0]
         check = set(self.checks)
 
-        sd_f = eps = eps_c = absdev = None
+        counts = sd_f = eps = eps_c = absdev = None
         if self.need_counts:
-            tB = (tgrid @ basis) % q if k else np.zeros((1, n), dtype=np.int64)
-            counts = np.empty((O, qm), dtype=np.int64)
-            slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
-            for lo in range(0, O, slice_rows):
-                hi = min(lo + slice_rows, O)
-                enc = np.zeros((hi - lo, T), dtype=np.int64)
-                for i in range(m):
-                    acc = np.zeros((hi - lo, T), dtype=np.int64)
-                    for j in range(n):
-                        X = offsets[lo:hi, j][:, None] + tB[:, j][None, :]
-                        acc += self.A[i, j] * self.powtabs[j][X]
-                    enc += (acc % q) * self.weights[i]
-                flat = (np.arange(hi - lo, dtype=np.int64)[:, None] * qm + enc).ravel()
-                counts[lo:hi] = np.bincount(flat, minlength=(hi - lo) * qm).reshape(
-                    hi - lo, qm
-                )
+            counts = self.counter.counts(basis, offsets, self.counter.grid(k))
             absdev = np.abs(counts * qm - T).sum(axis=1)
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
             if self.need_char:
-                counts_f = counts.astype(np.float64)
                 eps = np.full(O, -1.0)
                 eps_c = np.zeros(O, dtype=np.int64)
-                for lo in range(1, qm, _CHAR_CHUNK):
-                    hi = min(lo + _CHAR_CHUNK, qm)
-                    phase = (self.zdig @ self.zdig[lo:hi].T) % q
-                    mags = np.abs(counts_f @ self.omega[phase]) / T
+                for lo, mags in _character_blocks(counts, T, self.zdig, q, 1):
                     best = mags.argmax(axis=1)
                     vals = mags[np.arange(O), best]
                     better = vals > eps
                     eps[better] = vals[better]
                     eps_c[better] = best[better] + lo
 
+        # a block is clean when every check's per-offset result is clean
+        clean = True
+        if "xor" in check:
+            clean = bool((sd_f <= eps * self.sqrt_qm + self.tolerance).all())
         if "zero_coordinate" in check:
             zworst, zc = self.zero_coordinate_worst(pivots)
+            clean = clean and zworst <= m - 1
+        if "change_of_vars" in check:
+            cov, cov_c = self.counter.change_of_vars(
+                basis, pivots, offsets, self.zdig[1:], self.zdig, counts
+            )
+            clean = clean and not cov.any()
+        if "substitution_form" in check:
+            form, D = self.counter.substitution_form(basis, pivots, offsets)
+            clean = clean and not form.any()
 
-        per_offset_objs = check & {"change_of_vars", "substitution_form"}
-
-        # fast path: when no rows are kept and nothing in the block violates,
-        # the per-offset report loop collapses to vectorised max tracking
-        if self.collect != "full" and not per_offset_objs:
-            clean = True
-            if "xor" in check:
-                clean = bool((sd_f <= eps * self.sqrt_qm + self.tolerance).all())
-            if clean and "zero_coordinate" in check:
-                clean = zworst <= m - 1
-            if clean:
-                partial.processed += O
-                if sd_f is not None:
-                    row = int(np.argmax(sd_f))
-                    if float(sd_f[row]) > partial.max_sd:
-                        partial.max_sd = float(sd_f[row])
-                        partial.max_sd_absdev = int(absdev[row])
-                        partial.max_sd_denom = denom
-                        partial.max_sd_id = int(ids[row])
-                if eps is not None:
-                    row = int(np.argmax(eps))
-                    if float(eps[row]) > partial.max_char:
-                        partial.max_char = float(eps[row])
-                        partial.max_char_id = int(ids[row])
-                        partial.max_char_c = int(eps_c[row])
-                return
+        partial.processed += O
+        if sd_f is not None:
+            row = int(np.argmax(sd_f))
+            if float(sd_f[row]) > partial.max_sd:
+                partial.max_sd = float(sd_f[row])
+                partial.max_sd_absdev = int(absdev[row])
+                partial.max_sd_denom = denom
+                partial.max_sd_id = int(ids[row])
+        if eps is not None:
+            row = int(np.argmax(eps))
+            if float(eps[row]) > partial.max_char:
+                partial.max_char = float(eps[row])
+                partial.max_char_id = int(ids[row])
+                partial.max_char_c = int(eps_c[row])
+        # fast path: no rows are kept and nothing in the block violates
+        if self.collect != "full" and clean:
+            return
 
         for row in range(O):
             sid = int(ids[row])
-            partial.processed += 1
-            if per_offset_objs:
-                V = AffineSubspace(
-                    q=q,
-                    n=n,
-                    k=k,
-                    offset=tuple(int(v) for v in offsets[row]),
-                    basis=basis_rows,
-                    pivots=pivots,
-                )
             for name in self.checks:
                 if name == "sd":
                     g = math.gcd(int(absdev[row]), denom)
@@ -999,24 +1011,13 @@ class _SweepState:
                         ),
                     )
                 elif name == "change_of_vars":
-                    rep = _change_of_vars_all(spec, V, self.budgets.points)
-                    self._emit(partial, replace(rep, subspace_id=sid))
+                    gap = int(cov[row])
+                    c_encoded = int(cov_c[row]) + 1 if gap else None
+                    rep = _exact_report(name, gap, subspace_id=sid, c_encoded=c_encoded)
+                    self._emit(partial, rep)
                 elif name == "substitution_form":
-                    rep = substitution_form_check(spec, V, self.budgets.points)
-                    self._emit(partial, replace(rep, subspace_id=sid))
-            if sd_f is not None:
-                sdv = float(sd_f[row])
-                if sdv > partial.max_sd:
-                    partial.max_sd = sdv
-                    partial.max_sd_absdev = int(absdev[row])
-                    partial.max_sd_denom = denom
-                    partial.max_sd_id = sid
-            if eps is not None:
-                ev = float(eps[row])
-                if ev > partial.max_char:
-                    partial.max_char = ev
-                    partial.max_char_id = sid
-                    partial.max_char_c = int(eps_c[row])
+                    rep = _exact_report(name, int(form[row]), subspace_id=sid, detail=f"D={D}")
+                    self._emit(partial, rep)
 
     def _emit(self, partial: _Partial, report: BoundReport) -> None:
         if report.satisfied is False:
@@ -1030,9 +1031,6 @@ class _SweepState:
 
     def run_range(self, lo: int, hi: int) -> _Partial:
         partial = _Partial()
-        for name in self.checks:
-            if name in THEOREM_CHECKS:
-                partial.violations.setdefault(name, 0)
         spec = self.spec
         if isinstance(self.source, ExhaustiveSubspaces):
             for linear in range(lo, hi):
@@ -1044,8 +1042,7 @@ class _SweepState:
                 offsets = self.offsets_cache[block.pattern]
                 base = linear * self.offsets_per_linear
                 ids = base + np.arange(offsets.shape[0], dtype=np.int64)
-                basis_rows = tuple(tuple(int(v) for v in r) for r in basis)
-                self.analyze_block(basis, basis_rows, block.pattern, offsets, ids, partial)
+                self.analyze_block(basis, block.pattern, offsets, ids, partial)
         elif isinstance(self.source, SampledSubspaces):
             for i in range(lo, hi):
                 V = random_subspace(spec.n, spec.k, self.q, seed=self.source.seed + i)
@@ -1064,7 +1061,6 @@ class _SweepState:
         _check_subspace(self.spec, V)
         self.analyze_block(
             V.basis_array(),
-            V.basis,
             V.pivots,
             V.offset_array().reshape(1, -1),
             np.array([sid], dtype=np.int64),
@@ -1160,10 +1156,6 @@ def verify_extractor(
             raise BudgetExceededError(
                 f"exhaustive sweep has {total} subspaces, budget is {budgets.subspaces}"
             )
-        if q**spec.k > budgets.points:
-            raise BudgetExceededError(
-                f"each subspace has {q**spec.k} points, budget is {budgets.points}"
-            )
         units = total // q ** (spec.n - spec.k)  # linear subspaces
     elif isinstance(source, SampledSubspaces):
         if source.count < 1:
@@ -1171,10 +1163,6 @@ def verify_extractor(
         if source.count > budgets.subspaces:
             raise BudgetExceededError(
                 f"sample has {source.count} subspaces, budget is {budgets.subspaces}"
-            )
-        if q**spec.k > budgets.points:
-            raise BudgetExceededError(
-                f"each subspace has {q**spec.k} points, budget is {budgets.points}"
             )
         total = source.count
         units = total
@@ -1191,6 +1179,10 @@ def verify_extractor(
         units = total
     else:
         raise TypeError(f"unknown subspace source {type(source).__name__}")
+    if not isinstance(source, ExplicitSubspaces) and q**spec.k > budgets.points:
+        raise BudgetExceededError(
+            f"each subspace has {q**spec.k} points, budget is {budgets.points}"
+        )
 
     if collect == "auto":
         collect = "full" if total <= _AUTO_FULL_LIMIT else "violations"
@@ -1220,9 +1212,9 @@ def verify_extractor(
         if name in THEOREM_CHECKS:
             result.violations.setdefault(name, 0)
 
+    state = _SweepState(payload)  # raises on the table budget before any work
     tasks = _chunk_plan(units)
     if workers == 1:
-        state = _SweepState(payload)
         for _, lo, hi in tasks:
             _merge(result, state.run_range(lo, hi))
         return result

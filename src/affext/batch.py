@@ -114,7 +114,7 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
 """
 
 # Compiler flags, tried in order; the first set the compiler accepts is used.
-_C_FLAGS = (("-O3", "-march=native"), ("-O2",))
+_C_FLAGS = (("-O3", "-march=native"), ("-O3",))
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     finally:
         if fh_in is not sys.stdin:
             fh_in.close()
-    out_lines = []
+    rows = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -208,11 +208,12 @@ def cmd_extract(cfg: RunConfig) -> int:
                 raise ValueError(
                     f"input line {lineno}: {v} is not a canonical residue mod {q}"
                 )
-        out_lines.append(",".join(str(v) for v in extractor.evaluate(spec, x)))
+        rows.append(x)
+    outputs = extractor.evaluate_batch(spec, rows).tolist() if rows else []
     fh_out = _open_out(cfg.output_file)
     try:
-        for line in out_lines:
-            print(line, file=fh_out)
+        for z in outputs:
+            print(",".join(str(v) for v in z), file=fh_out)
     finally:
         if fh_out is not sys.stdout:
             fh_out.close()

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import numtheory
 from .config import DEFAULT_C_PRIME, DEFAULT_FLOOR_THRESHOLD, DEFAULT_MINOR_BUDGET, BudgetExceededError
-from .field import check_modulus
-from .numtheory import PrimeModulus, prime_modulus
+from .numtheory import PrimeModulus, check_modulus, prime_modulus
 
 
 class PlanWarning(UserWarning):

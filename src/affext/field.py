@@ -1,38 +1,18 @@
-"""Exact arithmetic in prime fields F_q.
+"""Scalar and vector arithmetic in prime fields F_q.
 
 Field elements are plain Python integers in canonical form 0 <= a < q; the
-modulus travels as a separate argument instead of being wrapped per element,
-which keeps equality checks, hashing and counting loops trivial.  Moduli are
-capped below 2**61 so products fit comfortably in 128-bit intermediates and
-the vectorised kernels in batch.py stay exact.
+modulus travels as a separate argument instead of being wrapped per element.
+Nothing else in the package imports these helpers: the modulus check lives in
+numtheory, and the extractor and the sweep do their arithmetic inline or in
+numpy.  They remain only until their tests are retired.
 
-Scalar operations here assume canonical inputs and do not validate them;
-validation belongs at the parsing boundary.  power(0, 0, q) is defined as 1.
+Operations assume canonical inputs and do not validate them; power(0, 0, q)
+is defined as 1.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-MAX_MODULUS = 1 << 61
-
-
-def check_modulus(q: int) -> None:
-    """Reject moduli outside the supported range [2, 2**61)."""
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise TypeError(f"modulus must be an int, got {type(q).__name__}")
-    if q < 2:
-        raise ValueError(f"modulus must be at least 2, got {q}")
-    if q >= MAX_MODULUS:
-        raise ValueError(f"modulus must be below 2**61, got {q}")
-
-
-def check_element(a: int, q: int) -> None:
-    """Reject non-canonical residues."""
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise TypeError(f"field element must be an int, got {type(a).__name__}")
-    if not 0 <= a < q:
-        raise ValueError(f"element {a} is not a canonical residue modulo {q}")
 
 
 def add(a: int, b: int, q: int) -> int:

@@ -17,7 +17,10 @@ from typing import Iterator
 import numpy as np
 
 from .config import DEFAULT_C_PRIME, DEFAULT_FLOOR_THRESHOLD
-from .field import MAX_MODULUS, check_modulus
+
+# Moduli stay below 2**61 so products fit in 128-bit intermediates and the
+# vectorised kernels in batch.py stay exact.
+MAX_MODULUS = 1 << 61
 
 # Deterministic Miller-Rabin bases, exact below 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -25,6 +28,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Trial-divide completely below this bound; larger cofactors go to rho.
 _TRIAL_LIMIT = 10**6
 _SMALL_PRIMES: tuple[int, ...] = ()
+
+
+def check_modulus(q: int) -> None:
+    """Reject moduli outside the supported range [2, 2**61)."""
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise TypeError(f"modulus must be an int, got {type(q).__name__}")
+    if q < 2:
+        raise ValueError(f"modulus must be at least 2, got {q}")
+    if q >= MAX_MODULUS:
+        raise ValueError(f"modulus must be below 2**61, got {q}")
 
 
 def _small_primes() -> tuple[int, ...]:
@@ -276,6 +289,7 @@ def prime_iter(start: int = 2) -> Iterator[int]:
 __all__ = [
     "Factorization",
     "PrimeModulus",
+    "check_modulus",
     "divisors",
     "factorize",
     "first_primes_coprime",

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, BudgetExceededError
-from .field import check_modulus
+from .numtheory import check_modulus
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from affext.analysis import (
+    CHECK_ORDER,
     BoundReport,
     CharacterSum,
     DiagonalPolynomial,
@@ -41,8 +42,9 @@ from affext.analysis import (
     xor_bound_check,
     zero_coordinate_bound,
     _chunk_plan,
-    _two_path_counts,
+    _PointCounts,
 )
+from affext import analysis
 from affext.config import Budgets, BudgetExceededError
 from affext.extractor import build_matrix, build_spec
 from affext.subspace import (
@@ -223,11 +225,55 @@ class TestXorBound:
             assert rep.satisfied, seed
 
 
+# (spec arguments q, n, k, m; subspace) at the edge shapes of the count
+# primitive: a generic plane, k = n, k = 1, m = k twice (the second with
+# 7**3 - 1 = 342 nonzero c, more than one block of characters) and a k = 0 point
+EDGE_SHAPES = (
+    ((13, 3, 2, 1), random_subspace(3, 2, 13, seed=12)),
+    ((13, 3, 3, 1), canonicalize((0, 0, 0), np.eye(3, dtype=int).tolist(), 13)),
+    ((13, 3, 1, 1), random_subspace(3, 1, 13, seed=3)),
+    ((13, 3, 2, 2), random_subspace(3, 2, 13, seed=5)),
+    ((7, 4, 3, 3), random_subspace(4, 3, 7, seed=1)),
+    ((13, 3, 2, 1), canonicalize((5, 2, 7), [], 13)),
+)
+
+
+def _assert_sweep_rows_match_public_checks(spec, V):
+    """One explicit-source sweep row per structural check against the
+    single-subspace functions; change_of_vars takes the first worst c."""
+    res = verify_extractor(
+        spec,
+        ExplicitSubspaces((V,)),
+        checks=("change_of_vars", "substitution_form"),
+        collect="full",
+    )
+    rows = {r.check: r for r in res.reports}
+    form = substitution_form_check(spec, V)
+    got = rows["substitution_form"]
+    assert (got.quantity, got.satisfied, got.detail) == (
+        form.quantity,
+        form.satisfied,
+        form.detail,
+    )
+    gaps = [
+        change_of_vars_check(spec, V, decode_output(enc, spec.modulus, spec.m)).quantity
+        for enc in range(1, spec.modulus**spec.m)
+    ]
+    worst = max(gaps)
+    got = rows["change_of_vars"]
+    assert got.quantity == worst and got.satisfied == (worst == 0)
+    assert got.c_encoded == (gaps.index(worst) + 1 if worst else None)
+
+
 class TestChangeOfVars:
-    def test_direct_route_matches_reference_distribution(self, spec13):
-        V = random_subspace(3, 2, 13, seed=12)
-        direct, _ = _two_path_counts(spec13, V, 10**8)
-        assert (direct == output_distribution(spec13, V).counts).all()
+    def test_direct_route_matches_reference_distribution(self):
+        for spec_args, V in EDGE_SHAPES:
+            spec = build_spec(*spec_args)
+            counter = _PointCounts(spec, 10**8)
+            direct = counter.counts(
+                V.basis_array(), V.offset_array().reshape(1, -1), counter.grid(V.k)
+            )
+            assert (direct[0] == output_distribution(spec, V).counts).all(), spec_args
 
     def test_exact_equality_on_random_subspaces(self, spec13):
         for seed in range(25):
@@ -252,6 +298,9 @@ class TestChangeOfVars:
         V = random_subspace(3, 2, 13, seed=0)
         with pytest.raises(BudgetExceededError):
             change_of_vars_check(spec13, V, (1,), budget=50)
+        # the 3 * (2q - 1) = 75 power-table entries are checked before use
+        with pytest.raises(BudgetExceededError, match="power tables"):
+            substitution_form_check(spec13, V, budget=50)
 
 
 class TestSubstitutionForm:
@@ -301,6 +350,56 @@ class TestSubstitutionForm:
                 i = sum(1 for p in pivots if p < j)
                 if i:
                     assert spec.d[j] * (D // spec.d[pivots[i - 1]]) < D
+
+
+@pytest.fixture
+def doubled_degrees(monkeypatch):
+    """D_i -> 2 D_i: s -> s**(2 D_i) is two-to-one on F_q for odd q, so both
+    structural checks must fail."""
+    real = analysis._pivot_degrees
+
+    def doubled(spec, pivots):
+        D, D_per_pivot = real(spec, pivots)
+        return D, [2 * Di for Di in D_per_pivot]
+
+    monkeypatch.setattr(analysis, "_pivot_degrees", doubled)
+
+
+class TestStructuralChecksCanFail:
+    # expected values come from the per-point evaluate()/parametrize route
+
+    def test_public_checks_report_the_fault(self, doubled_degrees):
+        spec = build_spec(13, 3, 2, 2)
+        V = random_subspace(3, 2, 13, seed=4)
+        rep = change_of_vars_check(spec, V, (1, 1))
+        assert (rep.quantity, rep.c_encoded, rep.satisfied) == (9, 14, False)
+        rep = substitution_form_check(spec, V)
+        assert (rep.quantity, rep.detail, rep.satisfied) == (286, "D=35", False)
+        spec = build_spec(13, 4, 2, 1)
+        V = random_subspace(4, 2, 13, seed=4)
+        assert change_of_vars_check(spec, V, (1,)).quantity == 12
+        rep = substitution_form_check(spec, V)
+        assert (rep.quantity, rep.detail) == (287, "D=385")
+
+    def test_sweep_reports_the_fault(self, doubled_degrees):
+        spec = build_spec(13, 3, 2, 2)
+        src = SampledSubspaces(60, seed=1)
+        res = verify_extractor(spec, src, checks=CHECK_ORDER, collect="full")
+        assert res.violations == {
+            "xor": 0,
+            "zero_coordinate": 0,
+            "change_of_vars": 60,
+            "substitution_form": 60,
+        }
+        first = next(l for l in reports_csv_lines(res) if l.startswith("change_of_vars,"))
+        assert first == "change_of_vars,0,18,14,0,false"
+        for name in ("change_of_vars", "substitution_form"):
+            quiet = verify_extractor(spec, src, checks=(name,), collect="none")
+            assert quiet.violations == {name: 60} and quiet.processed == 60
+
+    def test_sweep_rows_match_public_checks(self, doubled_degrees):
+        for spec_args, V in EDGE_SHAPES:
+            _assert_sweep_rows_match_public_checks(build_spec(*spec_args), V)
 
 
 class TestZeroCoordinate:
@@ -528,6 +627,8 @@ class TestSweepEngine:
             if r.check == "substitution_form" and r.subspace_id == 0
         )
         assert (row.quantity, row.bound) == (rep.quantity, rep.bound)
+        for spec_args, V in EDGE_SHAPES:
+            _assert_sweep_rows_match_public_checks(build_spec(*spec_args), V)
 
     def test_sampled_source_reproducible_and_seed_offsets(self, spec13):
         src = SampledSubspaces(count=15, seed=42)
@@ -611,6 +712,13 @@ class TestSweepEngine:
                 spec13,
                 SampledSubspaces(count=100, seed=0),
                 budgets=Budgets(points=10**6, subspaces=50, minors=10),
+            )
+        with pytest.raises(BudgetExceededError, match="power tables"):
+            verify_extractor(
+                build_spec(13, 3, 1, 1),
+                SampledSubspaces(count=5, seed=0),
+                workers=2,
+                budgets=Budgets(points=50, subspaces=10, minors=10),
             )
 
     def test_argument_validation(self, spec13):

@@ -114,6 +114,18 @@ class TestExtract:
         assert code == 0
         assert out == "3\n"
 
+    def test_empty_input_writes_nothing(self, spec_path, tmp_path, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_text("# only a comment\n\n", encoding="ascii")
+        out = tmp_path / "out.txt"
+        code, _, _ = run(
+            capsys,
+            "extract", "--spec-file", spec_path,
+            "--input", str(inp), "--output", str(out),
+        )
+        assert code == 0
+        assert out.read_text(encoding="ascii") == ""
+
     def test_error_reports_line_number(self, spec_path, tmp_path, capsys):
         inp = tmp_path / "in.txt"
         inp.write_text("1,1,1\n1,2\n", encoding="ascii")

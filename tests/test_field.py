@@ -13,28 +13,6 @@ def elements(q):
     return st.integers(min_value=0, max_value=q - 1)
 
 
-class TestModulusValidation:
-    def test_accepts_odd_prime_sized_moduli(self):
-        for q in PRIMES:
-            field.check_modulus(q)
-
-    def test_rejects_small_and_huge(self):
-        with pytest.raises(ValueError):
-            field.check_modulus(1)
-        with pytest.raises(ValueError):
-            field.check_modulus(0)
-        with pytest.raises(ValueError):
-            field.check_modulus((1 << 61) + 1)
-
-    def test_element_range(self):
-        field.check_element(0, 13)
-        field.check_element(12, 13)
-        with pytest.raises(ValueError):
-            field.check_element(13, 13)
-        with pytest.raises(ValueError):
-            field.check_element(-1, 13)
-
-
 class TestScalarOps:
     @given(st.sampled_from(PRIMES), st.data())
     def test_add_sub_mul_match_int_arithmetic(self, q, data):

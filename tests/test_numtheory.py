@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from affext import numtheory
 from affext.numtheory import (
     Factorization,
+    check_modulus,
     divisors,
     factorize,
     first_primes_coprime,
@@ -26,6 +27,20 @@ from affext.numtheory import (
     primes_up_to,
     typicality_threshold,
 )
+
+
+class TestModulusValidation:
+    def test_accepts_odd_prime_sized_moduli(self):
+        for q in [2, 3, 5, 13, 31, 101, 2**31 - 1, 2**61 - 1]:
+            check_modulus(q)
+
+    def test_rejects_small_and_huge(self):
+        with pytest.raises(ValueError):
+            check_modulus(1)
+        with pytest.raises(ValueError):
+            check_modulus(0)
+        with pytest.raises(ValueError):
+            check_modulus((1 << 61) + 1)
 
 
 class TestIsPrime:
