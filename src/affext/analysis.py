@@ -20,6 +20,9 @@ batched through the count primitive, so exhaustive runs at desk scale stay
 in the seconds-to-minutes range.  Work is sharded over processes in fixed
 chunks whose layout does not depend on the worker count, and partial results
 merge in chunk order, so reports are byte-identical for any worker count.
+Per block, each check yields one column per report field (a per-offset
+array or one shared value), and violation counts and report rows both read
+those columns.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -838,6 +841,14 @@ def normalize_checks(checks: Iterable[str]) -> tuple[str, ...]:
     return tuple(c for c in CHECK_ORDER if c in wanted)
 
 
+def _per_offset(col, n: int) -> list:
+    """A report column as n Python values, so _fmt_cell never sees a numpy
+    scalar: a per-offset array or list, or one value shared by every offset."""
+    if isinstance(col, np.ndarray):
+        return col.tolist()
+    return col if isinstance(col, list) else [col] * n
+
+
 @dataclass
 class _Partial:
     processed: int = 0
@@ -904,7 +915,6 @@ class _SweepState:
         k = basis.shape[0]
         T = q**k
         O = offsets.shape[0]
-        check = set(self.checks)
 
         counts = sd_f = eps = eps_c = absdev = None
         if self.need_counts:
@@ -922,21 +932,27 @@ class _SweepState:
                     eps[better] = vals[better]
                     eps_c[better] = best[better] + lo
 
-        # a block is clean when every check's per-offset result is clean
-        clean = True
-        if "xor" in check:
-            clean = bool((sd_f <= eps * self.sqrt_qm + self.tolerance).all())
-        if "zero_coordinate" in check:
+        # per check: (quantity, bound, satisfied, c_encoded, detail) columns
+        cols: dict[str, tuple] = {}
+        if "sd" in self.checks:
+            cols["sd"] = (sd_f, None, None, None, "")  # exact fraction filled in below
+        if "char_max" in self.checks:
+            cols["char_max"] = (eps, None, None, eps_c, "")
+        if "xor" in self.checks:
+            bound = eps * self.sqrt_qm
+            cols["xor"] = (sd_f, bound, sd_f <= bound + self.tolerance, eps_c, "")
+        if "zero_coordinate" in self.checks:
             zworst, zc = self.zero_coordinate_worst(pivots)
-            clean = clean and zworst <= m - 1
-        if "change_of_vars" in check:
-            cov, cov_c = self.counter.change_of_vars(
+            cols["zero_coordinate"] = (zworst, m - 1, zworst <= m - 1, zc, "")
+        if "change_of_vars" in self.checks:
+            gap, first = self.counter.change_of_vars(
                 basis, pivots, offsets, self.zdig[1:], self.zdig, counts
             )
-            clean = clean and not cov.any()
-        if "substitution_form" in check:
+            c_encoded = np.where(first >= 0, first + 1, None)  # None where the gap is 0
+            cols["change_of_vars"] = (gap, 0, gap == 0, c_encoded, "")
+        if "substitution_form" in self.checks:
             form, D = self.counter.substitution_form(basis, pivots, offsets)
-            clean = clean and not form.any()
+            cols["substitution_form"] = (form, 0, form == 0, None, f"D={D}")
 
         partial.processed += O
         if sd_f is not None:
@@ -952,80 +968,32 @@ class _SweepState:
                 partial.max_char = float(eps[row])
                 partial.max_char_id = int(ids[row])
                 partial.max_char_c = int(eps_c[row])
-        # fast path: no rows are kept and nothing in the block violates
-        if self.collect != "full" and clean:
+        failed = 0
+        for name, (_, _, satisfied, _, _) in cols.items():
+            if satisfied is not None:
+                bad = O - int(np.count_nonzero(np.broadcast_to(satisfied, O)))
+                partial.violations[name] = partial.violations.get(name, 0) + bad
+                failed += bad
+        # fast path: no rows are kept
+        if self.collect == "none" or (self.collect == "violations" and not failed):
             return
 
-        for row in range(O):
-            sid = int(ids[row])
-            for name in self.checks:
-                if name == "sd":
-                    g = math.gcd(int(absdev[row]), denom)
-                    self._emit(
-                        partial,
-                        BoundReport(
-                            check="sd",
-                            quantity=float(sd_f[row]),
-                            bound=None,
-                            satisfied=None,
-                            subspace_id=sid,
-                            detail=f"exact={int(absdev[row]) // g}/{denom // g}",
-                        ),
+        if "sd" in cols:
+            g = np.gcd(absdev, denom)
+            num, den = (absdev // g).tolist(), (denom // g).tolist()
+            cols["sd"] = (sd_f, None, None, None, [f"exact={a}/{b}" for a, b in zip(num, den)])
+        cells = {
+            name: list(zip(*(_per_offset(col, O) for col in columns)))
+            for name, columns in cols.items()
+        }
+        keep_all = self.collect == "full"
+        for row, sid in enumerate(ids.tolist()):
+            for name, rows in cells.items():
+                quantity, bound, satisfied, c_encoded, detail = rows[row]
+                if keep_all or satisfied is False:
+                    partial.rows.append(
+                        BoundReport(name, quantity, bound, satisfied, sid, c_encoded, detail)
                     )
-                elif name == "char_max":
-                    self._emit(
-                        partial,
-                        BoundReport(
-                            check="char_max",
-                            quantity=float(eps[row]),
-                            bound=None,
-                            satisfied=None,
-                            subspace_id=sid,
-                            c_encoded=int(eps_c[row]),
-                        ),
-                    )
-                elif name == "xor":
-                    bound = float(eps[row]) * self.sqrt_qm
-                    ok = float(sd_f[row]) <= bound + self.tolerance
-                    self._emit(
-                        partial,
-                        BoundReport(
-                            check="xor",
-                            quantity=float(sd_f[row]),
-                            bound=bound,
-                            satisfied=ok,
-                            subspace_id=sid,
-                            c_encoded=int(eps_c[row]),
-                        ),
-                    )
-                elif name == "zero_coordinate":
-                    self._emit(
-                        partial,
-                        BoundReport(
-                            check="zero_coordinate",
-                            quantity=zworst,
-                            bound=m - 1,
-                            satisfied=zworst <= m - 1,
-                            subspace_id=sid,
-                            c_encoded=zc,
-                        ),
-                    )
-                elif name == "change_of_vars":
-                    gap = int(cov[row])
-                    c_encoded = int(cov_c[row]) + 1 if gap else None
-                    rep = _exact_report(name, gap, subspace_id=sid, c_encoded=c_encoded)
-                    self._emit(partial, rep)
-                elif name == "substitution_form":
-                    rep = _exact_report(name, int(form[row]), subspace_id=sid, detail=f"D={D}")
-                    self._emit(partial, rep)
-
-    def _emit(self, partial: _Partial, report: BoundReport) -> None:
-        if report.satisfied is False:
-            partial.violations[report.check] = partial.violations.get(report.check, 0) + 1
-        if self.collect == "full":
-            partial.rows.append(report)
-        elif self.collect == "violations" and report.satisfied is False:
-            partial.rows.append(report)
 
     # -- chunk execution ----------------------------------------------------
 
@@ -1221,7 +1189,8 @@ def verify_extractor(
 
     ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
     partials: dict[int, _Partial] = {}
-    with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(payload,)) as pool:
+    processes = min(workers, len(tasks))  # no more processes than chunks
+    with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(payload,)) as pool:
         for idx, partial in pool.imap_unordered(_run_chunk, tasks):
             partials[idx] = partial
     for idx in sorted(partials):

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import analysis, extractor, numtheory, subspace
 from .config import (
@@ -37,43 +37,13 @@ EXIT_PLAN = 2
 EXIT_CHECK = 3
 
 
-@dataclass
-class RunConfig:
-    """Everything a command needs, assembled from parsed arguments."""
-
-    command: str
-    q: int | None = None
-    n: int | None = None
-    k: int | None = None
-    m: int | None = None
-    beta: float | None = None
-    c_prime: float = DEFAULT_C_PRIME
-    floor_threshold: int = DEFAULT_FLOOR_THRESHOLD
-    strict_lcm: bool = False
-    seed_points: tuple[int, ...] | None = None
-    spec_file: str | None = None
-    input_file: str = "-"
-    output_file: str = "-"
-    exhaustive: bool = False
-    sample: int | None = None
-    subspace_file: str | None = None
-    checks: str = ",".join(analysis.DEFAULT_CHECKS)
-    seed: int = 0
-    workers: int = 1
-    report_dir: str | None = None
-    report_rows: str = "auto"
-    tolerance: float = DEFAULT_TOLERANCE
-    points_budget: int = DEFAULT_POINT_BUDGET
-    subspace_budget: int = DEFAULT_SUBSPACE_BUDGET
-    minor_budget: int = DEFAULT_MINOR_BUDGET
-    prachar_limits: tuple[int, ...] = ()
-
-    def budgets(self) -> Budgets:
-        return Budgets(
-            points=self.points_budget,
-            subspaces=self.subspace_budget,
-            minors=self.minor_budget,
-        )
+def _int_tuple(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated integer list: {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-threshold", type=int, default=DEFAULT_FLOOR_THRESHOLD)
     p.add_argument("--strict-lcm", action="store_true",
                    help="fail when lcm(d) exceeds q**epsilon instead of warning")
-    p.add_argument("--seed-points", type=str, default=None,
+    p.add_argument("--seed-points", type=_int_tuple, default=None,
                    help="comma-separated Vandermonde seed points (default 1..n)")
     p.add_argument("--spec-file", type=str, required=True, help="output path")
 
@@ -129,53 +99,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="Deligne battery and prime statistics")
     p.add_argument("--prachar-limit", dest="prachar_limits", type=int,
                    action="append", default=None,
-                   help="sum omega(q-1) over primes q <= limit (repeatable)")
+                   help="sum omega(q-1) over primes q <= limit (repeatable, default 1000)")
     p.add_argument("--report-dir", type=str, default=None)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     add_budgets(p)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if name == "command":
-            continue
-        value = getattr(args, name)
-        if name == "seed_points" and value is not None:
-            value = tuple(int(v) for v in value.split(","))
-        if name == "prachar_limits":
-            value = tuple(value) if value else (1000,)
-        setattr(cfg, name, value)
-    return cfg
-
-
 def _open_out(path: str):
     return sys.stdout if path == "-" else open(path, "w", encoding="ascii")
 
 
-def cmd_plan(cfg: RunConfig) -> int:
+def cmd_plan(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if cfg.beta is not None:
+        if args.beta is not None:
             spec = extractor.plan_parameters(
-                n=cfg.n, k=cfg.k, beta=cfg.beta, q=cfg.q,
-                c_prime=cfg.c_prime, floor_threshold=cfg.floor_threshold,
-                seed_points=cfg.seed_points, strict_lcm=cfg.strict_lcm,
+                n=args.n, k=args.k, beta=args.beta, q=args.q,
+                c_prime=args.c_prime, floor_threshold=args.floor_threshold,
+                seed_points=args.seed_points, strict_lcm=args.strict_lcm,
             )
         else:
             spec = extractor.build_spec(
-                q=cfg.q, n=cfg.n, k=cfg.k, m=cfg.m, seed_points=cfg.seed_points,
+                q=args.q, n=args.n, k=args.k, m=args.m, seed_points=args.seed_points,
             )
-            if cfg.strict_lcm and not spec.lcm_bound_satisfied:
+            if args.strict_lcm and not spec.lcm_bound_satisfied:
                 raise extractor.LcmBoundViolation(
                     f"lcm(d)={spec.d.lcm} exceeds q**epsilon="
                     f"{spec.modulus**spec.epsilon:.6g}"
                 )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    extractor.save_spec(spec, cfg.spec_file)
-    print(f"spec written to {cfg.spec_file}")
+    extractor.save_spec(spec, args.spec_file)
+    print(f"spec written to {args.spec_file}")
     print(f"q = {spec.modulus}, n = {spec.n}, k = {spec.k}, m = {spec.m}")
     print(f"d = {','.join(str(v) for v in spec.d)}")
     print(f"lcm = {spec.d.lcm}, q**epsilon = {spec.modulus**spec.epsilon:.6g}, "
@@ -183,10 +139,10 @@ def cmd_plan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    spec = extractor.load_spec(cfg.spec_file)
+def cmd_extract(args: argparse.Namespace) -> int:
+    spec = extractor.load_spec(args.spec_file)
     q = spec.modulus
-    fh_in = sys.stdin if cfg.input_file == "-" else open(cfg.input_file, "r", encoding="ascii")
+    fh_in = sys.stdin if args.input_file == "-" else open(args.input_file, "r", encoding="ascii")
     try:
         lines = fh_in.read().splitlines()
     finally:
@@ -210,7 +166,7 @@ def cmd_extract(cfg: RunConfig) -> int:
                 )
         rows.append(x)
     outputs = extractor.evaluate_batch(spec, rows).tolist() if rows else []
-    fh_out = _open_out(cfg.output_file)
+    fh_out = _open_out(args.output_file)
     try:
         for z in outputs:
             print(",".join(str(v) for v in z), file=fh_out)
@@ -220,35 +176,39 @@ def cmd_extract(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    spec = extractor.load_spec(cfg.spec_file)
-    if cfg.exhaustive:
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = extractor.load_spec(args.spec_file)
+    if args.exhaustive:
         source = analysis.ExhaustiveSubspaces()
-    elif cfg.sample is not None:
-        source = analysis.SampledSubspaces(count=cfg.sample, seed=cfg.seed)
+    elif args.sample is not None:
+        source = analysis.SampledSubspaces(count=args.sample, seed=args.seed)
     else:
         source = analysis.ExplicitSubspaces(
-            subspaces=tuple(subspace.load_subspaces(cfg.subspace_file))
+            subspaces=tuple(subspace.load_subspaces(args.subspace_file))
         )
-    names = analysis.CHECK_ORDER if cfg.checks == "all" else cfg.checks.split(",")
+    names = analysis.CHECK_ORDER if args.checks == "all" else args.checks.split(",")
     start = time.perf_counter()
     result = analysis.verify_extractor(
         spec,
         source,
         checks=names,
-        workers=cfg.workers,
-        budgets=cfg.budgets(),
-        tolerance=cfg.tolerance,
-        collect=cfg.report_rows,
+        workers=args.workers,
+        budgets=Budgets(
+            points=args.points_budget,
+            subspaces=args.subspace_budget,
+            minors=args.minor_budget,
+        ),
+        tolerance=args.tolerance,
+        collect=args.report_rows,
     )
     elapsed = time.perf_counter() - start
     for line in analysis.summary_lines(result):
         print(line)
     print(f"elapsed_seconds = {elapsed:.3f}")
-    if cfg.report_dir is not None:
-        os.makedirs(cfg.report_dir, exist_ok=True)
-        report = os.path.join(cfg.report_dir, "verify_report.csv")
-        summary = os.path.join(cfg.report_dir, "verify_summary.txt")
+    if args.report_dir is not None:
+        os.makedirs(args.report_dir, exist_ok=True)
+        report = os.path.join(args.report_dir, "verify_report.csv")
+        summary = os.path.join(args.report_dir, "verify_summary.txt")
         analysis.write_reports_csv(result, report)
         analysis.write_summary(result, summary)
         print(f"report rows written to {report}")
@@ -256,18 +216,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if result.ok else EXIT_CHECK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
+def cmd_bounds(args: argparse.Namespace) -> int:
     battery = analysis.deligne_battery()
     result = analysis.SweepResult(
         spec_q=0, spec_n=0, spec_k=0, spec_m=0,
         source=f"deligne_battery:{len(battery)}",
-        checks=("deligne",), collect="full", tolerance=cfg.tolerance,
+        checks=("deligne",), collect="full", tolerance=args.tolerance,
         total_subspaces=len(battery),
     )
     failed = 0
     for idx, (f, b) in enumerate(battery):
         report = analysis.deligne_bound_check(
-            f, b, budget=cfg.points_budget, tolerance=cfg.tolerance
+            f, b, budget=args.points_budget, tolerance=args.tolerance
         )
         report = replace(report, subspace_id=idx)
         result.reports.append(report)
@@ -279,13 +239,13 @@ def cmd_bounds(cfg: RunConfig) -> int:
             f"<= {report.bound:.6f} {'ok' if report.satisfied else 'FAIL'}"
         )
     result.violations["deligne"] = failed
-    for limit in cfg.prachar_limits:
+    for limit in args.prachar_limits or (1000,):
         total, norm = numtheory.prachar_average(limit)
         print(f"prachar_sum[{limit}] = {total}")
         print(f"prachar_normalized[{limit}] = {norm!r}")
-    if cfg.report_dir is not None:
-        os.makedirs(cfg.report_dir, exist_ok=True)
-        path = os.path.join(cfg.report_dir, "deligne_battery.csv")
+    if args.report_dir is not None:
+        os.makedirs(args.report_dir, exist_ok=True)
+        path = os.path.join(args.report_dir, "deligne_battery.csv")
         analysis.write_reports_csv(result, path)
         print(f"battery rows written to {path}")
     return EXIT_OK if failed == 0 else EXIT_CHECK
@@ -297,17 +257,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ARGS if exc.code not in (0, None) else EXIT_OK
-    cfg = _config_from_args(args)
     try:
-        if cfg.command == "plan":
-            return cmd_plan(cfg)
-        if cfg.command == "extract":
-            return cmd_extract(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "bounds":
-            return cmd_bounds(cfg)
-        raise ValueError(f"unknown command {cfg.command}")
+        if args.command == "plan":
+            return cmd_plan(args)
+        if args.command == "extract":
+            return cmd_extract(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "bounds":
+            return cmd_bounds(args)
+        raise ValueError(f"unknown command {args.command}")
     except extractor.LcmBoundViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN

@@ -1,4 +1,4 @@
-"""Scalar and vector arithmetic in prime fields F_q.
+"""Scalar arithmetic in prime fields F_q.
 
 Field elements are plain Python integers in canonical form 0 <= a < q; the
 modulus travels as a separate argument instead of being wrapped per element.
@@ -11,8 +11,6 @@ is defined as 1.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 
 def add(a: int, b: int, q: int) -> int:
@@ -43,22 +41,3 @@ def power(a: int, e: int, q: int) -> int:
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
     return pow(a, e, q)
-
-
-def power_vector(x: Sequence[int], d: Sequence[int], q: int) -> tuple[int, ...]:
-    """Coordinate-wise powers (x_1**d_1, ..., x_n**d_n) mod q."""
-    if len(x) != len(d):
-        raise ValueError(f"vector length {len(x)} does not match exponent count {len(d)}")
-    return tuple(pow(xj, dj, q) for xj, dj in zip(x, d))
-
-
-def dot(a: Sequence[int], b: Sequence[int], q: int) -> int:
-    """Inner product mod q."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(ai * bi for ai, bi in zip(a, b)) % q
-
-
-def vector_mod(x: Sequence[int], q: int) -> tuple[int, ...]:
-    """Reduce an integer vector to canonical residues."""
-    return tuple(v % q for v in x)

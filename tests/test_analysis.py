@@ -397,6 +397,25 @@ class TestStructuralChecksCanFail:
             quiet = verify_extractor(spec, src, checks=(name,), collect="none")
             assert quiet.violations == {name: 60} and quiet.processed == 60
 
+    def test_collect_violations_keeps_only_failed_rows(self, doubled_degrees):
+        cases = [
+            (build_spec(13, 3, 2, 2), SampledSubspaces(60, seed=1)),
+            (build_spec(7, 3, 2, 2), ExhaustiveSubspaces()),  # many offsets per block
+        ]
+        for spec, src in cases:
+            runs = {
+                collect: verify_extractor(spec, src, checks=CHECK_ORDER, collect=collect)
+                for collect in ("full", "violations", "none")
+            }
+            failed = [r for r in runs["full"].reports if r.satisfied is False]
+            assert failed
+            assert runs["violations"].reports == failed
+            assert runs["none"].reports == []
+            names = runs["full"].violations
+            per_check = {name: sum(r.check == name for r in failed) for name in names}
+            for res in runs.values():
+                assert res.violations == per_check
+
     def test_sweep_rows_match_public_checks(self, doubled_degrees):
         for spec_args, V in EDGE_SHAPES:
             _assert_sweep_rows_match_public_checks(build_spec(*spec_args), V)
@@ -654,6 +673,35 @@ class TestSweepEngine:
         r1 = verify_extractor(spec, ExhaustiveSubspaces(), workers=1, collect="full")
         r2 = verify_extractor(spec, ExhaustiveSubspaces(), workers=3, collect="full")
         assert reports_csv_lines(r1) == reports_csv_lines(r2)
+
+    def test_pool_is_capped_at_the_chunk_count(self, spec13, monkeypatch):
+        # an in-process stand-in for the pool records the size asked for
+        asked = []
+
+        class InlinePool:
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks):
+                return map(fn, tasks)
+
+        class InlineContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr(analysis, "_WORKER_STATE", None)
+        monkeypatch.setattr(analysis.multiprocessing, "get_context", lambda method: InlineContext)
+        src = SampledSubspaces(count=5, seed=3)
+        res = verify_extractor(spec13, src, workers=10**6, collect="full")
+        assert asked == [5]
+        single = verify_extractor(spec13, src, workers=1, collect="full")
+        assert reports_csv_lines(res) == reports_csv_lines(single)
 
     def test_fast_path_and_full_collect_agree_on_summary(self):
         spec = build_spec(5, 3, 2, 1)

@@ -87,6 +87,16 @@ class TestPlan:
         assert code == 0
         assert load_spec(out_file).A.seed_points == (5, 7, 11)
 
+    def test_malformed_seed_points_is_argument_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "plan", "--q", "13", "--n", "3", "--k", "2", "--m", "1",
+            "--seed-points", "1,x", "--spec-file", str(tmp_path / "s.txt"),
+        )
+        assert code == 1
+        assert "error:" in err and "--seed-points" in err
+        assert not (tmp_path / "s.txt").exists()
+
     def test_missing_required_arguments(self, capsys):
         code, _, _ = run(capsys, "plan", "--q", "13")
         assert code == 1

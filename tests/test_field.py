@@ -51,36 +51,3 @@ class TestScalarOps:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             field.power(2, -1, 13)
-
-
-class TestVectorOps:
-    def test_power_vector_componentwise(self):
-        q = 13
-        xs = [0, 1, 2, 5, 12]
-        exps = [35, 7, 5, 3, 2]
-        out = field.power_vector(xs, exps, q)
-        assert tuple(out) == tuple(pow(x, e, q) for x, e in zip(xs, exps))
-
-    def test_power_vector_length_mismatch(self):
-        with pytest.raises(ValueError):
-            field.power_vector([1, 2], [3], 13)
-
-    @given(st.sampled_from([3, 13, 31]), st.data())
-    def test_dot_matches_int_arithmetic(self, q, data):
-        n = data.draw(st.integers(min_value=1, max_value=8))
-        u = data.draw(st.lists(elements(q), min_size=n, max_size=n))
-        v = data.draw(st.lists(elements(q), min_size=n, max_size=n))
-        assert field.dot(u, v, q) == sum(a * b for a, b in zip(u, v)) % q
-
-    def test_dot_length_mismatch(self):
-        with pytest.raises(ValueError):
-            field.dot([1, 2], [1], 13)
-
-    @given(st.sampled_from([3, 13, 31]), st.data())
-    def test_vector_mod_canonicalizes(self, q, data):
-        v = data.draw(
-            st.lists(st.integers(min_value=-500, max_value=500), min_size=1, max_size=6)
-        )
-        out = field.vector_mod(v, q)
-        assert all(0 <= c < q for c in out)
-        assert tuple(out) == tuple(c % q for c in v)
