@@ -20,6 +20,8 @@ batched through the count primitive, so exhaustive runs at desk scale stay
 in the seconds-to-minutes range.  Work is sharded over processes in fixed
 chunks whose layout does not depend on the worker count, and partial results
 merge in chunk order, so reports are byte-identical for any worker count.
+Workers get the caller's sweep state, and each chunk's partial result is a
+SweepResult, merged by the same first-maximum rule that runs per block.
 Per block, each check yields one column per report field (a per-offset
 array or one shared value), and violation counts and report rows both read
 those columns.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -56,6 +58,7 @@ from .extractor import ExtractorSpec, evaluate
 from .numtheory import is_prime
 from .subspace import (
     AffineSubspace,
+    _lex_grid,
     basis_at,
     count_affine_subspaces,
     enumerate_points,
@@ -229,7 +232,8 @@ def character_magnitudes(
             f"character table needs {qm * qm} operations, budget is {budget}"
         )
     out = np.empty(qm, dtype=np.float64)
-    for lo, mags in _character_blocks(dist.counts, dist.total, _output_digits(q, m), q, 0):
+    zdig, omega = _output_digits(q, m), _omega_powers(q)
+    for lo, mags in _character_blocks(dist.counts, dist.total, zdig, omega, 0):
         out[lo : lo + mags.shape[-1]] = mags
     return out
 
@@ -241,13 +245,15 @@ def _phase_blocks(zdig: np.ndarray, cs: np.ndarray, q: int):
         yield lo, (zdig @ cs[lo : lo + _CHAR_CHUNK].T) % q
 
 
-def _character_blocks(counts: np.ndarray, total: int, zdig: np.ndarray, q: int, start: int):
+def _character_blocks(
+    counts: np.ndarray, total: int, zdig: np.ndarray, omega: np.ndarray, start: int
+):
     """The character transform of output counts, one block of characters at
     a time: yields (lo, mags) with mags[..., i] = |E[w^<c,Z>]| for the c
-    encoded as lo + i, over every c >= start; counts is (q**m,) or (rows, q**m)."""
+    encoded as lo + i, over every c >= start; counts is (q**m,) or (rows, q**m),
+    and omega is _omega_powers(q), built once by the caller."""
     counts_f = counts.astype(np.float64)
-    omega = _omega_powers(q)
-    for lo, phase in _phase_blocks(zdig, zdig[start:], q):
+    for lo, phase in _phase_blocks(zdig, zdig[start:], len(omega)):
         yield start + lo, np.abs(counts_f @ omega[phase]) / total
 
 
@@ -312,14 +318,6 @@ def _pivot_degrees(spec: ExtractorSpec, pivots: Sequence[int]) -> tuple[int, lis
 def _pow_column(e: int, q: int) -> np.ndarray:
     """s**e mod q for every residue s, indexed by s."""
     return np.array([pow(s, e, q) for s in range(q)], dtype=np.int64)
-
-
-def _lex_grid(q: int, k: int) -> np.ndarray:
-    """All q**k parameter vectors t as rows, in lexicographic order."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * k), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, k)
 
 
 def _substitute(grid: np.ndarray, D_per_pivot: Sequence[int], q: int) -> np.ndarray:
@@ -849,54 +847,59 @@ def _per_offset(col, n: int) -> list:
     return col if isinstance(col, list) else [col] * n
 
 
-@dataclass
-class _Partial:
-    processed: int = 0
-    budget_errors: int = 0
-    violations: dict[str, int] = field(default_factory=dict)
-    rows: list[BoundReport] = field(default_factory=list)
-    max_sd: float = -1.0
-    max_sd_absdev: int = 0
-    max_sd_denom: int = 1
-    max_sd_id: int = -1
-    max_char: float = -1.0
-    max_char_id: int = -1
-    max_char_c: int = 0
+# the two running maxima: the compared value, then the fields that go with it
+_MAX_SD = ("max_sd", "max_sd_exact", "max_sd_subspace")
+_MAX_CHAR = ("max_char", "max_char_subspace", "max_char_c")
+
+
+def _keep_first_max(result: SweepResult, names: tuple[str, ...], values: Sequence) -> None:
+    """Store values under names when values[0] beats the maximum result
+    holds; a tie keeps the earlier one, so the first maximum in sweep order
+    wins, within a chunk and across merged chunks alike."""
+    current = getattr(result, names[0])
+    if values[0] is not None and (current is None or values[0] > current):
+        for name, value in zip(names, values):
+            setattr(result, name, value)
 
 
 class _SweepState:
-    """Everything a worker needs, rebuilt once per process from the payload."""
+    """Everything a sweep needs.  The caller builds it once, and each pool
+    worker gets a copy; every chunk tallies into a blank copy of header."""
 
-    def __init__(self, payload: dict) -> None:
-        self.spec: ExtractorSpec = payload["spec"]
-        self.source: SubspaceSource = payload["source"]
-        self.checks: tuple[str, ...] = payload["checks"]
-        self.collect: str = payload["collect"]
-        self.tolerance: float = payload["tolerance"]
-        self.budgets: Budgets = payload["budgets"]
-        spec = self.spec
+    def __init__(
+        self,
+        spec: ExtractorSpec,
+        source: SubspaceSource,
+        budgets: Budgets,
+        header: SweepResult,
+    ) -> None:
+        self.spec, self.source, self.budgets = spec, source, budgets
+        self.header = replace(header, violations={}, reports=[])
+        self.checks, self.collect, self.tolerance = header.checks, header.collect, header.tolerance
         q, m = spec.modulus, spec.m
         self.q, self.m = q, m
         self.qm = q**m
         self.need_counts = bool({"sd", "char_max", "xor"} & set(self.checks))
         self.need_char = bool({"char_max", "xor"} & set(self.checks))
         self.sqrt_qm = q ** (m / 2)
-        self.counter = _PointCounts(spec, self.budgets.points)
+        self.counter = _PointCounts(spec, budgets.points)
         self.zdig = _output_digits(q, m)
+        self.omega = _omega_powers(q)
         self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
-        if isinstance(self.source, ExhaustiveSubspaces):
+        # subspaces per chunk unit: the parallel offsets of one linear
+        # subspace in an exhaustive sweep, else one subspace
+        self.per_unit = 1
+        if isinstance(source, ExhaustiveSubspaces):
             self.blocks = pattern_blocks(spec.n, spec.k, q)
             self.offsets_cache: dict[tuple[int, ...], np.ndarray] = {}
-            self.offsets_per_linear = q ** (spec.n - spec.k)
+            self.per_unit = q ** (spec.n - spec.k)
 
     def zero_coordinate_worst(self, pivots: tuple[int, ...]) -> tuple[int, int]:
         """Worst zero count of c^T A over pivot coordinates, over nonzero c."""
         if pivots not in self.zero_cache:
             ball = (self.zdig[1:] @ self.counter.A) % self.q  # (qm-1, n)
-            zeros = (ball[:, list(pivots)] == 0).sum(axis=1)
-            worst = int(zeros.max()) if zeros.size else 0
-            worst_c = int(zeros.argmax()) + 1 if zeros.size else 0
-            self.zero_cache[pivots] = (worst, worst_c)
+            zeros = (ball[:, list(pivots)] == 0).sum(axis=1)  # q**m - 1 >= 1 entries
+            self.zero_cache[pivots] = (int(zeros.max()), int(zeros.argmax()) + 1)
         return self.zero_cache[pivots]
 
     # -- block analysis ----------------------------------------------------
@@ -907,7 +910,7 @@ class _SweepState:
         pivots: tuple[int, ...],
         offsets: np.ndarray,
         ids: np.ndarray,
-        partial: _Partial,
+        partial: SweepResult,
     ) -> None:
         """Run all selected checks for one direction space and a batch of
         parallel offsets; ids are the global subspace ids, one per offset."""
@@ -925,7 +928,7 @@ class _SweepState:
             if self.need_char:
                 eps = np.full(O, -1.0)
                 eps_c = np.zeros(O, dtype=np.int64)
-                for lo, mags in _character_blocks(counts, T, self.zdig, q, 1):
+                for lo, mags in _character_blocks(counts, T, self.zdig, self.omega, 1):
                     best = mags.argmax(axis=1)
                     vals = mags[np.arange(O), best]
                     better = vals > eps
@@ -957,17 +960,12 @@ class _SweepState:
         partial.processed += O
         if sd_f is not None:
             row = int(np.argmax(sd_f))
-            if float(sd_f[row]) > partial.max_sd:
-                partial.max_sd = float(sd_f[row])
-                partial.max_sd_absdev = int(absdev[row])
-                partial.max_sd_denom = denom
-                partial.max_sd_id = int(ids[row])
+            best = (float(sd_f[row]), Fraction(int(absdev[row]), denom), int(ids[row]))
+            _keep_first_max(partial, _MAX_SD, best)
         if eps is not None:
             row = int(np.argmax(eps))
-            if float(eps[row]) > partial.max_char:
-                partial.max_char = float(eps[row])
-                partial.max_char_id = int(ids[row])
-                partial.max_char_c = int(eps_c[row])
+            best = (float(eps[row]), int(ids[row]), int(eps_c[row]))
+            _keep_first_max(partial, _MAX_CHAR, best)
         failed = 0
         for name, (_, _, satisfied, _, _) in cols.items():
             if satisfied is not None:
@@ -991,93 +989,74 @@ class _SweepState:
             for name, rows in cells.items():
                 quantity, bound, satisfied, c_encoded, detail = rows[row]
                 if keep_all or satisfied is False:
-                    partial.rows.append(
+                    partial.reports.append(
                         BoundReport(name, quantity, bound, satisfied, sid, c_encoded, detail)
                     )
 
     # -- chunk execution ----------------------------------------------------
 
-    def run_range(self, lo: int, hi: int) -> _Partial:
-        partial = _Partial()
-        spec = self.spec
+    def run_range(self, lo: int, hi: int) -> SweepResult:
+        """Tally chunk units [lo, hi) into a new partial SweepResult."""
+        partial = replace(self.header, violations={}, reports=[])
+        spec, q = self.spec, self.q
         if isinstance(self.source, ExhaustiveSubspaces):
             for linear in range(lo, hi):
-                block, basis = basis_at(self.blocks, linear, self.q, spec.n)
+                block, basis = basis_at(self.blocks, linear, q, spec.n)
                 if block.pattern not in self.offsets_cache:
                     self.offsets_cache[block.pattern] = offsets_for_pattern(
-                        block.pattern, spec.n, self.q
+                        block.pattern, spec.n, q
                     )
                 offsets = self.offsets_cache[block.pattern]
-                base = linear * self.offsets_per_linear
+                base = linear * self.per_unit
                 ids = base + np.arange(offsets.shape[0], dtype=np.int64)
                 self.analyze_block(basis, block.pattern, offsets, ids, partial)
-        elif isinstance(self.source, SampledSubspaces):
-            for i in range(lo, hi):
-                V = random_subspace(spec.n, spec.k, self.q, seed=self.source.seed + i)
-                self._analyze_single(V, i, partial)
-        else:
-            for i in range(lo, hi):
+            return partial
+        for i in range(lo, hi):
+            if isinstance(self.source, SampledSubspaces):
+                V = random_subspace(spec.n, spec.k, q, seed=self.source.seed + i)
+            else:
                 V = self.source.subspaces[i]
-                if self.q**V.k > self.budgets.points:
-                    partial.budget_errors += 1
-                    self._emit_budget_error(partial, V, i)
-                    continue
-                self._analyze_single(V, i, partial)
+            if q**V.k > self.budgets.points:
+                partial.budget_errors += 1
+                if self.collect != "none":
+                    partial.reports.append(
+                        BoundReport(
+                            check="budget_error",
+                            quantity=q**V.k,
+                            bound=self.budgets.points,
+                            satisfied=None,
+                            subspace_id=i,
+                            detail="subspace skipped: point budget exceeded",
+                        )
+                    )
+                continue
+            offsets, ids = V.offset_array().reshape(1, -1), np.array([i], dtype=np.int64)
+            self.analyze_block(V.basis_array(), V.pivots, offsets, ids, partial)
         return partial
-
-    def _analyze_single(self, V: AffineSubspace, sid: int, partial: _Partial) -> None:
-        _check_subspace(self.spec, V)
-        self.analyze_block(
-            V.basis_array(),
-            V.pivots,
-            V.offset_array().reshape(1, -1),
-            np.array([sid], dtype=np.int64),
-            partial,
-        )
-
-    def _emit_budget_error(self, partial: _Partial, V: AffineSubspace, sid: int) -> None:
-        report = BoundReport(
-            check="budget_error",
-            quantity=self.q**V.k,
-            bound=self.budgets.points,
-            satisfied=None,
-            subspace_id=sid,
-            detail="subspace skipped: point budget exceeded",
-        )
-        if self.collect in ("full", "violations"):
-            partial.rows.append(report)
 
 
 _WORKER_STATE: _SweepState | None = None
 
 
-def _init_worker(payload: dict) -> None:
+def _init_worker(state: _SweepState) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = _SweepState(payload)
+    _WORKER_STATE = state
 
 
-def _run_chunk(task: tuple[int, int, int]) -> tuple[int, _Partial]:
+def _run_chunk(task: tuple[int, int, int]) -> tuple[int, SweepResult]:
     assert _WORKER_STATE is not None
     idx, lo, hi = task
     return idx, _WORKER_STATE.run_range(lo, hi)
 
 
-def _merge(result: SweepResult, partial: _Partial) -> None:
+def _merge(result: SweepResult, partial: SweepResult) -> None:
     result.processed += partial.processed
     result.budget_errors += partial.budget_errors
     for name, count in partial.violations.items():
         result.violations[name] = result.violations.get(name, 0) + count
-    result.reports.extend(partial.rows)
-    if partial.max_sd_id >= 0:
-        if result.max_sd is None or partial.max_sd > result.max_sd:
-            result.max_sd = partial.max_sd
-            result.max_sd_exact = Fraction(partial.max_sd_absdev, partial.max_sd_denom)
-            result.max_sd_subspace = partial.max_sd_id
-    if partial.max_char_id >= 0:
-        if result.max_char is None or partial.max_char > result.max_char:
-            result.max_char = partial.max_char
-            result.max_char_subspace = partial.max_char_id
-            result.max_char_c = partial.max_char_c
+    result.reports.extend(partial.reports)
+    for names in (_MAX_SD, _MAX_CHAR):
+        _keep_first_max(result, names, [getattr(partial, name) for name in names])
 
 
 def _chunk_plan(total_units: int) -> list[tuple[int, int, int]]:
@@ -1119,35 +1098,25 @@ def verify_extractor(
         )
 
     if isinstance(source, ExhaustiveSubspaces):
-        total = count_affine_subspaces(spec.n, spec.k, q)
-        if total > budgets.subspaces:
-            raise BudgetExceededError(
-                f"exhaustive sweep has {total} subspaces, budget is {budgets.subspaces}"
-            )
-        units = total // q ** (spec.n - spec.k)  # linear subspaces
+        what, total = "exhaustive sweep", count_affine_subspaces(spec.n, spec.k, q)
     elif isinstance(source, SampledSubspaces):
         if source.count < 1:
             raise ValueError("sample count must be positive")
-        if source.count > budgets.subspaces:
-            raise BudgetExceededError(
-                f"sample has {source.count} subspaces, budget is {budgets.subspaces}"
-            )
-        total = source.count
-        units = total
+        what, total = "sample", source.count
     elif isinstance(source, ExplicitSubspaces):
         if not source.subspaces:
             raise ValueError("explicit source has no subspaces")
-        if len(source.subspaces) > budgets.subspaces:
-            raise BudgetExceededError(
-                f"list has {len(source.subspaces)} subspaces, budget is {budgets.subspaces}"
-            )
-        for V in source.subspaces:
-            _check_subspace(spec, V)
-        total = len(source.subspaces)
-        units = total
+        what, total = "list", len(source.subspaces)
     else:
         raise TypeError(f"unknown subspace source {type(source).__name__}")
-    if not isinstance(source, ExplicitSubspaces) and q**spec.k > budgets.points:
+    if total > budgets.subspaces:
+        raise BudgetExceededError(
+            f"{what} has {total} subspaces, budget is {budgets.subspaces}"
+        )
+    if isinstance(source, ExplicitSubspaces):
+        for V in source.subspaces:  # each one meets the point budget in its chunk
+            _check_subspace(spec, V)
+    elif q**spec.k > budgets.points:
         raise BudgetExceededError(
             f"each subspace has {q**spec.k} points, budget is {budgets.points}"
         )
@@ -1157,14 +1126,6 @@ def verify_extractor(
     if collect not in ("full", "violations", "none"):
         raise ValueError(f"unknown collect mode {collect!r}")
 
-    payload = {
-        "spec": spec,
-        "source": source,
-        "checks": checks,
-        "collect": collect,
-        "tolerance": tolerance,
-        "budgets": budgets,
-    }
     result = SweepResult(
         spec_q=q,
         spec_n=spec.n,
@@ -1175,24 +1136,19 @@ def verify_extractor(
         collect=collect,
         tolerance=tolerance,
         total_subspaces=total,
+        violations={name: 0 for name in checks if name in THEOREM_CHECKS},
     )
-    for name in checks:
-        if name in THEOREM_CHECKS:
-            result.violations.setdefault(name, 0)
-
-    state = _SweepState(payload)  # raises on the table budget before any work
-    tasks = _chunk_plan(units)
+    state = _SweepState(spec, source, budgets, result)  # raises on the table budget
+    tasks = _chunk_plan(total // state.per_unit)
     if workers == 1:
-        for _, lo, hi in tasks:
-            _merge(result, state.run_range(lo, hi))
-        return result
-
-    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
-    partials: dict[int, _Partial] = {}
-    processes = min(workers, len(tasks))  # no more processes than chunks
-    with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(payload,)) as pool:
-        for idx, partial in pool.imap_unordered(_run_chunk, tasks):
-            partials[idx] = partial
-    for idx in sorted(partials):
-        _merge(result, partials[idx])
+        partials = (state.run_range(lo, hi) for _, lo, hi in tasks)
+    else:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        ctx = multiprocessing.get_context(method)
+        processes = min(workers, len(tasks))  # no more processes than chunks
+        with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(state,)) as pool:
+            done = sorted(pool.imap_unordered(_run_chunk, tasks), key=lambda item: item[0])
+        partials = (partial for _, partial in done)
+    for partial in partials:  # in chunk order
+        _merge(result, partial)
     return result

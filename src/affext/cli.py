@@ -23,7 +23,6 @@ from . import analysis, extractor, numtheory, subspace
 from .config import (
     DEFAULT_C_PRIME,
     DEFAULT_FLOOR_THRESHOLD,
-    DEFAULT_MINOR_BUDGET,
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSPACE_BUDGET,
     DEFAULT_TOLERANCE,
@@ -49,11 +48,6 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="affext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_budgets(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--points-budget", type=int, default=DEFAULT_POINT_BUDGET)
-        p.add_argument("--subspace-budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
-        p.add_argument("--minor-budget", type=int, default=DEFAULT_MINOR_BUDGET)
 
     p = sub.add_parser("plan", help="derive parameters and write a spec file")
     p.add_argument("--q", type=int, required=True, help="prime modulus")
@@ -94,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-rows", type=str, default="auto",
                    choices=("auto", "full", "violations", "none"))
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    add_budgets(p)
+    p.add_argument("--points-budget", type=int, default=DEFAULT_POINT_BUDGET)
+    p.add_argument("--subspace-budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
 
     p = sub.add_parser("bounds", help="Deligne battery and prime statistics")
     p.add_argument("--prachar-limit", dest="prachar_limits", type=int,
@@ -102,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sum omega(q-1) over primes q <= limit (repeatable, default 1000)")
     p.add_argument("--report-dir", type=str, default=None)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    add_budgets(p)
+    p.add_argument("--points-budget", type=int, default=DEFAULT_POINT_BUDGET)
     return parser
 
 
@@ -193,11 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         source,
         checks=names,
         workers=args.workers,
-        budgets=Budgets(
-            points=args.points_budget,
-            subspaces=args.subspace_budget,
-            minors=args.minor_budget,
-        ),
+        budgets=Budgets(points=args.points_budget, subspaces=args.subspace_budget),
         tolerance=args.tolerance,
         collect=args.report_rows,
     )

@@ -15,7 +15,7 @@ DEFAULT_TOLERANCE = 1e-6
 # Default operation budgets (scalar field operations, or items enumerated).
 DEFAULT_POINT_BUDGET = 10**8
 DEFAULT_SUBSPACE_BUDGET = 10**8
-DEFAULT_MINOR_BUDGET = 10**8
+DEFAULT_MINOR_BUDGET = 10**8  # verify_mds only; no sweep reads it
 
 # Typicality of a prime modulus q: omega(q-1) <= max(floor, c * ln ln q).
 # The floor keeps small moduli from being rejected for having the handful of
@@ -34,8 +34,7 @@ class Budgets:
 
     points: int = DEFAULT_POINT_BUDGET
     subspaces: int = DEFAULT_SUBSPACE_BUDGET
-    minors: int = DEFAULT_MINOR_BUDGET
 
     def __post_init__(self) -> None:
-        if self.points <= 0 or self.subspaces <= 0 or self.minors <= 0:
+        if self.points <= 0 or self.subspaces <= 0:
             raise ValueError("budgets must be positive")

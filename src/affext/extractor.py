@@ -25,6 +25,7 @@ import numpy as np
 from . import numtheory
 from .config import DEFAULT_C_PRIME, DEFAULT_FLOOR_THRESHOLD, DEFAULT_MINOR_BUDGET, BudgetExceededError
 from .numtheory import PrimeModulus, check_modulus, prime_modulus
+from .subspace import _rref
 
 
 class PlanWarning(UserWarning):
@@ -166,33 +167,10 @@ def verify_mds(A: CoefficientMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> bool
         )
     q = A.q
     for cols in itertools.combinations(range(A.n), A.m):
-        mat = [[A.rows[i][j] for j in cols] for i in range(A.m)]
-        if _rank_mod(mat, q) < A.m:
+        mat = [[A.rows[i][j] % q for j in cols] for i in range(A.m)]  # _rref wants residues
+        if len(_rref(mat, q)[0]) < A.m:
             return False
     return True
-
-
-def _rank_mod(mat: list[list[int]], q: int) -> int:
-    """Rank of a small matrix over F_q by Gaussian elimination."""
-    mat = [row[:] for row in mat]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if mat[r][col] % q != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, q)
-        mat[rank] = [v * inv % q for v in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col] % q != 0:
-                f = mat[r][col]
-                mat[r] = [(v - f * w) % q for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 @dataclass(frozen=True)

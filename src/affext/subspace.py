@@ -242,16 +242,20 @@ def _basis_from_digits(
     return basis
 
 
+def _lex_grid(q: int, k: int) -> np.ndarray:
+    """All q**k vectors of F_q^k as rows, in lexicographic order."""
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * k), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, k)
+
+
 def offsets_for_pattern(pattern: Sequence[int], n: int, q: int) -> np.ndarray:
     """All canonical offsets for a pivot pattern, lexicographic over the
     non-pivot coordinates; shape (q**(n-k), n)."""
     free_cols = [j for j in range(n) if j not in set(pattern)]
-    count = q ** len(free_cols)
-    out = np.zeros((count, n), dtype=np.int64)
-    if free_cols:
-        grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * len(free_cols)), indexing="ij")
-        for col, g in zip(free_cols, grids):
-            out[:, col] = g.reshape(-1)
+    out = np.zeros((q ** len(free_cols), n), dtype=np.int64)
+    out[:, free_cols] = _lex_grid(q, len(free_cols))
     return out
 
 

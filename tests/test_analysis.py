@@ -731,42 +731,53 @@ class TestSweepEngine:
         spec = build_spec(13, 4, 2, 1)
         big = canonicalize((0,) * 4, np.eye(4, dtype=int).tolist(), 13)  # k = 4
         small = random_subspace(4, 2, 13, seed=1)
-        res = verify_extractor(
-            spec,
-            ExplicitSubspaces((big, small)),
-            checks=("sd",),
-            budgets=Budgets(points=1000, subspaces=10**6, minors=10**6),
-            collect="full",
-        )
-        assert res.budget_errors == 1
-        assert res.processed == 1
-        assert any(r.check == "budget_error" and r.subspace_id == 0 for r in res.reports)
+        for collect in ("full", "violations", "none"):
+            runs = [
+                verify_extractor(
+                    spec,
+                    ExplicitSubspaces((big, small)),
+                    checks=("sd",),
+                    workers=workers,
+                    budgets=Budgets(points=1000, subspaces=10**6),
+                    collect=collect,
+                )
+                for workers in (1, 2)
+            ]
+            for res in runs:
+                assert res.budget_errors == 1, collect
+                assert res.processed == 1, collect
+                kept = [r for r in res.reports if r.check == "budget_error"]
+                if collect == "none":
+                    assert kept == []
+                else:
+                    assert [r.subspace_id for r in kept] == [0], collect
+            assert runs[0].reports == runs[1].reports, collect
 
     def test_upfront_budget_guards(self, spec13):
         with pytest.raises(BudgetExceededError, match="outcome cells"):
             verify_extractor(
                 spec13,
                 SampledSubspaces(count=5, seed=0),
-                budgets=Budgets(points=5, subspaces=10, minors=10),
+                budgets=Budgets(points=5, subspaces=10),
             )
         with pytest.raises(BudgetExceededError, match="subspaces"):
             verify_extractor(
                 spec13,
                 ExhaustiveSubspaces(),
-                budgets=Budgets(points=10**6, subspaces=10, minors=10),
+                budgets=Budgets(points=10**6, subspaces=10),
             )
         with pytest.raises(BudgetExceededError, match="sample has"):
             verify_extractor(
                 spec13,
                 SampledSubspaces(count=100, seed=0),
-                budgets=Budgets(points=10**6, subspaces=50, minors=10),
+                budgets=Budgets(points=10**6, subspaces=50),
             )
         with pytest.raises(BudgetExceededError, match="power tables"):
             verify_extractor(
                 build_spec(13, 3, 1, 1),
                 SampledSubspaces(count=5, seed=0),
                 workers=2,
-                budgets=Budgets(points=50, subspaces=10, minors=10),
+                budgets=Budgets(points=50, subspaces=10),
             )
 
     def test_argument_validation(self, spec13):

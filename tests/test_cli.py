@@ -229,6 +229,16 @@ class TestVerify:
         assert code == 1
         assert "budget" in err
 
+    def test_minor_budget_flag_is_rejected(self, spec_path, capsys):
+        # no sweep reads a minor budget, so the flag is not accepted
+        code, _, err = run(
+            capsys,
+            "verify", "--spec-file", spec_path, "--sample", "3",
+            "--minor-budget", "10",
+        )
+        assert code == 1
+        assert "--minor-budget" in err
+
     def test_unknown_check_name(self, spec_path, capsys):
         code, _, err = run(
             capsys,
@@ -263,6 +273,16 @@ class TestBounds:
         assert "prachar_sum[1000]" in out
         battery_csv = (report_dir / "deligne_battery.csv").read_text(encoding="ascii")
         assert battery_csv.count("\ndeligne,") >= 20
+
+    def test_only_the_points_budget_is_accepted(self, capsys):
+        # the battery reads only --points-budget
+        for flag in ("--subspace-budget", "--minor-budget"):
+            code, _, err = run(capsys, "bounds", flag, "10")
+            assert code == 1
+            assert flag in err
+        code, _, err = run(capsys, "bounds", "--points-budget", "10")
+        assert code == 1
+        assert "budget is 10" in err
 
     def test_default_prachar_limit(self, capsys):
         code, out, _ = run(capsys, "bounds")
