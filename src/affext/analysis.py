@@ -133,6 +133,12 @@ class OutputDistribution:
             raise ValueError("counts do not sum to total")
 
 
+def _check_outcome_cells(q: int, m: int, budget: int) -> None:
+    """The q**m output cells of a count vector must fit the point budget."""
+    if q**m > budget:
+        raise BudgetExceededError(f"q**m = {q**m} outcome cells, budget is {budget}")
+
+
 def output_distribution(
     spec: ExtractorSpec,
     V: AffineSubspace,
@@ -146,8 +152,7 @@ def output_distribution(
     """
     _check_subspace(spec, V)
     q, m = spec.modulus, spec.m
-    if q**m > budget:
-        raise BudgetExceededError(f"q**m = {q**m} outcome cells, budget is {budget}")
+    _check_outcome_cells(q, m, budget)
     counts = np.zeros(q**m, dtype=np.int64)
     for x in enumerate_points(V, budget):
         counts[encode_output(evaluate(spec, x), q)] += 1
@@ -328,6 +333,29 @@ def _substitute(grid: np.ndarray, D_per_pivot: Sequence[int], q: int) -> np.ndar
     return out
 
 
+def _count_kernel(q: int, n: int) -> tuple[object, str]:
+    """The C count kernel for modulus q and n inputs, or None and why not.
+
+    Looking it up builds or loads the C kernels; when that fails, the
+    fallback warning is issued once per process for both C kernels."""
+    # the kernel's row sums sum_j A[i, j] * x_j**d_j (A reduced mod q) are int64
+    if n * (q - 1) ** 2 >= 2**63:
+        return None, f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 accumulator"
+    from . import batch
+
+    build = batch.c_build()
+    if build.count_fn is None:
+        batch.warn_c_fallback("numpy")
+        return None, f"C kernels unavailable: {build.error}"
+    return build.count_fn, ""
+
+
+def count_route(q: int, n: int) -> str:
+    """The route _PointCounts.counts takes: "c" or "numpy (<why>)"."""
+    fn, why = _count_kernel(q, n)
+    return "c" if fn is not None else f"numpy ({why})"
+
+
 class _PointCounts:
     """The one production route from points to output counts.
 
@@ -335,8 +363,13 @@ class _PointCounts:
     grid, every point offset + t.B is read through power tables over
     [0, 2q-2], so the unreduced sum offset_j + (t.B)_j indexes x_j**d_j
     directly.  The direct route uses the lexicographic grid; the change of
-    variables runs the same lookups on the grid with t_i -> t_i**D_i.  The
-    per-point evaluate() of output_distribution is its oracle.
+    variables runs the same lookups on the grid with t_i -> t_i**D_i.
+
+    counts() runs on the C count kernel (batch.py), one compiled loop per
+    block, when the C kernels load and n*(q-1)**2 < 2**63 keeps the int64
+    row sums exact; otherwise on a numpy loop of gathers and a bincount.
+    Both give the same integers.  The per-point evaluate() of
+    output_distribution is the oracle for both.
     """
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
@@ -347,7 +380,7 @@ class _PointCounts:
             )
         self.spec, self.budget = spec, budget
         self.q, self.n, self.m, self.qm = q, n, m, q**m
-        self.A = spec.A.array()
+        self.A = spec.A.array() % q
         self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
         wrap = np.arange(2 * q - 1) % q
         self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
@@ -367,7 +400,20 @@ class _PointCounts:
         T = grid.shape[0]
         O = offsets.shape[0]
         tB = (grid @ basis) % q if k else np.zeros((1, n), dtype=np.int64)
-        counts = np.empty((O, qm), dtype=np.int64)
+        counts = np.zeros((O, qm), dtype=np.int64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        tB = np.ascontiguousarray(tB, dtype=np.int64)
+        if offsets.shape != (O, n) or tB.shape != (T, n):
+            raise ValueError(f"offsets and grid points must have {n} coordinates")
+        # every point index offset_j + (t.B)_j must lie inside the power tables
+        if offsets.min() + tB.min() < 0 or offsets.max() + tB.max() > 2 * q - 2:
+            raise ValueError(f"point coordinates outside [0, {2 * q - 2}] before reduction")
+        fn, _ = _count_kernel(q, n)
+        if fn is not None:
+            fn(self.powtabs.ctypes.data, 2 * q - 1, self.A.ctypes.data,
+               self.weights.ctypes.data, n, m, offsets.ctypes.data, O,
+               tB.ctypes.data, T, q, qm, counts.ctypes.data)
+            return counts
         slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
         for lo in range(0, O, slice_rows):
             hi = min(lo + slice_rows, O)
@@ -403,18 +449,20 @@ class _PointCounts:
             direct = self.counts(basis, offsets, self.grid(len(pivots)))
         diff = direct - self.counts(basis, offsets, self.substituted[pivots])
         worst = np.zeros(len(diff), dtype=np.int64)
-        first = np.full(len(diff), -1, dtype=np.int64)
+        first = np.zeros(len(diff), dtype=np.int64)
         q = self.q
         for row in np.flatnonzero(diff.any(axis=1)):
-            for lo, phase in _phase_blocks(zdig, cs, q):
+            gaps = []
+            for _, phase in _phase_blocks(zdig, cs, q):
                 # residue counts of <c, Z> for each c of the block, exact
                 keys = phase + q * np.arange(phase.shape[1], dtype=np.int64)
                 rc = np.zeros(phase.shape[1] * q, dtype=np.int64)
                 np.add.at(rc, keys, np.broadcast_to(diff[row][:, None], keys.shape))
-                gaps = np.abs(rc).reshape(-1, q).max(axis=1)
-                best = int(gaps.argmax())
-                if gaps[best] > worst[row]:
-                    worst[row], first[row] = gaps[best], lo + best
+                gaps.append(np.abs(rc).reshape(-1, q).max(axis=1))
+            gaps = np.concatenate(gaps)
+            first[row] = gaps.argmax()  # the first c attaining the worst gap
+            worst[row] = gaps[first[row]]
+        first[worst == 0] = -1
         return worst, first
 
     def substitution_form(
@@ -476,8 +524,7 @@ def change_of_vars_check(
     q, m = spec.modulus, spec.m
     if q**V.k > budget:
         raise BudgetExceededError(f"subspace has {q**V.k} points, budget is {budget}")
-    if q**m > budget:
-        raise BudgetExceededError(f"q**m = {q**m} outcome cells, budget is {budget}")
+    _check_outcome_cells(q, m, budget)
     cs = np.asarray(c, dtype=np.int64).reshape(1, -1) % q
     gap, _ = _PointCounts(spec, budget).change_of_vars(
         V.basis_array(), V.pivots, V.offset_array().reshape(1, -1), cs, _output_digits(q, m)
@@ -1092,10 +1139,7 @@ def verify_extractor(
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     q = spec.modulus
-    if q**spec.m > budgets.points:
-        raise BudgetExceededError(
-            f"q**m = {q**spec.m} outcome cells, budget is {budgets.points}"
-        )
+    _check_outcome_cells(q, spec.m, budgets.points)
 
     if isinstance(source, ExhaustiveSubspaces):
         what, total = "exhaustive sweep", count_affine_subspaces(spec.n, spec.k, q)

@@ -17,6 +17,14 @@ Three interchangeable kernels, all bit-identical, registered fastest first:
 When that would be "c" but the C kernel cannot be built or loaded, it says
 why in one RuntimeWarning per process and falls back to numpy.  Callers can
 pin a kernel by name for testing.
+
+The same C source also holds the count kernel, `affext_count_block`: one
+compiled loop that tallies the outputs of every point of a sweep block
+through the power tables of `analysis._PointCounts`.  It is built, cached
+and loaded with the batch kernel (one `c_build()`, one shared object).
+`_PointCounts.counts` calls it when it loads and n*(q-1)**2 < 2**63, so the
+int64 row sums are exact; otherwise it runs its numpy loop, which gives the
+same counts.  A failed build warns once per process for both kernels.
 """
 
 from __future__ import annotations
@@ -111,6 +119,39 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
     free(pbuf);
     return 0;
 }
+
+/* counts[o, enc] += 1 for every offset o < O and grid row t < T, where
+   enc = sum_i weights[i] * (sum_j A[i, j] * tabs[j, off[o, j] + tB[t, j]] mod q)
+   and tabs holds n power tables of tablen entries.  The caller guarantees
+   what this loop does not check: A and the tables hold residues below q,
+   n * (q-1)**2 < 2**63, every off + tB lies in [0, tablen), and counts has
+   O zeroed rows of q**m cells.  The j-loop is short (n terms); vectorised
+   into gathers it ran 1.5x slower than scalar code, so GCC is told not to. */
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-vectorize")))
+#endif
+void affext_count_block(const int64_t *tabs, int64_t tablen, const int64_t *A,
+                        const int64_t *weights, int64_t n, int64_t m,
+                        const int64_t *off, int64_t O, const int64_t *tB,
+                        int64_t T, int64_t q, int64_t qm, int64_t *counts)
+{
+    for (int64_t o = 0; o < O; o++) {
+        const int64_t *oo = off + o * n;
+        int64_t *row = counts + o * qm;
+        for (int64_t t = 0; t < T; t++) {
+            const int64_t *tt = tB + t * n;
+            int64_t enc = 0;
+            for (int64_t i = 0; i < m; i++) {
+                const int64_t *a = A + i * n;
+                uint64_t acc = 0;
+                for (int64_t j = 0; j < n; j++)
+                    acc += (uint64_t)(a[j] * tabs[j * tablen + oo[j] + tt[j]]);
+                enc += weights[i] * (int64_t)(acc % (uint64_t)q);
+            }
+            row[enc]++;
+        }
+    }
+}
 """
 
 # Compiler flags, tried in order; the first set the compiler accepts is used.
@@ -119,13 +160,14 @@ _C_FLAGS = (("-O3", "-march=native"), ("-O3",))
 
 @dataclass(frozen=True)
 class CBuild:
-    """Outcome of building and loading the C kernel in this process."""
+    """Outcome of building and loading the C kernels in this process."""
 
-    fn: object = None  # the loaded ctypes function, or None
+    fn: object = None  # the loaded batch kernel (ctypes function), or None
+    count_fn: object = None  # the loaded count kernel, or None
     flags: tuple[str, ...] = ()
     compiler: str = ""  # first line of `cc --version`
     path: str = ""  # the cached shared object
-    error: str = ""  # why fn is None
+    error: str = ""  # why fn and count_fn are None
 
 
 def _find_compiler() -> str | None:
@@ -214,14 +256,17 @@ def c_build() -> CBuild:
                 errors.append(err)
                 continue
         try:
-            fn = ctypes.CDLL(path).affext_mont_eval
+            lib = ctypes.CDLL(path)
+            fn, count_fn = lib.affext_mont_eval, lib.affext_count_block
         except (OSError, AttributeError) as exc:
             errors.append(f"loading {path} failed: {exc}")
             continue
-        fn.restype = ctypes.c_int
         i64, u32, ptr = ctypes.c_int64, ctypes.c_uint32, ctypes.c_void_p
+        fn.restype = ctypes.c_int
         fn.argtypes = [ptr, i64, i64, ptr, ptr, i64, u32, u32, u32, u32, ptr]
-        return CBuild(fn=fn, flags=flags, compiler=version, path=path)
+        count_fn.restype = None
+        count_fn.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, ptr]
+        return CBuild(fn=fn, count_fn=count_fn, flags=flags, compiler=version, path=path)
     return CBuild(error="; ".join(errors))
 
 
@@ -305,6 +350,19 @@ KERNELS = {
 _fallback_warned = False
 
 
+def warn_c_fallback(instead: str) -> None:
+    """Say why the C kernels could not be built or loaded, once per process
+    for the batch and count kernels together."""
+    global _fallback_warned
+    if not _fallback_warned:
+        _fallback_warned = True
+        warnings.warn(
+            f"C batch and count kernels unavailable ({c_build().error}); "
+            f"using the {instead} kernel instead",
+            RuntimeWarning, stacklevel=3,
+        )
+
+
 def kernels_for(q: int) -> list[str]:
     """The kernels that can evaluate modulus q in this process, fastest first.
 
@@ -318,14 +376,7 @@ def pick_impl(q: int, impl: str = "auto") -> str:
     if impl == "auto":
         chosen = kernels_for(q)[0]
         if chosen != "c" and KERNELS["c"].handles(q):
-            global _fallback_warned
-            if not _fallback_warned:
-                _fallback_warned = True
-                warnings.warn(
-                    f"C batch kernel unavailable ({c_build().error}); "
-                    f"using the {chosen} kernel instead",
-                    RuntimeWarning, stacklevel=2,
-                )
+            warn_c_fallback(chosen)
         return chosen
     if impl not in KERNELS:
         raise ValueError(f"unknown implementation {impl!r}")

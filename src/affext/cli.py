@@ -193,6 +193,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         collect=args.report_rows,
     )
     elapsed = time.perf_counter() - start
+    # how the counts were built; stderr, so stdout and the reports stay byte-identical
+    print(f"count_route = {analysis.count_route(spec.modulus, spec.n)}", file=sys.stderr)
     for line in analysis.summary_lines(result):
         print(line)
     print(f"elapsed_seconds = {elapsed:.3f}")

@@ -2,7 +2,10 @@
 
 import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from affext import batch
 
 settings.register_profile(
     "affext",
@@ -11,6 +14,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("affext")
+
+
+@pytest.fixture
+def fresh_c_build(monkeypatch):
+    """Forget this process's C kernel outcome and fallback warning, before and after."""
+    batch.c_build.cache_clear()
+    monkeypatch.setattr(batch, "_fallback_warned", False)
+    yield
+    batch.c_build.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,8 @@ exhaustive cases, and character magnitudes against direct complex sums.
 """
 
 import math
+import shutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -44,16 +46,22 @@ from affext.analysis import (
     _chunk_plan,
     _PointCounts,
 )
-from affext import analysis
+from affext import analysis, batch
 from affext.config import Budgets, BudgetExceededError
-from affext.extractor import build_matrix, build_spec
+from affext.extractor import build_matrix, build_spec, evaluate_batch
 from affext.subspace import (
+    basis_at,
     canonicalize,
     count_affine_subspaces,
     enumerate_points,
     enumerate_subspaces,
+    offsets_for_pattern,
+    pattern_blocks,
     random_subspace,
 )
+
+HAVE_CC = bool(shutil.which("cc") or shutil.which("gcc"))
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
 
 
 @pytest.fixture(scope="module")
@@ -265,15 +273,31 @@ def _assert_sweep_rows_match_public_checks(spec, V):
     assert got.c_encoded == (gaps.index(worst) + 1 if worst else None)
 
 
+def _count_blocks():
+    """(spec, basis, offsets, subspaces) for one counts() call each: every
+    EDGE_SHAPES entry, then blocks of exhaustive 7/3/k2/m2 with 7 offsets."""
+    for spec_args, V in EDGE_SHAPES:
+        yield build_spec(*spec_args), V.basis_array(), V.offset_array().reshape(1, -1), [V]
+    spec, blocks = build_spec(7, 3, 2, 2), pattern_blocks(3, 2, 7)
+    for linear in range(0, count_affine_subspaces(3, 2, 7) // 7, 8):
+        block, basis = basis_at(blocks, linear, 7, 3)
+        offsets = offsets_for_pattern(block.pattern, 3, 7)
+        subspaces = [canonicalize(tuple(o), basis.tolist(), 7) for o in offsets.tolist()]
+        yield spec, basis, offsets, subspaces
+
+
 class TestChangeOfVars:
-    def test_direct_route_matches_reference_distribution(self):
-        for spec_args, V in EDGE_SHAPES:
-            spec = build_spec(*spec_args)
-            counter = _PointCounts(spec, 10**8)
-            direct = counter.counts(
-                V.basis_array(), V.offset_array().reshape(1, -1), counter.grid(V.k)
-            )
-            assert (direct[0] == output_distribution(spec, V).counts).all(), spec_args
+    def test_direct_route_matches_reference_distribution(self, monkeypatch):
+        # every count route: the C kernel where a compiler exists, then numpy
+        for route in ["c"] * HAVE_CC + ["numpy"]:
+            if route == "numpy":
+                monkeypatch.setattr(analysis, "_count_kernel", lambda q, n: (None, "forced"))
+            for spec, basis, offsets, subspaces in _count_blocks():
+                assert analysis.count_route(spec.modulus, spec.n).startswith(route)
+                counter = _PointCounts(spec, 10**8)
+                got = counter.counts(basis, offsets, counter.grid(basis.shape[0]))
+                want = np.array([output_distribution(spec, V).counts for V in subspaces])
+                assert got.shape == want.shape and (got == want).all(), (route, spec, basis)
 
     def test_exact_equality_on_random_subspaces(self, spec13):
         for seed in range(25):
@@ -301,6 +325,61 @@ class TestChangeOfVars:
         # the 3 * (2q - 1) = 75 power-table entries are checked before use
         with pytest.raises(BudgetExceededError, match="power tables"):
             substitution_form_check(spec13, V, budget=50)
+
+
+class TestCountRoutes:
+    """Dispatch, guards and fallback of _PointCounts.counts.  Both routes
+    against the oracle: TestChangeOfVars::test_direct_route_matches_reference_distribution."""
+
+    def test_int64_guard_boundary(self):
+        # n*(q-1)**2 = 2**63 - 1 (n = 2**63 - 1, q = 2) fits; 2**63 (n = 2, q = 2**31 + 1) does not
+        assert "overflows" not in analysis.count_route(2, 2**63 - 1)
+        assert analysis.count_route(2**31 + 1, 2) == (
+            f"numpy (n*(q-1)**2 = {2**63} overflows the int64 accumulator)"
+        )
+
+    def test_malformed_points_are_rejected(self):
+        spec = build_spec(13, 3, 2, 1)
+        counter = _PointCounts(spec, 10**8)
+        V = random_subspace(3, 2, 13, seed=1)
+        for offset in ((13, 12, 12), (-1, 0, 0)):
+            with pytest.raises(ValueError, match="outside"):
+                counter.counts(V.basis_array(), np.array([offset]), counter.grid(2))
+        with pytest.raises(ValueError, match="3 coordinates"):
+            counter.counts(V.basis_array(), np.array([[1, 2]]), counter.grid(2))
+
+    def test_no_compiler_gives_identical_reports_and_one_warning(
+        self, fresh_c_build, monkeypatch
+    ):
+        spec = build_spec(7, 3, 2, 2)
+
+        def run():
+            res = verify_extractor(spec, ExhaustiveSubspaces(), checks=CHECK_ORDER, collect="full")
+            return reports_csv_lines(res) + summary_lines(res), repr(res.reports)
+
+        compiled = run()
+        monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+        batch.c_build.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run() == compiled
+            assert [w.category for w in caught] == [RuntimeWarning]  # from the counts
+            evaluate_batch(spec, [[1, 2, 3]])  # the batch kernel shares that warning
+        assert len(caught) == 1 and "no C compiler" in str(caught[0].message)
+        assert analysis.count_route(7, 3).startswith("numpy (C kernels unavailable: no C compiler")
+
+    @needs_cc
+    def test_spawned_workers_match_one_worker(self, monkeypatch):
+        spec = build_spec(7, 3, 2, 2)
+        assert analysis.count_route(7, 3) == "c"
+        monkeypatch.setattr(analysis.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        rows = {
+            workers: verify_extractor(
+                spec, ExhaustiveSubspaces(), checks=CHECK_ORDER, workers=workers, collect="full"
+            ).reports
+            for workers in (1, 2)
+        }
+        assert rows[1] == rows[2]
 
 
 class TestSubstitutionForm:

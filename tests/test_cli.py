@@ -4,9 +4,12 @@ Everything goes through main(argv) in-process so exit codes and the exact
 bytes of written files can be asserted.
 """
 
+import os
+import warnings
+
 import pytest
 
-from affext import cli
+from affext import batch, cli
 from affext.extractor import build_spec, load_spec, save_spec
 from affext.subspace import random_subspace, save_subspaces
 
@@ -164,7 +167,7 @@ class TestExtract:
 class TestVerify:
     def test_exhaustive_clean_run(self, spec_path, tmp_path, capsys):
         report_dir = tmp_path / "reports"
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             "verify", "--spec-file", spec_path, "--exhaustive",
             "--report-dir", str(report_dir),
@@ -178,6 +181,29 @@ class TestVerify:
         assert "processed = " in summary
         # timing is stdout-only; written artifacts stay run-independent
         assert "elapsed" not in csv and "elapsed" not in summary
+        # the count route goes to stderr only
+        assert err.count("count_route = ") == 1
+        assert "count_route" not in out + csv + summary
+
+    def test_count_route_without_a_compiler(
+        self, spec_path, tmp_path, capsys, monkeypatch, fresh_c_build
+    ):
+        files = []
+        for hide in (False, True):
+            if hide:
+                monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+                batch.c_build.cache_clear()
+            d = tmp_path / str(hide)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code, _, err = run(
+                    capsys, "verify", "--spec-file", spec_path, "--sample", "20",
+                    "--checks", "all", "--report-dir", str(d),
+                )
+            assert code == 0
+            files.append([(d / name).read_bytes() for name in sorted(os.listdir(d))])
+        assert "count_route = numpy (C kernels unavailable: no C compiler" in err
+        assert files[0] == files[1]
 
     def test_sampled_run_deterministic_files(self, spec_path, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]

@@ -336,15 +336,6 @@ needs_cc = pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
                               reason="needs a C compiler")
 
 
-@pytest.fixture
-def fresh_c_build(monkeypatch):
-    """Forget this process's C kernel outcome and fallback warning, before and after."""
-    batch.c_build.cache_clear()
-    monkeypatch.setattr(batch, "_fallback_warned", False)
-    yield
-    batch.c_build.cache_clear()
-
-
 class TestCKernel:
     def test_no_compiler_falls_back_to_numpy_with_one_warning(self, fresh_c_build, monkeypatch):
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
