@@ -333,14 +333,18 @@ def _substitute(grid: np.ndarray, D_per_pivot: Sequence[int], q: int) -> np.ndar
     return out
 
 
-def _count_kernel(q: int, n: int) -> tuple[object, str]:
-    """The C count kernel for modulus q and n inputs, or None and why not.
+def _check_int64_sums(q: int, n: int) -> None:
+    """Both count routes accumulate the row sums sum_j A[i, j] * x_j**d_j
+    (A reduced mod q) in int64, so they are exact only below 2**63."""
+    if n * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 row sums")
+
+
+def _count_kernel() -> tuple[object, str]:
+    """The C count kernel, or None and why not.
 
     Looking it up builds or loads the C kernels; when that fails, the
     fallback warning is issued once per process for both C kernels."""
-    # the kernel's row sums sum_j A[i, j] * x_j**d_j (A reduced mod q) are int64
-    if n * (q - 1) ** 2 >= 2**63:
-        return None, f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 accumulator"
     from . import batch
 
     build = batch.c_build()
@@ -350,9 +354,9 @@ def _count_kernel(q: int, n: int) -> tuple[object, str]:
     return build.count_fn, ""
 
 
-def count_route(q: int, n: int) -> str:
+def count_route() -> str:
     """The route _PointCounts.counts takes: "c" or "numpy (<why>)"."""
-    fn, why = _count_kernel(q, n)
+    fn, why = _count_kernel()
     return "c" if fn is not None else f"numpy ({why})"
 
 
@@ -366,10 +370,11 @@ class _PointCounts:
     variables runs the same lookups on the grid with t_i -> t_i**D_i.
 
     counts() runs on the C count kernel (batch.py), one compiled loop per
-    block, when the C kernels load and n*(q-1)**2 < 2**63 keeps the int64
-    row sums exact; otherwise on a numpy loop of gathers and a bincount.
-    Both give the same integers.  The per-point evaluate() of
-    output_distribution is the oracle for both.
+    block, when the C kernels load; otherwise on a numpy loop of gathers and
+    a bincount.  Both sum rows in int64, so counts() raises ValueError
+    before any work unless n*(q-1)**2 < 2**63; below that bound both give
+    the same integers.  The per-point evaluate() of output_distribution is
+    the oracle for both.
     """
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
@@ -396,6 +401,7 @@ class _PointCounts:
     def counts(self, basis: np.ndarray, offsets: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """Output counts over offset + t.B for t in grid, shape (offsets, q**m)."""
         q, n, m, qm = self.q, self.n, self.m, self.qm
+        _check_int64_sums(q, n)
         k = basis.shape[0]
         T = grid.shape[0]
         O = offsets.shape[0]
@@ -408,7 +414,7 @@ class _PointCounts:
         # every point index offset_j + (t.B)_j must lie inside the power tables
         if offsets.min() + tB.min() < 0 or offsets.max() + tB.max() > 2 * q - 2:
             raise ValueError(f"point coordinates outside [0, {2 * q - 2}] before reduction")
-        fn, _ = _count_kernel(q, n)
+        fn, _ = _count_kernel()
         if fn is not None:
             fn(self.powtabs.ctypes.data, 2 * q - 1, self.A.ctypes.data,
                self.weights.ctypes.data, n, m, offsets.ctypes.data, O,
@@ -973,14 +979,13 @@ class _SweepState:
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
             if self.need_char:
-                eps = np.full(O, -1.0)
-                eps_c = np.zeros(O, dtype=np.int64)
-                for lo, mags in _character_blocks(counts, T, self.zdig, self.omega, 1):
-                    best = mags.argmax(axis=1)
-                    vals = mags[np.arange(O), best]
-                    better = vals > eps
-                    eps[better] = vals[better]
-                    eps_c[better] = best[better] + lo
+                # (O, q**m - 1), no larger than counts; the first maximum wins
+                mags = np.concatenate(
+                    [mags for _, mags in _character_blocks(counts, T, self.zdig, self.omega, 1)],
+                    axis=1,
+                )
+                best = mags.argmax(axis=1)
+                eps, eps_c = mags[np.arange(O), best], best + 1
 
         # per check: (quantity, bound, satisfied, c_encoded, detail) columns
         cols: dict[str, tuple] = {}

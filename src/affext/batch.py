@@ -22,9 +22,10 @@ The same C source also holds the count kernel, `affext_count_block`: one
 compiled loop that tallies the outputs of every point of a sweep block
 through the power tables of `analysis._PointCounts`.  It is built, cached
 and loaded with the batch kernel (one `c_build()`, one shared object).
-`_PointCounts.counts` calls it when it loads and n*(q-1)**2 < 2**63, so the
-int64 row sums are exact; otherwise it runs its numpy loop, which gives the
-same counts.  A failed build warns once per process for both kernels.
+`_PointCounts.counts` calls it when it loads, and otherwise runs its numpy
+loop, which gives the same counts.  Both routes sum rows in int64, so counts()
+refuses any (q, n) with n*(q-1)**2 >= 2**63 before either runs.  A failed
+build warns once per process for both kernels.
 """
 
 from __future__ import annotations

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="Deligne battery and prime statistics")
     p.add_argument("--prachar-limit", dest="prachar_limits", type=int,
                    action="append", default=None,
-                   help="sum omega(q-1) over primes q <= limit (repeatable, default 1000)")
+                   help="omega(q-1) statistics over primes q <= limit (repeatable, default 1000)")
     p.add_argument("--report-dir", type=str, default=None)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--points-budget", type=int, default=DEFAULT_POINT_BUDGET)
@@ -194,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - start
     # how the counts were built; stderr, so stdout and the reports stay byte-identical
-    print(f"count_route = {analysis.count_route(spec.modulus, spec.n)}", file=sys.stderr)
+    print(f"count_route = {analysis.count_route()}", file=sys.stderr)
     for line in analysis.summary_lines(result):
         print(line)
     print(f"elapsed_seconds = {elapsed:.3f}")
@@ -233,9 +233,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         )
     result.violations["deligne"] = failed
     for limit in args.prachar_limits or (1000,):
-        total, norm = numtheory.prachar_average(limit)
+        total, norm, atypical = numtheory.prachar_average(limit)
         print(f"prachar_sum[{limit}] = {total}")
         print(f"prachar_normalized[{limit}] = {norm!r}")
+        print(f"prachar_atypical[{limit}] = {atypical}")
     if args.report_dir is not None:
         os.makedirs(args.report_dir, exist_ok=True)
         path = os.path.join(args.report_dir, "deligne_battery.csv")

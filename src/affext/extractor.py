@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,9 +119,6 @@ class CoefficientMatrix:
 
     def array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
 
 
 def build_matrix(
@@ -383,9 +380,3 @@ def save_spec(spec: ExtractorSpec, path) -> None:
 def load_spec(path) -> ExtractorSpec:
     with open(path, "r", encoding="ascii") as fh:
         return spec_from_text(fh.read())
-
-
-def with_seed_points(spec: ExtractorSpec, seed_points: Sequence[int]) -> ExtractorSpec:
-    """The same spec with a different Vandermonde seeding."""
-    A = build_matrix(spec.m, spec.n, spec.q, seed_points)
-    return replace(spec, A=A)

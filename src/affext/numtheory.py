@@ -10,9 +10,9 @@ parameter schedule, so repeated calls always produce the same factor tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +27,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Trial-divide completely below this bound; larger cofactors go to rho.
 _TRIAL_LIMIT = 10**6
-_SMALL_PRIMES: tuple[int, ...] = ()
 
 
 def check_modulus(q: int) -> None:
@@ -40,17 +39,10 @@ def check_modulus(q: int) -> None:
         raise ValueError(f"modulus must be below 2**61, got {q}")
 
 
+@functools.cache
 def _small_primes() -> tuple[int, ...]:
     # primes up to 1000, enough to trial-divide anything below _TRIAL_LIMIT
-    global _SMALL_PRIMES
-    if not _SMALL_PRIMES:
-        sieve = np.ones(1001, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, 32):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _SMALL_PRIMES = tuple(int(p) for p in np.flatnonzero(sieve))
-    return _SMALL_PRIMES
+    return tuple(primes_up_to(1000).tolist())
 
 
 def is_prime(n: int) -> bool:
@@ -239,10 +231,7 @@ def prime_modulus(
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     f = factorize(q - 1)
-    mod = PrimeModulus(q, f, typical=True)
-    if not is_typical(mod, c_prime, floor_threshold):
-        mod = PrimeModulus(q, f, typical=False)
-    return mod
+    return PrimeModulus(q, f, typical=f.omega <= typicality_threshold(q, c_prime, floor_threshold))
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -257,8 +246,9 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64)
 
 
-def prachar_average(limit: int) -> tuple[int, float]:
-    """Sum of omega(q - 1) over primes q <= limit, and its normalised value.
+def prachar_average(limit: int) -> tuple[int, float, int]:
+    """Sum of omega(q - 1) over primes q <= limit, its normalised value, and
+    the number of those q that are atypical at the default threshold.
 
     The normalisation divides by limit * ln ln limit / ln limit, the order of
     growth of the sum, so the second component should sit within a small
@@ -272,18 +262,13 @@ def prachar_average(limit: int) -> tuple[int, float]:
         omega[int(p)::int(p)] += 1
     # omega[i] = number of distinct prime factors of i, for 0 <= i < limit;
     # q - 1 <= limit - 1 stays in range for every prime q <= limit
-    total = int(omega[primes - 1].sum())
+    counts = omega[primes - 1]
+    total = int(counts.sum())
     norm = total / (limit * math.log(math.log(limit)) / math.log(limit))
-    return total, norm
-
-
-def prime_iter(start: int = 2) -> Iterator[int]:
-    """Primes >= start in increasing order."""
-    p = max(2, start)
-    while True:
-        if is_prime(p):
-            yield p
-        p += 1
+    atypical = sum(
+        1 for q, w in zip(primes.tolist(), counts.tolist()) if w > typicality_threshold(q)
+    )
+    return total, norm, atypical
 
 
 __all__ = [
@@ -297,7 +282,6 @@ __all__ = [
     "is_typical",
     "MAX_MODULUS",
     "prachar_average",
-    "prime_iter",
     "prime_modulus",
     "primes_up_to",
     "typicality_threshold",

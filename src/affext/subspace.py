@@ -160,16 +160,12 @@ def parametrize(V: AffineSubspace) -> Parametrization:
     )
 
 
-def count_points(V: AffineSubspace) -> int:
-    return V.q**V.k
-
-
 def enumerate_points(
     V: AffineSubspace,
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
     """All q**k points, ordered lexicographically by parameter vector t."""
-    total = count_points(V)
+    total = V.q**V.k
     if total > budget:
         raise BudgetExceededError(
             f"subspace has {total} points, budget is {budget}"
@@ -278,13 +274,6 @@ def pattern_blocks(n: int, k: int, q: int) -> list[PatternBlock]:
         blocks.append(PatternBlock(pattern=pattern, cells=cells, start=start, count=count))
         start += count
     return blocks
-
-
-def linear_subspace_count(n: int, k: int, q: int) -> int:
-    blocks = pattern_blocks(n, k, q)
-    total = blocks[-1].start + blocks[-1].count if blocks else 0
-    assert total == gaussian_binomial(n, k, q)
-    return total
 
 
 def basis_at(blocks: Sequence[PatternBlock], linear_index: int, q: int, n: int) -> tuple[PatternBlock, np.ndarray]:

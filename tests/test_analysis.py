@@ -291,9 +291,9 @@ class TestChangeOfVars:
         # every count route: the C kernel where a compiler exists, then numpy
         for route in ["c"] * HAVE_CC + ["numpy"]:
             if route == "numpy":
-                monkeypatch.setattr(analysis, "_count_kernel", lambda q, n: (None, "forced"))
+                monkeypatch.setattr(analysis, "_count_kernel", lambda: (None, "forced"))
+            assert analysis.count_route().startswith(route)
             for spec, basis, offsets, subspaces in _count_blocks():
-                assert analysis.count_route(spec.modulus, spec.n).startswith(route)
                 counter = _PointCounts(spec, 10**8)
                 got = counter.counts(basis, offsets, counter.grid(basis.shape[0]))
                 want = np.array([output_distribution(spec, V).counts for V in subspaces])
@@ -332,11 +332,29 @@ class TestCountRoutes:
     against the oracle: TestChangeOfVars::test_direct_route_matches_reference_distribution."""
 
     def test_int64_guard_boundary(self):
-        # n*(q-1)**2 = 2**63 - 1 (n = 2**63 - 1, q = 2) fits; 2**63 (n = 2, q = 2**31 + 1) does not
-        assert "overflows" not in analysis.count_route(2, 2**63 - 1)
-        assert analysis.count_route(2**31 + 1, 2) == (
-            f"numpy (n*(q-1)**2 = {2**63} overflows the int64 accumulator)"
-        )
+        # a precondition of both routes, checked on (q, n) alone: n*(q-1)**2 = 2**63 - 1
+        # (n = 2**63 - 1, q = 2) fits; 2**63 (n = 2, q = 2**31 + 1) does not
+        analysis._check_int64_sums(2, 2**63 - 1)
+        with pytest.raises(ValueError, match=rf"n\*\(q-1\)\*\*2 = {2**63} overflows"):
+            analysis._check_int64_sums(2**31 + 1, 2)
+
+    def test_counts_checks_the_int64_guard_first(self, monkeypatch):
+        spec = build_spec(13, 3, 2, 1)
+        counter = _PointCounts(spec, 10**8)
+        V = random_subspace(3, 2, 13, seed=1)
+        seen = []
+
+        def guard(q, n):
+            seen.append((q, n))
+            raise ValueError("guard")
+
+        monkeypatch.setattr(analysis, "_check_int64_sums", guard)
+        # on both routes, and before the point checks would reject the offset
+        for kernel in (analysis._count_kernel, lambda: (None, "forced")):
+            monkeypatch.setattr(analysis, "_count_kernel", kernel)
+            with pytest.raises(ValueError, match="guard"):
+                counter.counts(V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
+        assert seen == [(13, 3), (13, 3)]
 
     def test_malformed_points_are_rejected(self):
         spec = build_spec(13, 3, 2, 1)
@@ -366,12 +384,12 @@ class TestCountRoutes:
             assert [w.category for w in caught] == [RuntimeWarning]  # from the counts
             evaluate_batch(spec, [[1, 2, 3]])  # the batch kernel shares that warning
         assert len(caught) == 1 and "no C compiler" in str(caught[0].message)
-        assert analysis.count_route(7, 3).startswith("numpy (C kernels unavailable: no C compiler")
+        assert analysis.count_route().startswith("numpy (C kernels unavailable: no C compiler")
 
     @needs_cc
     def test_spawned_workers_match_one_worker(self, monkeypatch):
         spec = build_spec(7, 3, 2, 2)
-        assert analysis.count_route(7, 3) == "c"
+        assert analysis.count_route() == "c"
         monkeypatch.setattr(analysis.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         rows = {
             workers: verify_extractor(
@@ -660,6 +678,18 @@ class TestSweepEngine:
             assert got["xor"].quantity == float(sd)
             assert got["xor"].bound == pytest.approx(eps_star * 5**0.5, abs=1e-9)
             assert got["xor"].satisfied
+
+    def test_char_max_keeps_the_first_of_tied_characters(self):
+        # F(0) = 0, so <c, F> = 0 for every c and each of the 7**3 - 1 = 342
+        # magnitudes, across both blocks of characters, is exactly 1.0
+        spec = build_spec(7, 4, 3, 3)
+        origin = canonicalize((0, 0, 0, 0), [], 7)
+        result = verify_extractor(
+            spec, ExplicitSubspaces(subspaces=(origin,)), checks=("char_max",), collect="full"
+        )
+        (row,) = result.reports
+        assert (row.quantity, row.c_encoded) == (1.0, 1)
+        assert (result.max_char, result.max_char_c) == (1.0, 1)
 
     def test_sd_detail_is_exact_fraction(self, small_sweep):
         spec, result = small_sweep

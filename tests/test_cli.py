@@ -11,6 +11,7 @@ import pytest
 
 from affext import batch, cli
 from affext.extractor import build_spec, load_spec, save_spec
+from affext.numtheory import factorize, is_prime, typicality_threshold
 from affext.subspace import random_subspace, save_subspaces
 
 
@@ -299,6 +300,25 @@ class TestBounds:
         assert "prachar_sum[1000]" in out
         battery_csv = (report_dir / "deligne_battery.csv").read_text(encoding="ascii")
         assert battery_csv.count("\ndeligne,") >= 20
+
+    def test_atypical_count_matches_factorization(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--prachar-limit", "100", "--prachar-limit", "1000"
+        )
+        assert code == 0
+        assert "prachar_atypical[100] = 0\n" in out
+        assert "prachar_atypical[1000] = 13\n" in out
+        for limit in (100, 1000):
+            brute = sum(
+                1
+                for q in range(2, limit + 1)
+                if is_prime(q) and factorize(q - 1).omega > typicality_threshold(q)
+            )
+            # the new line follows the two lines each limit printed before
+            keys = [f"prachar_{key}[{limit}] = " for key in ("sum", "normalized", "atypical")]
+            lines = [line for line in out.splitlines() if line.startswith(tuple(keys))]
+            assert [line.split(" = ")[0] + " = " for line in lines] == keys
+            assert lines[2] == f"prachar_atypical[{limit}] = {brute}"
 
     def test_only_the_points_budget_is_accepted(self, capsys):
         # the battery reads only --points-budget

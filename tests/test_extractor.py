@@ -32,7 +32,6 @@ from affext.extractor import (
     spec_to_text,
     validate_exponents,
     verify_mds,
-    with_seed_points,
 )
 
 small_primes = st.sampled_from([3, 5, 7, 13, 31, 101, 257, 1009])
@@ -125,10 +124,6 @@ class TestBuildMatrix:
         for i in range(4):
             for j, r in enumerate(A.seed_points):
                 assert A.rows[i][j] == pow(r, i, 101)
-
-    def test_column_accessor(self):
-        A = build_matrix(3, 4, 31)
-        assert A.column(2) == (1, 3, 9)
 
     def test_array_dtype_and_shape(self):
         arr = build_matrix(2, 5, 13).array()
@@ -435,7 +430,7 @@ class TestSpecSerialization:
 class TestWithSeedPoints:
     def test_replaces_matrix_only(self):
         spec = build_spec(13, 3, 2, 2)
-        other = with_seed_points(spec, (5, 7, 11))
+        other = build_spec(13, 3, 2, 2, seed_points=(5, 7, 11))
         assert other.A.seed_points == (5, 7, 11)
         assert other.d == spec.d
         assert other.modulus == spec.modulus
@@ -444,5 +439,4 @@ class TestWithSeedPoints:
     @settings(max_examples=20)
     @given(st.permutations(list(range(1, 6))))
     def test_any_distinct_seeding_stays_mds(self, seeds):
-        spec = build_spec(13, 5, 3, 2)
-        assert verify_mds(with_seed_points(spec, seeds).A)
+        assert verify_mds(build_matrix(2, 5, 13, seeds))

@@ -22,7 +22,6 @@ from affext.numtheory import (
     is_prime,
     is_typical,
     prachar_average,
-    prime_iter,
     prime_modulus,
     primes_up_to,
     typicality_threshold,
@@ -216,36 +215,27 @@ class TestPracharAverage:
     def test_tiny_limit_by_hand(self):
         # primes <= 10 are 2, 3, 5, 7; q - 1 in (1, 2, 4, 6) has
         # omega values 0, 1, 1, 2 summing to 4
-        total, norm = prachar_average(10)
+        total, norm, atypical = prachar_average(10)
         assert total == 4
         expected_norm = 4 / (10 * math.log(math.log(10)) / math.log(10))
         assert norm == pytest.approx(expected_norm, rel=1e-12)
+        # every omega is below the floor threshold of 3
+        assert atypical == 0
 
     def test_total_matches_direct_sum(self):
         limit = 20_000
-        total, _ = prachar_average(limit)
-        oracle = sum(
-            len(sympy.factorint(p - 1)) for p in sympy.primerange(2, limit + 1)
-        )
-        assert total == oracle
+        total, _, atypical = prachar_average(limit)
+        omegas = {p: len(sympy.factorint(p - 1)) for p in sympy.primerange(2, limit + 1)}
+        assert total == sum(omegas.values())
+        assert atypical == sum(1 for p, w in omegas.items() if w > typicality_threshold(p))
 
     def test_normalized_value_is_order_one(self):
-        _, norm = prachar_average(10**6)
+        _, norm, _ = prachar_average(10**6)
         assert 0.5 <= norm <= 2.0
 
     def test_limit_too_small(self):
         with pytest.raises(ValueError):
             prachar_average(9)
-
-
-class TestPrimeIter:
-    def test_first_values(self):
-        it = prime_iter()
-        assert [next(it) for _ in range(6)] == [2, 3, 5, 7, 11, 13]
-
-    def test_start_midstream(self):
-        it = prime_iter(14)
-        assert [next(it) for _ in range(3)] == [17, 19, 23]
 
 
 def test_module_exports_resolve():

@@ -12,11 +12,9 @@ from affext.subspace import (
     basis_at,
     canonicalize,
     count_affine_subspaces,
-    count_points,
     enumerate_points,
     enumerate_subspaces,
     gaussian_binomial,
-    linear_subspace_count,
     load_subspaces,
     offsets_for_pattern,
     parametrize,
@@ -157,7 +155,7 @@ class TestEnumeratePoints:
     def test_count_and_distinctness(self):
         V = random_subspace(4, 2, 7, seed=1)
         pts = list(enumerate_points(V))
-        assert len(pts) == count_points(V) == 49
+        assert len(pts) == V.q**V.k == 49
         assert len(set(pts)) == 49
         assert all(V.contains(p) for p in pts)
 
@@ -241,7 +239,9 @@ class TestPatternMachinery:
 
     def test_block_sizes_sum_to_gaussian_binomial(self):
         for n, k, q in [(3, 1, 3), (4, 2, 3), (4, 2, 5), (5, 3, 3)]:
-            assert linear_subspace_count(n, k, q) == gaussian_binomial(n, k, q)
+            blocks = pattern_blocks(n, k, q)
+            assert [b.start for b in blocks[1:]] == [b.start + b.count for b in blocks[:-1]]
+            assert blocks[-1].start + blocks[-1].count == gaussian_binomial(n, k, q)
 
     def test_basis_at_matches_enumeration(self):
         n, k, q = 3, 2, 5
@@ -259,7 +259,9 @@ class TestPatternMachinery:
         with pytest.raises(IndexError):
             basis_at(blocks, -1, 5, 3)
         with pytest.raises(IndexError):
-            basis_at(blocks, linear_subspace_count(3, 2, 5), 5, 3)
+            basis_at(blocks, gaussian_binomial(3, 2, 5), 5, 3)
+        # the last index is in range
+        basis_at(blocks, gaussian_binomial(3, 2, 5) - 1, 5, 3)
 
     def test_offsets_zero_on_pivots(self):
         offs = offsets_for_pattern((0, 2), 4, 3)
