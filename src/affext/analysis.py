@@ -23,8 +23,8 @@ merge in chunk order, so reports are byte-identical for any worker count.
 Workers get the caller's sweep state, and each chunk's partial result is a
 SweepResult, merged by the same first-maximum rule that runs per block.
 Per block, each check yields one column per report field (a per-offset
-array or one shared value), and violation counts and report rows both read
-those columns.
+array or one shared value); violation counts read those columns, and report
+rows stay in them until read, so the CSV writer formats whole columns.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -44,7 +44,8 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -772,6 +773,88 @@ SubspaceSource = ExhaustiveSubspaces | SampledSubspaces | ExplicitSubspaces
 # sweep result
 
 
+def _csv_cells(col: np.ndarray) -> list[str]:
+    """A report column as CSV cells: floats by repr, bools as true/false, None empty, else str."""
+    if col.dtype.kind in "fi" and col.itemsize == 8:  # each bit pattern once: sweeps repeat values
+        bits, at = np.unique(col.view(np.int64), return_inverse=True)
+        return np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)[at].tolist()
+    if col.dtype.kind == "b":
+        return np.where(col, "true", "false").tolist()
+    values = col.tolist()
+    if values.count(None) == len(values):
+        return [""] * len(values)
+    return ["" if v is None else str(v).lower() if isinstance(v, bool)
+            else repr(v) if isinstance(v, float) else str(v) for v in values]
+
+
+class _Reports:
+    """SweepResult.reports: its BoundReport rows in sweep order, kept as one
+    column table (ids, cols, keep) per sweep block.  cols maps each check, in
+    row order, to its (quantity, bound, satisfied, c_encoded, detail) columns,
+    each an array over ids or one shared value; keep, unless None, holds per
+    check the positions kept.  Rows, and the exact=a/b details that sd rows
+    keep as (absdev, denom), are built on first use."""
+
+    def __init__(self) -> None:
+        self.tables, self._rows = [], None
+
+    def append(self, r: BoundReport) -> None:
+        cols = {r.check: (r.quantity, r.bound, r.satisfied, r.c_encoded, r.detail)}
+        self.tables.append((np.array([r.subspace_id]), cols, None))
+        self._rows = None
+
+    def _in_order(self, detail: bool, cells, rows_of) -> list:
+        """rows_of(name, *columns) per check, merged into sweep order.  Each
+        column (quantity, bound, satisfied, ids, c_encoded and, with detail,
+        detail) joins the kept rows of every table and goes through cells
+        once, also when two checks share it, as xor shares sd's quantity."""
+        checks: dict[str, tuple[list, list[list]]] = {}
+        pos = 0
+        for ids, cols, keep in self.tables:
+            for slot, (name, col) in enumerate(cols.items()):
+                at = np.arange(len(ids)) if keep is None else keep.get(name, ids[:0])
+                fields = [*col[:3], ids, *col[3 : 4 + detail]]
+                if detail and isinstance(col[4], tuple):
+                    a, b = (v // np.gcd(*col[4]) for v in col[4])
+                    fields[5] = np.array([f"exact={x}/{y}" for x, y in zip(a.tolist(), b.tolist())])
+                keys, parts = checks.setdefault(name, ([], [[] for _ in fields]))
+                keys.append((pos + at) * len(CHECK_ORDER) + slot)  # slot < checks per table
+                for part, c in zip(parts, fields):
+                    c = c if isinstance(c, np.ndarray) else np.array([c]).repeat(len(ids))
+                    part.append(c if keep is None else c[at])
+            pos += len(ids)
+        done: dict[tuple, list] = {}  # cells by the arrays joined; checks hold them alive
+        rows, order = [], [np.arange(0)]
+        for name, (keys, parts) in checks.items():
+            for p in parts:
+                if (key := tuple(map(id, p))) not in done:  # each value keeps its Python type
+                    same = len({a.dtype for a in p}) < 2
+                    done[key] = cells(np.concatenate(p if same else [a.astype(object) for a in p]))
+            rows += rows_of(name, *(done[tuple(map(id, p))] for p in parts))
+            order += keys
+        order = np.argsort(np.concatenate(order), kind="stable")
+        return list(map(rows.__getitem__, order.tolist()))
+
+    def rows(self) -> list[BoundReport]:
+        if self._rows is None:
+            self._rows = self._in_order(True, np.ndarray.tolist, lambda name, *columns: map(
+                BoundReport, repeat(name), *columns))
+        return self._rows
+
+    def __len__(self) -> int:  # from the tables, without building the rows
+        return sum(len(ids) * len(cols) if keep is None else sum(map(len, keep.values()))
+                   for ids, cols, keep in self.tables)
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        return self.rows() == (list(other) if isinstance(other, _Reports) else other)
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+
 @dataclass
 class SweepResult:
     spec_q: int
@@ -792,7 +875,7 @@ class SweepResult:
     max_char: float | None = None
     max_char_subspace: int | None = None
     max_char_c: int | None = None
-    reports: list[BoundReport] = field(default_factory=list)
+    reports: _Reports = field(default_factory=_Reports)
 
     @property
     def ok(self) -> bool:
@@ -829,36 +912,14 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 REPORT_COLUMNS = ("check_name", "subspace_id", "c_encoded", "quantity", "bound", "satisfied")
 
 
 def reports_csv_lines(result: SweepResult) -> list[str]:
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in result.reports:
-        lines.append(
-            ",".join(
-                (
-                    r.check,
-                    _fmt_cell(r.subspace_id),
-                    _fmt_cell(r.c_encoded),
-                    _fmt_cell(r.quantity),
-                    _fmt_cell(r.bound),
-                    _fmt_cell(r.satisfied),
-                )
-            )
-        )
-    lines += [f"# {line}" for line in summary_lines(result)]
-    return lines
+    """The header, the report rows with each column formatted whole, then the summary."""
+    rows = result.reports._in_order(False, _csv_cells, lambda name, q, b, s, ids, c: map(
+        ",".join, zip(repeat(name), ids, c, q, b, s)))
+    return [",".join(REPORT_COLUMNS), *rows, *(f"# {line}" for line in summary_lines(result))]
 
 
 def write_reports_csv(result: SweepResult, path) -> None:
@@ -892,14 +953,6 @@ def normalize_checks(checks: Iterable[str]) -> tuple[str, ...]:
     return tuple(c for c in CHECK_ORDER if c in wanted)
 
 
-def _per_offset(col, n: int) -> list:
-    """A report column as n Python values, so _fmt_cell never sees a numpy
-    scalar: a per-offset array or list, or one value shared by every offset."""
-    if isinstance(col, np.ndarray):
-        return col.tolist()
-    return col if isinstance(col, list) else [col] * n
-
-
 # the two running maxima: the compared value, then the fields that go with it
 _MAX_SD = ("max_sd", "max_sd_exact", "max_sd_subspace")
 _MAX_CHAR = ("max_char", "max_char_subspace", "max_char_c")
@@ -927,7 +980,7 @@ class _SweepState:
         header: SweepResult,
     ) -> None:
         self.spec, self.source, self.budgets = spec, source, budgets
-        self.header = replace(header, violations={}, reports=[])
+        self.header = replace(header, violations={}, reports=_Reports())
         self.checks, self.collect, self.tolerance = header.checks, header.collect, header.tolerance
         q, m = spec.modulus, spec.m
         self.q, self.m = q, m
@@ -990,7 +1043,7 @@ class _SweepState:
         # per check: (quantity, bound, satisfied, c_encoded, detail) columns
         cols: dict[str, tuple] = {}
         if "sd" in self.checks:
-            cols["sd"] = (sd_f, None, None, None, "")  # exact fraction filled in below
+            cols["sd"] = (sd_f, None, None, None, (absdev, denom))  # detail exact=a/b, on demand
         if "char_max" in self.checks:
             cols["char_max"] = (eps, None, None, eps_c, "")
         if "xor" in self.checks:
@@ -1018,38 +1071,20 @@ class _SweepState:
             row = int(np.argmax(eps))
             best = (float(eps[row]), int(ids[row]), int(eps_c[row]))
             _keep_first_max(partial, _MAX_CHAR, best)
-        failed = 0
-        for name, (_, _, satisfied, _, _) in cols.items():
-            if satisfied is not None:
-                bad = O - int(np.count_nonzero(np.broadcast_to(satisfied, O)))
-                partial.violations[name] = partial.violations.get(name, 0) + bad
-                failed += bad
-        # fast path: no rows are kept
-        if self.collect == "none" or (self.collect == "violations" and not failed):
-            return
-
-        if "sd" in cols:
-            g = np.gcd(absdev, denom)
-            num, den = (absdev // g).tolist(), (denom // g).tolist()
-            cols["sd"] = (sd_f, None, None, None, [f"exact={a}/{b}" for a, b in zip(num, den)])
-        cells = {
-            name: list(zip(*(_per_offset(col, O) for col in columns)))
-            for name, columns in cols.items()
-        }
-        keep_all = self.collect == "full"
-        for row, sid in enumerate(ids.tolist()):
-            for name, rows in cells.items():
-                quantity, bound, satisfied, c_encoded, detail = rows[row]
-                if keep_all or satisfied is False:
-                    partial.reports.append(
-                        BoundReport(name, quantity, bound, satisfied, sid, c_encoded, detail)
-                    )
+        failed = {name: np.flatnonzero(~np.broadcast_to(c[2], O)) for name, c in cols.items()
+                  if c[2] is not None}  # per check, the offsets whose check failed
+        for name, rows in failed.items():
+            partial.violations[name] = partial.violations.get(name, 0) + len(rows)
+        if self.collect == "full":
+            partial.reports.tables.append((ids, cols, None))
+        elif self.collect == "violations" and any(map(len, failed.values())):
+            partial.reports.tables.append((ids, cols, failed))
 
     # -- chunk execution ----------------------------------------------------
 
     def run_range(self, lo: int, hi: int) -> SweepResult:
         """Tally chunk units [lo, hi) into a new partial SweepResult."""
-        partial = replace(self.header, violations={}, reports=[])
+        partial = replace(self.header, violations={}, reports=_Reports())
         spec, q = self.spec, self.q
         if isinstance(self.source, ExhaustiveSubspaces):
             for linear in range(lo, hi):
@@ -1070,17 +1105,10 @@ class _SweepState:
                 V = self.source.subspaces[i]
             if q**V.k > self.budgets.points:
                 partial.budget_errors += 1
-                if self.collect != "none":
-                    partial.reports.append(
-                        BoundReport(
-                            check="budget_error",
-                            quantity=q**V.k,
-                            bound=self.budgets.points,
-                            satisfied=None,
-                            subspace_id=i,
-                            detail="subspace skipped: point budget exceeded",
-                        )
-                    )
+                if self.collect != "none":  # a row in sweep order, between the analysed ones
+                    partial.reports.append(BoundReport(
+                        "budget_error", q**V.k, self.budgets.points, None, subspace_id=i,
+                        detail="subspace skipped: point budget exceeded"))
                 continue
             offsets, ids = V.offset_array().reshape(1, -1), np.array([i], dtype=np.int64)
             self.analyze_block(V.basis_array(), V.pivots, offsets, ids, partial)
@@ -1098,7 +1126,11 @@ def _init_worker(state: _SweepState) -> None:
 def _run_chunk(task: tuple[int, int, int]) -> tuple[int, SweepResult]:
     assert _WORKER_STATE is not None
     idx, lo, hi = task
-    return idx, _WORKER_STATE.run_range(lo, hi)
+    try:
+        return idx, _WORKER_STATE.run_range(lo, hi)
+    except Exception as exc:  # same type, so callers map it as before
+        exc.args = (f"chunk {idx} [{lo}, {hi}): {exc}",)
+        raise
 
 
 def _merge(result: SweepResult, partial: SweepResult) -> None:
@@ -1106,7 +1138,7 @@ def _merge(result: SweepResult, partial: SweepResult) -> None:
     result.budget_errors += partial.budget_errors
     for name, count in partial.violations.items():
         result.violations[name] = result.violations.get(name, 0) + count
-    result.reports.extend(partial.reports)
+    result.reports.tables += partial.reports.tables
     for names in (_MAX_SD, _MAX_CHAR):
         _keep_first_max(result, names, [getattr(partial, name) for name in names])
 
@@ -1131,13 +1163,15 @@ def verify_extractor(
     budgets: Budgets | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     collect: str = "auto",
+    log: Callable[[str], None] | None = None,
 ) -> SweepResult:
     """Run the selected checks over every subspace the source yields.
 
     collect: "full" keeps one report row per (check, subspace), "violations"
     keeps only failed rows, "none" keeps no rows, "auto" switches from full
     to violations above 100000 subspaces.  Summary statistics (max distance,
-    max character magnitude, violation counts) are always gathered.
+    max character magnitude, violation counts) are always gathered.  log, if
+    given, gets one line when workers exceeds the CPU count.
     """
     budgets = budgets or Budgets()
     checks = normalize_checks(checks)
@@ -1195,6 +1229,8 @@ def verify_extractor(
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         ctx = multiprocessing.get_context(method)
         processes = min(workers, len(tasks))  # no more processes than chunks
+        if log is not None and workers > (cpus := multiprocessing.cpu_count()):
+            log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {processes}")
         with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(state,)) as pool:
             done = sorted(pool.imap_unordered(_run_chunk, tasks), key=lambda item: item[0])
         partials = (partial for _, partial in done)

@@ -191,6 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         budgets=Budgets(points=args.points_budget, subspaces=args.subspace_budget),
         tolerance=args.tolerance,
         collect=args.report_rows,
+        log=lambda line: print(line, file=sys.stderr),
     )
     elapsed = time.perf_counter() - start
     # how the counts were built; stderr, so stdout and the reports stay byte-identical

@@ -46,7 +46,7 @@ from affext.analysis import (
     _chunk_plan,
     _PointCounts,
 )
-from affext import analysis, batch
+from affext import analysis, batch, cli
 from affext.config import Budgets, BudgetExceededError
 from affext.extractor import build_matrix, build_spec, evaluate_batch
 from affext.subspace import (
@@ -391,13 +391,13 @@ class TestCountRoutes:
         spec = build_spec(7, 3, 2, 2)
         assert analysis.count_route() == "c"
         monkeypatch.setattr(analysis.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        rows = {
-            workers: verify_extractor(
+        runs = {}
+        for workers in (1, 2):  # partials cross the process boundary as column tables
+            res = verify_extractor(
                 spec, ExhaustiveSubspaces(), checks=CHECK_ORDER, workers=workers, collect="full"
-            ).reports
-            for workers in (1, 2)
-        }
-        assert rows[1] == rows[2]
+            )
+            runs[workers] = (reports_csv_lines(res), repr(res.reports))
+        assert runs[1] == runs[2]
 
 
 class TestSubstitutionForm:
@@ -812,6 +812,22 @@ class TestSweepEngine:
         single = verify_extractor(spec13, src, workers=1, collect="full")
         assert reports_csv_lines(res) == reports_csv_lines(single)
 
+    def test_worker_fault_names_its_chunk(self, spec13, monkeypatch):
+        real = analysis._SweepState.run_range
+
+        def faulty(self, lo, hi):
+            if lo == 3:
+                raise ValueError("injected fault")
+            return real(self, lo, hi)
+
+        # forked workers inherit the patched method; chunk i covers [i, i + 1)
+        monkeypatch.setattr(analysis._SweepState, "run_range", faulty)
+        src = SampledSubspaces(count=5, seed=3)
+        with pytest.raises(ValueError, match=r"^chunk 3 \[3, 4\): injected fault$"):
+            verify_extractor(spec13, src, workers=2)
+        with pytest.raises(ValueError, match="^injected fault$"):  # no pool, no chunk
+            verify_extractor(spec13, src, workers=1)
+
     def test_fast_path_and_full_collect_agree_on_summary(self):
         spec = build_spec(5, 3, 2, 1)
         fast = verify_extractor(spec, ExhaustiveSubspaces(), collect="none")
@@ -970,6 +986,131 @@ class TestReportFormatting:
         assert "violations_xor = 0" in text
         assert "violations_zero_coordinate = 0" in text
         assert "tolerance = 1e-06" in text
+
+
+def _oracle_cell(v) -> str:
+    """One CSV cell by the per-value rule the column-wise writer must match."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _oracle_csv_lines(result) -> list[str]:
+    """The CSV lines written one BoundReport row at a time: the oracle for
+    reports_csv_lines, which formats whole columns."""
+    lines = [",".join(analysis.REPORT_COLUMNS)]
+    for r in result.reports:
+        cells = (r.subspace_id, r.c_encoded, r.quantity, r.bound, r.satisfied)
+        lines.append(",".join((r.check, *map(_oracle_cell, cells))))
+    return lines + [f"# {line}" for line in summary_lines(result)]
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_edge_shapes_match_the_row_oracle(self, fault, request):
+        if fault:  # failed structural rows, with c_encoded set on change_of_vars
+            request.getfixturevalue("doubled_degrees")
+        cov_c = set()
+        for spec_args, V in EDGE_SHAPES:
+            spec = build_spec(*spec_args)
+            for source in (ExplicitSubspaces((V,)), SampledSubspaces(count=6, seed=2)):
+                for collect in ("full", "violations", "none"):
+                    res = verify_extractor(spec, source, checks=CHECK_ORDER, collect=collect)
+                    lines = reports_csv_lines(res)
+                    assert lines == _oracle_csv_lines(res), (spec_args, source, collect)
+                    assert len(res.reports) == len(list(res.reports)) == len(lines) - 1 - len(
+                        summary_lines(res)
+                    )
+                    cov_c |= {l.split(",")[2] == "" for l in lines if l.startswith("change_of_vars,")}
+        # change_of_vars rows with an empty c_encoded, and (under the fault) a set one
+        assert cov_c == ({True, False} if fault else {True})
+
+    def test_budget_errors_between_analysed_rows(self):
+        # the draws of SampledSubspaces(4, seed=7), with oversized subspaces
+        # between them: a sampled source itself cannot exceed the point budget
+        # (verify_extractor rejects q**k above it before the sweep)
+        spec = build_spec(13, 4, 2, 1)
+        big = canonicalize((0,) * 4, np.eye(4, dtype=int).tolist(), 13)
+        draws = [random_subspace(4, 2, 13, seed=7 + i) for i in range(4)]
+        source = ExplicitSubspaces((draws[0], big, draws[1], draws[2], big, draws[3]))
+        for collect in ("full", "violations", "none"):
+            for workers in (1, 2):
+                res = verify_extractor(
+                    spec, source, checks=CHECK_ORDER, workers=workers,
+                    budgets=Budgets(points=1000), collect=collect,
+                )
+                lines = reports_csv_lines(res)
+                assert lines == _oracle_csv_lines(res), (collect, workers)
+                skipped = [l.split(",")[1] for l in lines if l.startswith("budget_error,")]
+                assert skipped == ([] if collect == "none" else ["1", "4"])
+                if collect == "full":
+                    ids = [int(l.split(",")[1]) for l in lines[1:] if not l.startswith("#")]
+                    assert ids == sorted(ids) and len(ids) == 4 * len(CHECK_ORDER) + 2
+
+    def test_explicit_source_with_mixed_dimensions(self):
+        spec = build_spec(7, 4, 2, 2)
+        subspaces = (
+            canonicalize((1, 2, 3, 4), [], 7),
+            random_subspace(4, 3, 7, seed=1),
+            random_subspace(4, 1, 7, seed=2),
+            canonicalize((0,) * 4, np.eye(4, dtype=int).tolist(), 7),
+            random_subspace(4, 2, 7, seed=3),
+        )
+        for collect in ("full", "violations", "none"):
+            res = verify_extractor(
+                spec, ExplicitSubspaces(subspaces), checks=CHECK_ORDER, collect=collect
+            )
+            assert reports_csv_lines(res) == _oracle_csv_lines(res), collect
+
+    def test_bounds_battery_file(self, tmp_path, monkeypatch, capsys):
+        written = []
+        real = analysis.write_reports_csv
+
+        def spy(result, path):
+            written.append(result)
+            real(result, path)
+
+        monkeypatch.setattr(analysis, "write_reports_csv", spy)
+        assert cli.main(["bounds", "--report-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (result,) = written
+        text = (tmp_path / "deligne_battery.csv").read_text(encoding="ascii")
+        assert text.splitlines() == _oracle_csv_lines(result)
+        assert len(result.reports) == len(deligne_battery())
+
+    def test_appended_rows_keep_their_types(self):
+        res = _result_with_row(BoundReport("xor", 1, 2.5, True, subspace_id=0))
+        res.reports.append(BoundReport("xor", 0.5, 2, 0, subspace_id=1))  # no None, no objects
+        assert reports_csv_lines(res)[1:3] == ["xor,0,,1,2.5,true", "xor,1,,0.5,2,0"]
+        for r in (
+            BoundReport("xor", True, None, None, subspace_id=None, c_encoded=2**70),
+            BoundReport("xor", Fraction(1, 3), 0, True, subspace_id=3, detail="d"),
+        ):
+            res.reports.append(r)
+        assert reports_csv_lines(res) == _oracle_csv_lines(res)
+        assert [type(r.quantity) for r in res.reports] == [int, float, bool, Fraction]
+        assert [type(r.satisfied) for r in res.reports] == [bool, int, type(None), bool]
+
+    def test_reports_are_built_on_first_use(self, spec13):
+        res = verify_extractor(spec13, SampledSubspaces(count=5, seed=4), collect="full")
+        lines = reports_csv_lines(res)
+        assert len(res.reports) == 5 * len(res.checks) == len(lines) - 1 - len(summary_lines(res))
+        assert res.reports._rows is None  # neither the writer nor len() built rows
+        rows = list(res.reports)
+        assert res.reports == rows and rows == res.reports
+        assert repr(res.reports) == repr(rows)
+        assert [r.subspace_id for r in rows] == [i for i in range(5) for _ in res.checks]
+        for r in rows[:: len(res.checks)]:  # the sd rows: exact=a/b in lowest terms
+            num, den = map(int, r.detail.removeprefix("exact=").split("/"))
+            assert math.gcd(num, den) == 1 and r.quantity == num / den
+        extra = BoundReport("xor", 0.5, 1.0, True, subspace_id=99, c_encoded=None)
+        res.reports.append(extra)
+        assert res.reports == rows + [extra] and len(res.reports) == len(rows) + 1
+        assert reports_csv_lines(res)[len(rows) + 1] == "xor,99,,0.5,1.0,true"
 
 
 def _result_with_row(report):

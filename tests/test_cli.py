@@ -247,6 +247,42 @@ class TestVerify:
         )
         assert code == 3
 
+    def test_workers_above_cpu_count_go_to_stderr(self, spec_path, tmp_path, capsys, monkeypatch):
+        from affext import analysis
+
+        for cpus, workers, line in (
+            (1, 2, "workers = 2 > cpu_count = 1; pool capped at 2"),
+            (1, 4, "workers = 4 > cpu_count = 1; pool capped at 3"),  # 3 chunks
+            (8, 2, None),
+        ):
+            monkeypatch.setattr(analysis.multiprocessing, "cpu_count", lambda: cpus)
+            d = tmp_path / f"{cpus}-{workers}"
+            code, out, err = run(
+                capsys, "verify", "--spec-file", spec_path, "--sample", "3",
+                "--workers", str(workers), "--report-dir", str(d),
+            )
+            assert code == 0
+            assert [l for l in err.splitlines() if "cpu_count = " in l] == ([line] if line else [])
+            files = "".join(p.read_text(encoding="ascii") for p in d.iterdir())
+            assert "cpu_count = " not in out + files
+
+    def test_worker_fault_names_its_chunk(self, spec_path, capsys, monkeypatch):
+        from affext import analysis
+
+        real = analysis._SweepState.run_range
+
+        def faulty(self, lo, hi):
+            if lo == 1:
+                raise ValueError("injected fault")
+            return real(self, lo, hi)
+
+        monkeypatch.setattr(analysis._SweepState, "run_range", faulty)
+        code, _, err = run(
+            capsys, "verify", "--spec-file", spec_path, "--sample", "3", "--workers", "2"
+        )
+        assert code == 1  # a ValueError, as without workers
+        assert "error: chunk 1 [1, 2): injected fault" in err
+
     def test_budget_exceeded_is_argument_error(self, spec_path, capsys):
         code, _, err = run(
             capsys,
