@@ -22,7 +22,6 @@ from .numtheory import (
     factorize,
     first_primes_coprime,
     is_prime,
-    is_typical,
     prachar_average,
     prime_modulus,
 )

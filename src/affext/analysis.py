@@ -384,7 +384,7 @@ class _PointCounts:
             raise BudgetExceededError(
                 f"power tables need {n * (2 * q - 1)} entries, budget is {budget}"
             )
-        self.spec, self.budget = spec, budget
+        self.spec = spec
         self.q, self.n, self.m, self.qm = q, n, m, q**m
         self.A = spec.A.array() % q
         self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
@@ -392,7 +392,7 @@ class _PointCounts:
         self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
         self.grids: dict[int, np.ndarray] = {}
         self.substituted: dict[tuple[int, ...], np.ndarray] = {}
-        self.forms: dict[tuple, tuple[int, int, np.ndarray, np.ndarray]] = {}
+        self.forms: dict[tuple[int, ...], tuple[int, int, np.ndarray, np.ndarray]] = {}
 
     def grid(self, k: int) -> np.ndarray:
         if k not in self.grids:
@@ -473,17 +473,11 @@ class _PointCounts:
         return worst, first
 
     def substitution_form(
-        self,
-        basis: np.ndarray,
-        pivots: tuple[int, ...],
-        offsets: np.ndarray,
-        sample_points: int = 10**4,
-        seed: int = 0,
+        self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Per offset, the violations of the substituted form, and D."""
-        q, k = self.q, len(pivots)
-        key = (pivots, sample_points, seed)
-        if key not in self.forms:
+        q = self.q
+        if pivots not in self.forms:
             D, D_per_pivot = _pivot_degrees(self.spec, pivots)
             # (b) degree comparison, pure integer arithmetic
             degree = 0
@@ -492,13 +486,10 @@ class _PointCounts:
                 # a coordinate left of every pivot is constant on V
                 if j not in pivots and i and self.spec.d[j] * D_per_pivot[i - 1] >= D:
                     degree += 1
-            if q**k <= min(self.budget, sample_points):
-                s = self.grid(k)
-            else:
-                s = np.random.default_rng(seed).integers(0, q, size=(sample_points, k))
+            s = self.grid(len(pivots))
             u = _substitute(s, D_per_pivot, q)
-            self.forms[key] = (D, degree, (u @ basis) % q, _pow_column(D, q)[s])
-        D, degree, uB, top = self.forms[key]
+            self.forms[pivots] = (D, degree, (u @ basis) % q, _pow_column(D, q)[s])
+        D, degree, uB, top = self.forms[pivots]
         # (a) pivot coordinate j_i of offset + u.B, raised to d_{j_i}, is s_i**D
         bad = np.full(len(offsets), degree, dtype=np.int64)
         slice_rows = max(1, _ELEM_SLICE // max(1, len(uB)))
@@ -544,20 +535,21 @@ def substitution_form_check(
     spec: ExtractorSpec,
     V: AffineSubspace,
     budget: int = DEFAULT_POINT_BUDGET,
-    sample_points: int = 10**4,
-    seed: int = 0,
 ) -> BoundReport:
     """Structure of the substituted restriction l(s_1**D_1, ..., s_k**D_k).
 
     Two parts, both with zero tolerance: (a) pointwise, each pivot coordinate
-    raised to its exponent equals s_i**D (checked on the full parameter grid
-    when q**k fits the budget, else on a seeded sample); (b) for every
+    raised to its exponent equals s_i**D on the full parameter grid of q**k
+    points, which must fit the budget; (b) for every
     non-pivot coordinate j depending on parameters up to i, the substituted
     degree d_j * D_i stays strictly below D, so the pivot term dominates.
     """
     _check_subspace(spec, V)
-    bad, D = _PointCounts(spec, budget).substitution_form(
-        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1), sample_points, seed
+    counter = _PointCounts(spec, budget)
+    if spec.modulus**V.k > budget:
+        raise BudgetExceededError(f"subspace has {spec.modulus**V.k} points, budget is {budget}")
+    bad, D = counter.substitution_form(
+        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1)
     )
     return _exact_report("substitution_form", int(bad[0]), detail=f"D={D}")
 
@@ -989,6 +981,12 @@ class _SweepState:
         self.need_char = bool({"char_max", "xor"} & set(self.checks))
         self.sqrt_qm = q ** (m / 2)
         self.counter = _PointCounts(spec, budgets.points)
+        if self.need_char:  # one block's phase table: q**m outputs by a chunk of characters
+            cells = self.qm * min(_CHAR_CHUNK, self.qm - 1)
+            if cells > budgets.points:
+                raise BudgetExceededError(
+                    f"character phase table needs {cells} entries, budget is {budgets.points}"
+                )
         self.zdig = _output_digits(q, m)
         self.omega = _omega_powers(q)
         self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -1221,7 +1219,7 @@ def verify_extractor(
         total_subspaces=total,
         violations={name: 0 for name in checks if name in THEOREM_CHECKS},
     )
-    state = _SweepState(spec, source, budgets, result)  # raises on the table budget
+    state = _SweepState(spec, source, budgets, result)  # raises on the table budgets
     tasks = _chunk_plan(total // state.per_unit)
     if workers == 1:
         partials = (state.run_range(lo, hi) for _, lo, hi in tasks)

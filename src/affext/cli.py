@@ -21,8 +21,6 @@ from dataclasses import replace
 
 from . import analysis, extractor, numtheory, subspace
 from .config import (
-    DEFAULT_C_PRIME,
-    DEFAULT_FLOOR_THRESHOLD,
     DEFAULT_POINT_BUDGET,
     DEFAULT_SUBSPACE_BUDGET,
     DEFAULT_TOLERANCE,
@@ -56,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", type=float, help="output rate, m = floor(beta*k)")
     group.add_argument("--m", type=int, help="output length, set directly")
-    p.add_argument("--c-prime", type=float, default=DEFAULT_C_PRIME)
-    p.add_argument("--floor-threshold", type=int, default=DEFAULT_FLOOR_THRESHOLD)
     p.add_argument("--strict-lcm", action="store_true",
                    help="fail when lcm(d) exceeds q**epsilon instead of warning")
     p.add_argument("--seed-points", type=_int_tuple, default=None,
@@ -111,18 +107,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if args.beta is not None:
             spec = extractor.plan_parameters(
                 n=args.n, k=args.k, beta=args.beta, q=args.q,
-                c_prime=args.c_prime, floor_threshold=args.floor_threshold,
                 seed_points=args.seed_points, strict_lcm=args.strict_lcm,
             )
         else:
             spec = extractor.build_spec(
                 q=args.q, n=args.n, k=args.k, m=args.m, seed_points=args.seed_points,
             )
-            if args.strict_lcm and not spec.lcm_bound_satisfied:
-                raise extractor.LcmBoundViolation(
-                    f"lcm(d)={spec.d.lcm} exceeds q**epsilon="
-                    f"{spec.modulus**spec.epsilon:.6g}"
-                )
+            if args.strict_lcm:
+                extractor.check_lcm_bound(spec, strict=True)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     extractor.save_spec(spec, args.spec_file)
@@ -181,7 +173,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         source = analysis.ExplicitSubspaces(
             subspaces=tuple(subspace.load_subspaces(args.subspace_file))
         )
-    names = analysis.CHECK_ORDER if args.checks == "all" else args.checks.split(",")
+    names = (analysis.CHECK_ORDER if args.checks.strip() == "all"
+             else [name.strip() for name in args.checks.split(",") if name.strip()])
     start = time.perf_counter()
     result = analysis.verify_extractor(
         spec,

@@ -1,4 +1,4 @@
-"""Shared knobs: operation budgets, float tolerance, typicality defaults.
+"""Shared knobs: operation budgets and float tolerance.
 
 Every enumeration in this package is bounded by an explicit operation budget
 and raises BudgetExceededError *before* doing any work when the bound would
@@ -16,12 +16,6 @@ DEFAULT_TOLERANCE = 1e-6
 DEFAULT_POINT_BUDGET = 10**8
 DEFAULT_SUBSPACE_BUDGET = 10**8
 DEFAULT_MINOR_BUDGET = 10**8  # verify_mds only; no sweep reads it
-
-# Typicality of a prime modulus q: omega(q-1) <= max(floor, c * ln ln q).
-# The floor keeps small moduli from being rejected for having the handful of
-# prime factors that any small number has.
-DEFAULT_C_PRIME = 2.0
-DEFAULT_FLOOR_THRESHOLD = 3
 
 
 class BudgetExceededError(RuntimeError):

@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import numtheory
-from .config import DEFAULT_C_PRIME, DEFAULT_FLOOR_THRESHOLD, DEFAULT_MINOR_BUDGET, BudgetExceededError
+from .config import DEFAULT_MINOR_BUDGET, BudgetExceededError
 from .numtheory import PrimeModulus, check_modulus, prime_modulus
 from .subspace import _rref
 
@@ -42,7 +42,6 @@ class ExponentVector:
 
     d: tuple[int, ...]
     D_master: int
-    lcm: int
 
     def __post_init__(self) -> None:
         if not self.d:
@@ -56,10 +55,10 @@ class ExponentVector:
             if self.D_master % di != 0:
                 raise ValueError(f"exponent {di} does not divide D_master={self.D_master}")
             prev = di
-        if math.lcm(*self.d) != self.lcm:
-            raise ValueError(f"stored lcm {self.lcm} is not lcm{self.d}")
-        if self.D_master % self.lcm != 0:
-            raise ValueError("lcm must divide D_master")
+
+    @property
+    def lcm(self) -> int:
+        return math.lcm(*self.d)
 
     def __len__(self) -> int:
         return len(self.d)
@@ -88,7 +87,7 @@ def gen_exponents(n: int, q: PrimeModulus | int) -> ExponentVector:
     divs = numtheory.divisors(numtheory.Factorization(D, tuple((p, 1) for p in primes)))
     # 2**count >= n + 1 divisors, so the n largest exclude the trailing 1
     d = tuple(divs[:n])
-    return ExponentVector(d=d, D_master=D, lcm=D)
+    return ExponentVector(d=d, D_master=D)
 
 
 def validate_exponents(ev: ExponentVector, q: int) -> None:
@@ -182,7 +181,6 @@ class ExtractorSpec:
     epsilon: float
     d: ExponentVector
     A: CoefficientMatrix
-    lcm_bound_satisfied: bool
 
     def __post_init__(self) -> None:
         if not (1 <= self.m <= self.k <= self.n):
@@ -201,10 +199,22 @@ class ExtractorSpec:
     def modulus(self) -> int:
         return self.q.q
 
+    @property
+    def lcm_bound_satisfied(self) -> bool:
+        # q**epsilon stays small (q < 2**61, epsilon < 1/4), safe as a float
+        return self.d.lcm <= self.modulus**self.epsilon
 
-def _lcm_bound_ok(lcm: int, q: int, epsilon: float) -> bool:
-    # q**epsilon stays small (q < 2**61, epsilon < 1/4), safe as a float
-    return lcm <= q**epsilon
+
+def check_lcm_bound(spec: ExtractorSpec, strict: bool) -> None:
+    """Warn, or raise LcmBoundViolation when strict, if lcm(d) > q**epsilon."""
+    if not spec.lcm_bound_satisfied:
+        msg = (
+            f"lcm(d)={spec.d.lcm} exceeds q**epsilon={spec.modulus**spec.epsilon:.6g}; "
+            f"the error bound q**-epsilon is not guaranteed at this scale"
+        )
+        if strict:
+            raise LcmBoundViolation(msg)
+        warnings.warn(msg, PlanWarning, stacklevel=3)
 
 
 def plan_parameters(
@@ -212,8 +222,6 @@ def plan_parameters(
     k: int,
     beta: float,
     q: PrimeModulus | int,
-    c_prime: float = DEFAULT_C_PRIME,
-    floor_threshold: int = DEFAULT_FLOOR_THRESHOLD,
     seed_points: Sequence[int] | None = None,
     strict_lcm: bool = False,
 ) -> ExtractorSpec:
@@ -226,7 +234,7 @@ def plan_parameters(
     """
     if not 0 < beta < 0.5:
         raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
-    qm = q if isinstance(q, PrimeModulus) else prime_modulus(q, c_prime, floor_threshold)
+    qm = q if isinstance(q, PrimeModulus) else prime_modulus(q)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     m = math.floor(beta * k)
@@ -234,29 +242,16 @@ def plan_parameters(
         raise ValueError(
             f"m = floor(beta*k) = 0 for beta={beta}, k={k}; increase beta or k"
         )
-    epsilon = 0.25 - beta / 2
-    d = gen_exponents(n, qm)
-    A = build_matrix(m, n, qm, seed_points)
-    if not numtheory.is_typical(qm, c_prime, floor_threshold):
+    spec = replace(build_spec(qm, n, k, m, seed_points), beta=beta, epsilon=0.25 - beta / 2)
+    if not qm.typical:
         warnings.warn(
             f"q={qm.q} is atypical: omega(q-1)={qm.omega} exceeds "
-            f"{numtheory.typicality_threshold(qm.q, c_prime, floor_threshold):.3f}",
+            f"{numtheory.typicality_threshold(qm.q):.3f}",
             PlanWarning,
             stacklevel=2,
         )
-    lcm_ok = _lcm_bound_ok(d.lcm, qm.q, epsilon)
-    if not lcm_ok:
-        msg = (
-            f"lcm(d)={d.lcm} exceeds q**epsilon={qm.q**epsilon:.6g}; the error "
-            f"bound q**-epsilon is not guaranteed at this scale"
-        )
-        if strict_lcm:
-            raise LcmBoundViolation(msg)
-        warnings.warn(msg, PlanWarning, stacklevel=2)
-    return ExtractorSpec(
-        q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=d, A=A,
-        lcm_bound_satisfied=lcm_ok,
-    )
+    check_lcm_bound(spec, strict_lcm)
+    return spec
 
 
 def build_spec(
@@ -279,10 +274,7 @@ def build_spec(
     epsilon = max(0.25 - beta / 2, 0.0)
     d = gen_exponents(n, qm)
     A = build_matrix(m, n, qm, seed_points)
-    return ExtractorSpec(
-        q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=d, A=A,
-        lcm_bound_satisfied=_lcm_bound_ok(d.lcm, qm.q, epsilon),
-    )
+    return ExtractorSpec(q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=d, A=A)
 
 
 def evaluate(spec: ExtractorSpec, x: Sequence[int]) -> tuple[int, ...]:
@@ -364,12 +356,11 @@ def spec_from_text(text: str) -> ExtractorSpec:
     except ValueError as exc:
         raise ValueError(f"malformed spec value: {exc}") from exc
     qm = prime_modulus(qv)
-    ev = ExponentVector(d=d, D_master=D_master, lcm=lcm)
+    ev = ExponentVector(d=d, D_master=D_master)
+    if lcm != ev.lcm:  # the one lcm that comes from outside the program
+        raise ValueError(f"stored lcm {lcm} is not lcm{d}")
     A = build_matrix(m, n, qm, seeds)
-    return ExtractorSpec(
-        q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=ev, A=A,
-        lcm_bound_satisfied=_lcm_bound_ok(lcm, qv, epsilon),
-    )
+    return ExtractorSpec(q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=ev, A=A)
 
 
 def save_spec(spec: ExtractorSpec, path) -> None:

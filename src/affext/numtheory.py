@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_C_PRIME, DEFAULT_FLOOR_THRESHOLD
-
 # Moduli stay below 2**61 so products fit in 128-bit intermediates and the
 # vectorised kernels in batch.py stay exact.
 MAX_MODULUS = 1 << 61
@@ -27,6 +25,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Trial-divide completely below this bound; larger cofactors go to rho.
 _TRIAL_LIMIT = 10**6
+
+# Typicality of a prime modulus q: omega(q-1) <= max(floor, c * ln ln q).
+# The floor keeps small moduli from being rejected for having the handful of
+# prime factors that any small number has.
+TYPICAL_C = 2.0
+TYPICAL_FLOOR = 3
 
 
 def check_modulus(q: int) -> None:
@@ -187,7 +191,6 @@ class PrimeModulus:
 
     q: int
     factors_q_minus_1: Factorization
-    typical: bool
 
     def __post_init__(self) -> None:
         check_modulus(self.q)
@@ -198,40 +201,27 @@ class PrimeModulus:
     def omega(self) -> int:
         return self.factors_q_minus_1.omega
 
+    @property
+    def typical(self) -> bool:
+        """Whether omega(q-1) <= typicality_threshold(q).
 
-def typicality_threshold(
-    q: int,
-    c_prime: float = DEFAULT_C_PRIME,
-    floor_threshold: int = DEFAULT_FLOOR_THRESHOLD,
-) -> float:
+        Almost all primes are typical; atypical moduli still work but force
+        larger exponents, so planning warns about them.
+        """
+        return self.omega <= typicality_threshold(self.q)
+
+
+def typicality_threshold(q: int) -> float:
     """Largest omega(q-1) still considered typical for modulus q."""
-    return max(float(floor_threshold), c_prime * math.log(math.log(q)))
+    return max(float(TYPICAL_FLOOR), TYPICAL_C * math.log(math.log(q)))
 
 
-def is_typical(
-    q: "PrimeModulus",
-    c_prime: float = DEFAULT_C_PRIME,
-    floor_threshold: int = DEFAULT_FLOOR_THRESHOLD,
-) -> bool:
-    """Whether q - 1 has at most max(floor, c * ln ln q) distinct prime factors.
-
-    Almost all primes are typical for any c > 1; atypical moduli still work
-    but force larger exponents, so planning warns about them.
-    """
-    return q.omega <= typicality_threshold(q.q, c_prime, floor_threshold)
-
-
-def prime_modulus(
-    q: int,
-    c_prime: float = DEFAULT_C_PRIME,
-    floor_threshold: int = DEFAULT_FLOOR_THRESHOLD,
-) -> PrimeModulus:
+def prime_modulus(q: int) -> PrimeModulus:
     """Validate q and package it with the factorisation of q - 1."""
     check_modulus(q)
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-    f = factorize(q - 1)
-    return PrimeModulus(q, f, typical=f.omega <= typicality_threshold(q, c_prime, floor_threshold))
+    return PrimeModulus(q, factorize(q - 1))
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -248,7 +238,7 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 def prachar_average(limit: int) -> tuple[int, float, int]:
     """Sum of omega(q - 1) over primes q <= limit, its normalised value, and
-    the number of those q that are atypical at the default threshold.
+    the number of those q that are atypical (see typicality_threshold).
 
     The normalisation divides by limit * ln ln limit / ln limit, the order of
     growth of the sum, so the second component should sit within a small
@@ -279,7 +269,6 @@ __all__ = [
     "factorize",
     "first_primes_coprime",
     "is_prime",
-    "is_typical",
     "MAX_MODULUS",
     "prachar_average",
     "prime_modulus",

@@ -426,12 +426,16 @@ class TestSubstitutionForm:
             for si, j in zip(s, V.pivots):
                 assert pow(x[j], spec13.d[j], 13) == pow(si, D, 13)
 
-    def test_sampled_grid_used_above_budget(self):
-        # q**k = 28561 exceeds the sample cap, so the seeded sample runs
+    def test_full_grid_checked_within_budget(self, doubled_degrees):
+        # every one of the q**k = 28561 points is checked: under the fault,
+        # pivot i fails exactly where s_i**(2D) != s_i**D, i.e. s_i not in {0, 1},
+        # so 4 * 11 * 13**3 mismatches, more than a 10**4-point sample can show
         spec = build_spec(13, 4, 4, 1)
         V = canonicalize((0,) * 4, np.eye(4, dtype=int).tolist(), 13)
-        rep = substitution_form_check(spec, V, sample_points=500, seed=1)
-        assert rep.satisfied
+        rep = substitution_form_check(spec, V, budget=13**4)
+        assert (rep.quantity, rep.satisfied) == (4 * 11 * 13**3, False)
+        with pytest.raises(BudgetExceededError, match="subspace has 28561 points"):
+            substitution_form_check(spec, V, budget=13**4 - 1)
 
     def test_degree_inequality_is_checked(self):
         # build an artificial spec-like failure: if a non-pivot exponent tied
@@ -904,6 +908,35 @@ class TestSweepEngine:
                 workers=2,
                 budgets=Budgets(points=50, subspaces=10),
             )
+
+    def test_phase_table_guard_runs_before_any_block(self, monkeypatch):
+        # 97/4/k3/m3 passes every other guard, but one block's phase table
+        # would be q**m * 256 = 233,644,288 entries
+        def unreachable(*args):
+            raise AssertionError("a character block ran")
+
+        monkeypatch.setattr(analysis, "_character_blocks", unreachable)
+        spec = build_spec(97, 4, 3, 3)
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceededError, match="phase table needs 233644288"):
+                verify_extractor(spec, SampledSubspaces(1, 0), checks=("char_max",),
+                                 workers=workers)
+        res = verify_extractor(spec, SampledSubspaces(1, 0), checks=("sd",))
+        assert res.processed == 1
+
+    def test_phase_table_guard_boundary(self):
+        # 7/3/k2/m2: 49 outputs by 48 characters = 2352 entries
+        spec = build_spec(7, 3, 2, 2)
+        for checks in (("xor",), ("char_max",)):
+            res = verify_extractor(spec, SampledSubspaces(2, 0), checks=checks,
+                                   budgets=Budgets(points=2352))
+            assert res.processed == 2
+            with pytest.raises(BudgetExceededError, match="phase table needs 2352 entries"):
+                verify_extractor(spec, SampledSubspaces(2, 0), checks=checks,
+                                 budgets=Budgets(points=2351))
+        res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("sd", "zero_coordinate"),
+                               budgets=Budgets(points=2351))
+        assert res.processed == 2
 
     def test_argument_validation(self, spec13):
         with pytest.raises(ValueError, match="workers"):

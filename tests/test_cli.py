@@ -72,6 +72,32 @@ class TestPlan:
         )
         assert code == 2
 
+    def test_strict_lcm_message_is_the_same_on_both_paths(self, tmp_path, capsys):
+        errs = []
+        for rate in (("--m", "1"), ("--beta", "0.4")):
+            code, _, err = run(
+                capsys,
+                "plan", "--q", "31", "--n", "3", "--k", "3", *rate,
+                "--strict-lcm", "--spec-file", str(tmp_path / "s.txt"),
+            )
+            assert code == 2
+            errs.append(err)
+        tail = "; the error bound q**-epsilon is not guaranteed at this scale\n"
+        # lcm(d) = 77 on both; epsilon = 1/4 - beta/2 with beta = 1/3 or 0.4
+        assert errs == [
+            f"error: lcm(d)=77 exceeds q**epsilon={31 ** (0.25 - 1 / 6):.6g}{tail}",
+            f"error: lcm(d)=77 exceeds q**epsilon={31 ** 0.05:.6g}{tail}",
+        ]
+
+    def test_typicality_flags_are_gone(self, tmp_path, capsys):
+        for flag, value in (("--c-prime", "0"), ("--floor-threshold", "5")):
+            code, _, err = run(
+                capsys,
+                "plan", "--q", "2311", "--n", "3", "--k", "3", "--beta", "0.4",
+                flag, value, "--spec-file", str(tmp_path / "s.txt"),
+            )
+            assert code == 1 and flag in err
+
     def test_nonprime_modulus(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -301,6 +327,41 @@ class TestVerify:
         )
         assert code == 1
         assert "--minor-budget" in err
+
+    def test_wrong_lcm_line_is_rejected(self, spec_path, capsys):
+        with open(spec_path, encoding="ascii") as fh:
+            text = fh.read()
+        with open(spec_path, "w", encoding="ascii") as fh:
+            fh.write(text.replace("lcm = 35", "lcm = 36"))
+        code, out, err = run(capsys, "verify", "--spec-file", spec_path, "--sample", "3")
+        assert code == 1 and out == ""
+        assert "stored lcm 36 is not lcm(35, 7, 5)" in err
+
+    def test_check_names_are_stripped(self, spec_path, capsys):
+        outs = []
+        for checks in ("sd,xor", "sd, xor", " xor ,sd,"):
+            code, out, _ = run(
+                capsys,
+                "verify", "--spec-file", spec_path, "--sample", "3", "--checks", checks,
+            )
+            assert code == 0
+            outs.append([line for line in out.splitlines() if not line.startswith("elapsed")])
+        assert outs[0] == outs[1] == outs[2]
+        assert "checks = sd,xor" in outs[0]
+        code, out, _ = run(
+            capsys, "verify", "--spec-file", spec_path, "--sample", "3", "--checks", " all ",
+        )
+        assert code == 0
+        assert "checks = sd,char_max,xor,zero_coordinate,change_of_vars,substitution_form" in out
+
+    def test_empty_check_list(self, spec_path, capsys):
+        for checks in ("", " , "):
+            code, _, err = run(
+                capsys,
+                "verify", "--spec-file", spec_path, "--sample", "3", "--checks", checks,
+            )
+            assert code == 1
+            assert err == "error: no checks selected\n"
 
     def test_unknown_check_name(self, spec_path, capsys):
         code, _, err = run(

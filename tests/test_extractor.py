@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestGenExponents:
             gen_exponents(0, 13)
 
     def test_validate_rejects_shared_factor(self):
-        ev = ExponentVector(d=(15, 5, 3), D_master=15, lcm=15)
+        ev = ExponentVector(d=(15, 5, 3), D_master=15)
         with pytest.raises(ValueError):
             validate_exponents(ev, 31)  # gcd(15, 30) = 15
 
@@ -92,19 +93,25 @@ class TestGenExponents:
 class TestExponentVectorValidation:
     def test_rejects_nondecreasing(self):
         with pytest.raises(ValueError):
-            ExponentVector(d=(5, 7), D_master=35, lcm=35)
+            ExponentVector(d=(5, 7), D_master=35)
 
     def test_rejects_exponent_one(self):
         with pytest.raises(ValueError):
-            ExponentVector(d=(5, 1), D_master=5, lcm=5)
+            ExponentVector(d=(5, 1), D_master=5)
 
     def test_rejects_wrong_lcm(self):
-        with pytest.raises(ValueError):
+        # lcm(d) is derived, so an exponent vector cannot hold a wrong one
+        assert ExponentVector(d=(35, 7, 5), D_master=35).lcm == 35
+        with pytest.raises(TypeError):
             ExponentVector(d=(35, 7, 5), D_master=35, lcm=7)
+        # the spec file's lcm line is the one stored lcm, checked on load
+        text = spec_to_text(build_spec(13, 3, 2, 1)).replace("lcm = 35", "lcm = 7")
+        with pytest.raises(ValueError, match="stored lcm 7 is not lcm"):
+            spec_from_text(text)
 
     def test_rejects_nondivisor(self):
         with pytest.raises(ValueError):
-            ExponentVector(d=(6,), D_master=35, lcm=6)
+            ExponentVector(d=(6,), D_master=35)
 
     def test_sequence_protocol(self):
         ev = gen_exponents(3, 13)
@@ -257,6 +264,18 @@ class TestBuildSpec:
         with pytest.raises(ValueError, match="not prime"):
             build_spec(32, 3, 2, 1)
 
+    def test_lcm_bound_is_derived(self):
+        spec = build_spec(13, 3, 2, 1)
+        assert spec.d.lcm == 35 and spec.epsilon == 0.0
+        assert spec.lcm_bound_satisfied is False
+        # a derived value cannot be set
+        with pytest.raises(TypeError):
+            replace(spec, lcm_bound_satisfied=True)
+        # it follows epsilon: lcm(d) = 17 <= (2**61 - 1)**0.25, about 38,967
+        wide = build_spec(2**61 - 1, 1, 1, 1)
+        assert wide.d.lcm == 17 and not wide.lcm_bound_satisfied
+        assert replace(wide, epsilon=0.25).lcm_bound_satisfied is True
+
 
 class TestEvaluate:
     def test_frozen_example(self):
@@ -297,13 +316,14 @@ class TestEvaluateBatch:
 
     def test_all_impls_agree(self):
         have_cc = shutil.which("cc") or shutil.which("gcc")
-        for q in (13, 2**31 - 1, 2**31 + 11):
+        for q in (13, 2**31 - 1, 2**31 + 11, 2**32 - 5, 2**32 + 15, 2**61 - 1):
             spec = build_spec(q, 4, 2, 2)
             rng = np.random.default_rng(5)
             # one full 2,048-row chunk of the C kernel plus a tail
             xs = rng.integers(0, min(q, 2**31), size=(2049, 4))
             xs[0], xs[1], xs[2] = 0, q - 1, (0, q - 1, q - 1, 0)
             impls = batch.kernels_for(q)
+            assert batch.pick_impl(q) == impls[0]
             assert "python" in impls and ("numpy" in impls) == (q < 2**32)
             if have_cc and q < 2**31:
                 assert "c" in impls, batch.c_build().error

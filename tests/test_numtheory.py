@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from affext import numtheory
 from affext.numtheory import (
     Factorization,
+    PrimeModulus,
     check_modulus,
     divisors,
     factorize,
     first_primes_coprime,
     is_prime,
-    is_typical,
     prachar_average,
     prime_modulus,
     primes_up_to,
@@ -188,7 +188,7 @@ class TestPrimeModulus:
     def test_threshold_formula(self):
         q = 10**9 + 7
         assert typicality_threshold(q) == max(3.0, 2.0 * math.log(math.log(q)))
-        assert typicality_threshold(q, c_prime=0.0, floor_threshold=5) == 5.0
+        assert typicality_threshold(31) == 3.0  # the floor
 
     def test_typicality_flags(self):
         # omega(30) = 3 <= 3, typical; omega(2310) = 5 > threshold(2311) ~ 4.08
@@ -196,9 +196,10 @@ class TestPrimeModulus:
         atypical = prime_modulus(2311)
         assert atypical.omega == 5
         assert not atypical.typical
-        assert not is_typical(atypical)
-        # a generous floor rescues it
-        assert is_typical(atypical, floor_threshold=5)
+        # typicality is derived from q and the factorisation, never stored
+        assert PrimeModulus(2311, factorize(2310)).typical is False
+        with pytest.raises(TypeError):
+            PrimeModulus(2311, factorize(2310), typical=True)
 
 
 class TestPrimesUpTo:
