@@ -226,41 +226,63 @@ def character_sum_subspace(
     return CharacterSum(q=q, residue_counts=counts, total=q**V.k)
 
 
-def character_magnitudes(
-    dist: OutputDistribution,
-    budget: int = DEFAULT_POINT_BUDGET,
-) -> np.ndarray:
+def character_magnitudes(dist: OutputDistribution,
+                         budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     """|E[w^<c,Z>]| for every c in F_q^m (encoded order), from exact counts."""
-    q, m = dist.q, dist.m
-    qm = q**m
-    if qm * qm > budget:
-        raise BudgetExceededError(
-            f"character table needs {qm * qm} operations, budget is {budget}"
-        )
-    out = np.empty(qm, dtype=np.float64)
-    zdig, omega = _output_digits(q, m), _omega_powers(q)
-    for lo, mags in _character_blocks(dist.counts, dist.total, zdig, omega, 0):
-        out[lo : lo + mags.shape[-1]] = mags
-    return out
+    return _Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total, 0)
 
 
-def _phase_blocks(zdig: np.ndarray, cs: np.ndarray, q: int):
-    """Yield (lo, phase) over blocks of _CHAR_CHUNK rows of cs, where
-    phase[z, i] = <z, cs[lo + i]> mod q for every output z (rows of zdig)."""
-    for lo in range(0, len(cs), _CHAR_CHUNK):
-        yield lo, (zdig @ cs[lo : lo + _CHAR_CHUNK].T) % q
+class _Characters:
+    """The one dense transform over the characters c of F_q^m: the digits of
+    all q**m outputs (row z encodes output z and character z), the powers of
+    w, and phase tables <z, c> mod q, _CHAR_CHUNK characters at a time.  One
+    table, q**m by min(_CHAR_CHUNK, len(cs)), must fit the budget; cs, the
+    characters gaps() reads, defaults to every nonzero c."""
 
+    def __init__(self, q: int, m: int, budget: int, cs: np.ndarray | None = None) -> None:
+        qm = q**m
+        cells = qm * min(_CHAR_CHUNK, qm - 1 if cs is None else len(cs))
+        if cells > budget:
+            raise BudgetExceededError(
+                f"character phase table needs {cells} entries, budget is {budget}"
+            )
+        self.q = q
+        self.digits = _output_digits(q, m)
+        self.cs = self.digits[1:] if cs is None else cs
+        self.omega = _omega_powers(q)
 
-def _character_blocks(
-    counts: np.ndarray, total: int, zdig: np.ndarray, omega: np.ndarray, start: int
-):
-    """The character transform of output counts, one block of characters at
-    a time: yields (lo, mags) with mags[..., i] = |E[w^<c,Z>]| for the c
-    encoded as lo + i, over every c >= start; counts is (q**m,) or (rows, q**m),
-    and omega is _omega_powers(q), built once by the caller."""
-    counts_f = counts.astype(np.float64)
-    for lo, phase in _phase_blocks(zdig, zdig[start:], len(omega)):
-        yield start + lo, np.abs(counts_f @ omega[phase]) / total
+    def _phases(self, cs: np.ndarray):
+        """The phase table of each block of _CHAR_CHUNK rows of cs."""
+        for lo in range(0, len(cs), _CHAR_CHUNK):
+            yield (self.digits @ cs[lo : lo + _CHAR_CHUNK].T) % self.q
+
+    def magnitudes(self, counts: np.ndarray, total: int, start: int) -> np.ndarray:
+        """|E[w^<c,Z>]| along the last axis for every c encoded start or
+        later; counts is (q**m,) or (rows, q**m)."""
+        counts_f = counts.astype(np.float64)
+        return np.concatenate([np.abs(counts_f @ self.omega[phase]) / total
+                               for phase in self._phases(self.digits[start:])], axis=-1)
+
+    def gaps(self, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of diff, a difference of two count vectors, the worst
+        residue-count gap of <c, Z> over the rows c of cs, and the index of
+        the first c attaining it (-1 where every gap is 0)."""
+        q = self.q
+        worst = np.zeros(len(diff), dtype=np.int64)
+        first = np.zeros(len(diff), dtype=np.int64)
+        for row in np.flatnonzero(diff.any(axis=1)):
+            gaps = []
+            for phase in self._phases(self.cs):
+                # residue counts of <c, Z> for each c of the block, exact
+                keys = phase + q * np.arange(phase.shape[1], dtype=np.int64)
+                rc = np.zeros(phase.shape[1] * q, dtype=np.int64)
+                np.add.at(rc, keys, np.broadcast_to(diff[row][:, None], keys.shape))
+                gaps.append(np.abs(rc).reshape(-1, q).max(axis=1))
+            gaps = np.concatenate(gaps)
+            first[row] = gaps.argmax()  # the first c attaining the worst gap
+            worst[row] = gaps[first[row]]
+        first[worst == 0] = -1
+        return worst, first
 
 
 # ---------------------------------------------------------------------------
@@ -437,40 +459,16 @@ class _PointCounts:
             )
         return counts
 
-    def change_of_vars(
-        self,
-        basis: np.ndarray,
-        pivots: tuple[int, ...],
-        offsets: np.ndarray,
-        cs: np.ndarray,
-        zdig: np.ndarray,
-        direct: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per offset, the worst residue-count gap of <c, F> between the
-        direct and the substituted route over the rows c of cs, and the
-        index of the first c attaining it (-1 where every gap is 0)."""
+    def change_of_vars(self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray,
+                       direct: np.ndarray | None = None) -> np.ndarray:
+        """Per offset, the direct output counts minus the counts on the grid
+        with t_i -> t_i**D_i; a bijective substitution leaves all zeros."""
         if pivots not in self.substituted:
             _, D_per_pivot = _pivot_degrees(self.spec, pivots)
             self.substituted[pivots] = _substitute(self.grid(len(pivots)), D_per_pivot, self.q)
         if direct is None:
             direct = self.counts(basis, offsets, self.grid(len(pivots)))
-        diff = direct - self.counts(basis, offsets, self.substituted[pivots])
-        worst = np.zeros(len(diff), dtype=np.int64)
-        first = np.zeros(len(diff), dtype=np.int64)
-        q = self.q
-        for row in np.flatnonzero(diff.any(axis=1)):
-            gaps = []
-            for _, phase in _phase_blocks(zdig, cs, q):
-                # residue counts of <c, Z> for each c of the block, exact
-                keys = phase + q * np.arange(phase.shape[1], dtype=np.int64)
-                rc = np.zeros(phase.shape[1] * q, dtype=np.int64)
-                np.add.at(rc, keys, np.broadcast_to(diff[row][:, None], keys.shape))
-                gaps.append(np.abs(rc).reshape(-1, q).max(axis=1))
-            gaps = np.concatenate(gaps)
-            first[row] = gaps.argmax()  # the first c attaining the worst gap
-            worst[row] = gaps[first[row]]
-        first[worst == 0] = -1
-        return worst, first
+        return direct - self.counts(basis, offsets, self.substituted[pivots])
 
     def substitution_form(
         self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray
@@ -520,13 +518,16 @@ def change_of_vars_check(
     """
     _check_subspace(spec, V)
     q, m = spec.modulus, spec.m
+    if len(c) != m:
+        raise ValueError(f"character index length {len(c)} does not match m={m}")
     if q**V.k > budget:
         raise BudgetExceededError(f"subspace has {q**V.k} points, budget is {budget}")
     _check_outcome_cells(q, m, budget)
-    cs = np.asarray(c, dtype=np.int64).reshape(1, -1) % q
-    gap, _ = _PointCounts(spec, budget).change_of_vars(
-        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1), cs, _output_digits(q, m)
+    chars = _Characters(q, m, budget, np.asarray(c, dtype=np.int64).reshape(1, -1) % q)
+    diff = _PointCounts(spec, budget).change_of_vars(
+        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1)
     )
+    gap, _ = chars.gaps(diff)
     c_encoded = encode_output(tuple(int(v) % q for v in c), q)
     return _exact_report("change_of_vars", int(gap[0]), c_encoded=c_encoded)
 
@@ -978,17 +979,11 @@ class _SweepState:
         self.q, self.m = q, m
         self.qm = q**m
         self.need_counts = bool({"sd", "char_max", "xor"} & set(self.checks))
-        self.need_char = bool({"char_max", "xor"} & set(self.checks))
         self.sqrt_qm = q ** (m / 2)
         self.counter = _PointCounts(spec, budgets.points)
-        if self.need_char:  # one block's phase table: q**m outputs by a chunk of characters
-            cells = self.qm * min(_CHAR_CHUNK, self.qm - 1)
-            if cells > budgets.points:
-                raise BudgetExceededError(
-                    f"character phase table needs {cells} entries, budget is {budgets.points}"
-                )
-        self.zdig = _output_digits(q, m)
-        self.omega = _omega_powers(q)
+        self.chars = None  # built, and its table budget checked, only for checks that read it
+        if {"char_max", "xor", "change_of_vars"} & set(self.checks):
+            self.chars = _Characters(q, m, budgets.points)
         self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
         # subspaces per chunk unit: the parallel offsets of one linear
         # subspace in an exhaustive sweep, else one subspace
@@ -1001,7 +996,7 @@ class _SweepState:
     def zero_coordinate_worst(self, pivots: tuple[int, ...]) -> tuple[int, int]:
         """Worst zero count of c^T A over pivot coordinates, over nonzero c."""
         if pivots not in self.zero_cache:
-            ball = (self.zdig[1:] @ self.counter.A) % self.q  # (qm-1, n)
+            ball = (_output_digits(self.q, self.m)[1:] @ self.counter.A) % self.q  # (qm-1, n)
             zeros = (ball[:, list(pivots)] == 0).sum(axis=1)  # q**m - 1 >= 1 entries
             self.zero_cache[pivots] = (int(zeros.max()), int(zeros.argmax()) + 1)
         return self.zero_cache[pivots]
@@ -1029,12 +1024,9 @@ class _SweepState:
             absdev = np.abs(counts * qm - T).sum(axis=1)
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
-            if self.need_char:
+            if "char_max" in self.checks or "xor" in self.checks:
                 # (O, q**m - 1), no larger than counts; the first maximum wins
-                mags = np.concatenate(
-                    [mags for _, mags in _character_blocks(counts, T, self.zdig, self.omega, 1)],
-                    axis=1,
-                )
+                mags = self.chars.magnitudes(counts, T, 1)
                 best = mags.argmax(axis=1)
                 eps, eps_c = mags[np.arange(O), best], best + 1
 
@@ -1051,9 +1043,8 @@ class _SweepState:
             zworst, zc = self.zero_coordinate_worst(pivots)
             cols["zero_coordinate"] = (zworst, m - 1, zworst <= m - 1, zc, "")
         if "change_of_vars" in self.checks:
-            gap, first = self.counter.change_of_vars(
-                basis, pivots, offsets, self.zdig[1:], self.zdig, counts
-            )
+            diff = self.counter.change_of_vars(basis, pivots, offsets, counts)
+            gap, first = self.chars.gaps(diff)
             c_encoded = np.where(first >= 0, first + 1, None)  # None where the gap is 0
             cols["change_of_vars"] = (gap, 0, gap == 0, c_encoded, "")
         if "substitution_form" in self.checks:

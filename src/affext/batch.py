@@ -395,8 +395,6 @@ def batch_apply(xs, exps, rows, q: int, impl: str = "auto") -> np.ndarray:
     exponents, rows the m rows of A, each of length n.
     """
     chosen = pick_impl(q, impl)
-    if chosen == "python":
-        return _eval_python(xs, exps, rows, q)
     xs = np.asarray(xs)
     if xs.ndim != 2:
         raise ValueError(f"batch must be two-dimensional, got shape {xs.shape}")

@@ -9,10 +9,11 @@ import math
 import shutil
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affext.analysis import (
@@ -205,14 +206,26 @@ class TestCharacterSums:
 
     def test_character_index_length_checked(self, spec13):
         V = random_subspace(3, 2, 13, seed=1)
-        with pytest.raises(ValueError):
-            character_sum_subspace(spec13, V, (1, 2))
+        for c in [(1, 2), (1, 2, 3), ()]:
+            for check in (character_sum_subspace, change_of_vars_check):
+                with pytest.raises(ValueError, match="does not match m=1"):
+                    check(spec13, V, c)
 
     def test_character_table_budget(self, spec13_m2):
         V = random_subspace(3, 2, 13, seed=1)
         dist = output_distribution(spec13_m2, V)
         with pytest.raises(BudgetExceededError):
             character_magnitudes(dist, budget=100)
+        # the sweep's rule: 169 outputs by 168 nonzero characters = 28392 entries
+        assert character_magnitudes(dist, budget=28392).shape == (169,)
+        res = verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
+                               budgets=Budgets(points=28392))
+        assert res.processed == 1
+        with pytest.raises(BudgetExceededError, match="phase table needs 28392 entries"):
+            character_magnitudes(dist, budget=28391)
+        with pytest.raises(BudgetExceededError, match="phase table needs 28392 entries"):
+            verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
+                             budgets=Budgets(points=28391))
 
 
 class TestXorBound:
@@ -398,6 +411,42 @@ class TestCountRoutes:
             )
             runs[workers] = (reports_csv_lines(res), repr(res.reports))
         assert runs[1] == runs[2]
+
+
+@st.composite
+def _small_shapes(draw):
+    """(q, n, k, m, seed) with n < q, 1 <= m <= k <= n <= 3."""
+    q = draw(st.sampled_from((5, 7, 11, 13)))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    return q, n, k, draw(st.integers(1, k)), draw(st.integers(0, 2**16))
+
+
+class TestTransformProperties:
+    @given(_small_shapes())
+    @example((13, 3, 3, 1, 0))  # k = n
+    @example((11, 3, 1, 1, 1))  # k = 1
+    @example((7, 3, 3, 3, 2))  # m = k = n: 342 nonzero c, two blocks of characters
+    @example((5, 2, 2, 2, 3))  # m = k
+    def test_count_routes_and_transform_match_the_oracles(self, shape):
+        q, n, k, m, seed = shape
+        spec, V = build_spec(q, n, k, m), random_subspace(n, k, q, seed=seed)
+        want = output_distribution(spec, V)
+        counter = _PointCounts(spec, 10**6)
+        args = (V.basis_array(), V.offset_array().reshape(1, -1), counter.grid(k))
+        got = {}
+        if HAVE_CC:
+            assert analysis.count_route() == "c"
+            got["c"] = counter.counts(*args)
+        with mock.patch.object(analysis, "_count_kernel", lambda: (None, "forced")):
+            assert analysis.count_route().startswith("numpy")
+            got["numpy"] = counter.counts(*args)
+        for route, counts in got.items():
+            assert (counts[0] == want.counts).all(), route
+        mags = analysis._Characters(q, m, 10**6).magnitudes(want.counts, want.total, 0)
+        for enc in np.random.default_rng(seed).integers(0, q**m, size=4).tolist():
+            cs = character_sum_subspace(spec, V, decode_output(enc, q, m))
+            assert abs(mags[enc] - character_magnitude(cs)) <= 1e-12, enc
 
 
 class TestSubstitutionForm:
@@ -915,7 +964,7 @@ class TestSweepEngine:
         def unreachable(*args):
             raise AssertionError("a character block ran")
 
-        monkeypatch.setattr(analysis, "_character_blocks", unreachable)
+        monkeypatch.setattr(analysis._Characters, "magnitudes", unreachable)
         spec = build_spec(97, 4, 3, 3)
         for workers in (1, 2):
             with pytest.raises(BudgetExceededError, match="phase table needs 233644288"):
@@ -937,6 +986,36 @@ class TestSweepEngine:
         res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("sd", "zero_coordinate"),
                                budgets=Budgets(points=2351))
         assert res.processed == 2
+
+    def test_change_of_vars_table_guard_runs_before_any_block(self, monkeypatch):
+        # change_of_vars builds the same 49 x 48 = 2352-entry table as char_max
+        spec = build_spec(7, 3, 2, 2)
+        res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("change_of_vars",),
+                               budgets=Budgets(points=2352))
+        assert res.processed == 2
+
+        def unreachable(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(analysis._SweepState, "analyze_block", unreachable)
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceededError, match="phase table needs 2352 entries"):
+                verify_extractor(spec, SampledSubspaces(2, 0), checks=("change_of_vars",),
+                                 workers=workers, budgets=Budgets(points=2351))
+
+    def test_sd_only_sweep_builds_no_digits_table(self, monkeypatch):
+        # 97/4/k3/m3: the digits of the 912,673 outputs would take 21.9 MB
+        calls = []
+        real = analysis._output_digits
+        monkeypatch.setattr(analysis, "_output_digits", lambda q, m: calls.append(m) or real(q, m))
+        res = verify_extractor(build_spec(97, 4, 3, 3), SampledSubspaces(1, 0), checks=("sd",))
+        assert res.processed == 1 and calls == []
+
+    def test_zero_coordinate_only_sweep_is_not_refused(self):
+        # it reads the digits table but no phase table
+        res = verify_extractor(build_spec(97, 4, 3, 3), SampledSubspaces(1, 0),
+                               checks=("zero_coordinate",))
+        assert res.processed == 1 and res.violations == {"zero_coordinate": 0}
 
     def test_argument_validation(self, spec13):
         with pytest.raises(ValueError, match="workers"):

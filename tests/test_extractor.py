@@ -332,6 +332,15 @@ class TestEvaluateBatch:
             for impl, arr in outs.items():
                 assert np.array_equal(arr, base), (q, impl)
 
+    def test_every_kernel_validates_its_input(self):
+        # one validation runs before every kernel, python included
+        for q in (13, 2**31 - 1, 2**32 + 15):
+            for impl in batch.kernels_for(q):
+                with pytest.raises(ValueError, match="matrix rows must have length 3"):
+                    batch.batch_apply([[1, 2, 3]], (3, 5), ((1, 1),), q, impl=impl)
+                with pytest.raises(ValueError, match="batch must be two-dimensional"):
+                    batch.batch_apply([1, 2, 3], (3, 5, 7), ((1, 1, 1),), q, impl=impl)
+
     def test_empty_batch(self):
         spec = build_spec(13, 3, 2, 1)
         out = evaluate_batch(spec, np.zeros((0, 3), dtype=np.int64))
