@@ -63,14 +63,12 @@ from .analysis import (
     OutputDistribution,
     SampledSubspaces,
     SweepResult,
-    change_of_vars_check,
     character_magnitude,
     character_sum_subspace,
     deligne_battery,
     deligne_bound_check,
     output_distribution,
     statistical_distance,
-    substitution_form_check,
     verify_extractor,
     write_reports_csv,
     write_summary,

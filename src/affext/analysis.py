@@ -10,8 +10,9 @@ tolerance.
 There is one count primitive, `_PointCounts`: it reads the points
 offset + t.B of one direction space B, for a batch of parallel offsets and a
 parameter grid, through shared power tables and tallies the outputs.  The
-sweep and the public change_of_vars and substitution_form checks all run on
-it; the per-point output_distribution / evaluate route is kept as its oracle.
+sweep runs every count-based check on it, including change_of_vars and
+substitution_form (a single subspace is ExplicitSubspaces((V,))); the
+per-point output_distribution / evaluate route is kept as its oracle.
 
 `verify_extractor` sweeps a set of affine subspaces (exhaustive, seeded
 sample, or an explicit list) and runs selected checks on each one.  The sweep
@@ -228,51 +229,51 @@ def character_sum_subspace(
 
 def character_magnitudes(dist: OutputDistribution,
                          budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """|E[w^<c,Z>]| for every c in F_q^m (encoded order), from exact counts."""
-    return _Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total, 0)
+    """|E[w^<c,Z>]| for every c in F_q^m (encoded order), from exact counts;
+    the trivial character c = 0 is exactly 1."""
+    mags = _Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total)
+    return np.concatenate(([1.0], mags))
 
 
 class _Characters:
-    """The one dense transform over the characters c of F_q^m: the digits of
-    all q**m outputs (row z encodes output z and character z), the powers of
-    w, and phase tables <z, c> mod q, _CHAR_CHUNK characters at a time.  One
-    table, q**m by min(_CHAR_CHUNK, len(cs)), must fit the budget; cs, the
-    characters gaps() reads, defaults to every nonzero c."""
+    """The one dense transform over the nonzero characters c of F_q^m: the
+    digits of all q**m outputs (row z encodes output z and character z), the
+    powers of w, and phase tables <z, c> mod q, _CHAR_CHUNK characters at a
+    time.  One table, q**m by min(_CHAR_CHUNK, q**m - 1), must fit the budget."""
 
-    def __init__(self, q: int, m: int, budget: int, cs: np.ndarray | None = None) -> None:
+    def __init__(self, q: int, m: int, budget: int) -> None:
         qm = q**m
-        cells = qm * min(_CHAR_CHUNK, qm - 1 if cs is None else len(cs))
+        cells = qm * min(_CHAR_CHUNK, qm - 1)
         if cells > budget:
             raise BudgetExceededError(
                 f"character phase table needs {cells} entries, budget is {budget}"
             )
         self.q = q
         self.digits = _output_digits(q, m)
-        self.cs = self.digits[1:] if cs is None else cs
         self.omega = _omega_powers(q)
 
-    def _phases(self, cs: np.ndarray):
-        """The phase table of each block of _CHAR_CHUNK rows of cs."""
-        for lo in range(0, len(cs), _CHAR_CHUNK):
-            yield (self.digits @ cs[lo : lo + _CHAR_CHUNK].T) % self.q
+    def _phases(self):
+        """The phase table of each block of _CHAR_CHUNK nonzero characters."""
+        for lo in range(1, len(self.digits), _CHAR_CHUNK):
+            yield (self.digits @ self.digits[lo : lo + _CHAR_CHUNK].T) % self.q
 
-    def magnitudes(self, counts: np.ndarray, total: int, start: int) -> np.ndarray:
-        """|E[w^<c,Z>]| along the last axis for every c encoded start or
-        later; counts is (q**m,) or (rows, q**m)."""
+    def magnitudes(self, counts: np.ndarray, total: int) -> np.ndarray:
+        """|E[w^<c,Z>]| along the last axis for every c != 0 (c = 1, 2, ...
+        encoded); counts is (q**m,) or (rows, q**m)."""
         counts_f = counts.astype(np.float64)
         return np.concatenate([np.abs(counts_f @ self.omega[phase]) / total
-                               for phase in self._phases(self.digits[start:])], axis=-1)
+                               for phase in self._phases()], axis=-1)
 
     def gaps(self, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of diff, a difference of two count vectors, the worst
-        residue-count gap of <c, Z> over the rows c of cs, and the index of
-        the first c attaining it (-1 where every gap is 0)."""
+        residue-count gap of <c, Z> over the nonzero c, and the index c - 1
+        of the first c attaining it (-1 where every gap is 0)."""
         q = self.q
         worst = np.zeros(len(diff), dtype=np.int64)
         first = np.zeros(len(diff), dtype=np.int64)
         for row in np.flatnonzero(diff.any(axis=1)):
             gaps = []
-            for phase in self._phases(self.cs):
+            for phase in self._phases():
                 # residue counts of <c, Z> for each c of the block, exact
                 keys = phase + q * np.arange(phase.shape[1], dtype=np.int64)
                 rc = np.zeros(phase.shape[1] * q, dtype=np.int64)
@@ -413,8 +414,7 @@ class _PointCounts:
         wrap = np.arange(2 * q - 1) % q
         self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
         self.grids: dict[int, np.ndarray] = {}
-        self.substituted: dict[tuple[int, ...], np.ndarray] = {}
-        self.forms: dict[tuple[int, ...], tuple[int, int, np.ndarray, np.ndarray]] = {}
+        self.patterns: dict[tuple[int, ...], tuple[int, np.ndarray, int, np.ndarray]] = {}
 
     def grid(self, k: int) -> np.ndarray:
         if k not in self.grids:
@@ -459,23 +459,11 @@ class _PointCounts:
             )
         return counts
 
-    def change_of_vars(self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray,
-                       direct: np.ndarray | None = None) -> np.ndarray:
-        """Per offset, the direct output counts minus the counts on the grid
-        with t_i -> t_i**D_i; a bijective substitution leaves all zeros."""
-        if pivots not in self.substituted:
-            _, D_per_pivot = _pivot_degrees(self.spec, pivots)
-            self.substituted[pivots] = _substitute(self.grid(len(pivots)), D_per_pivot, self.q)
-        if direct is None:
-            direct = self.counts(basis, offsets, self.grid(len(pivots)))
-        return direct - self.counts(basis, offsets, self.substituted[pivots])
-
-    def substitution_form(
-        self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Per offset, the violations of the substituted form, and D."""
-        q = self.q
-        if pivots not in self.forms:
+    def pattern(self, pivots: tuple[int, ...]) -> tuple[int, np.ndarray, int, np.ndarray]:
+        """What a pivot pattern alone determines: D, the grid with
+        t_i -> t_i**D_i, the number of non-pivot terms whose substituted
+        degree reaches D, and s_i**D per grid point and pivot."""
+        if pivots not in self.patterns:
             D, D_per_pivot = _pivot_degrees(self.spec, pivots)
             # (b) degree comparison, pure integer arithmetic
             degree = 0
@@ -485,74 +473,25 @@ class _PointCounts:
                 if j not in pivots and i and self.spec.d[j] * D_per_pivot[i - 1] >= D:
                     degree += 1
             s = self.grid(len(pivots))
-            u = _substitute(s, D_per_pivot, q)
-            self.forms[pivots] = (D, degree, (u @ basis) % q, _pow_column(D, q)[s])
-        D, degree, uB, top = self.forms[pivots]
+            self.patterns[pivots] = (D, _substitute(s, D_per_pivot, self.q), degree,
+                                     _pow_column(D, self.q)[s])
+        return self.patterns[pivots]
+
+    def substitution_form(
+        self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Per offset, the violations of the substituted form, and D."""
+        D, u, degree, top = self.pattern(pivots)
+        uB = (u @ basis[:, list(pivots)]) % self.q  # pivot coordinates of u.B, this basis
         # (a) pivot coordinate j_i of offset + u.B, raised to d_{j_i}, is s_i**D
         bad = np.full(len(offsets), degree, dtype=np.int64)
         slice_rows = max(1, _ELEM_SLICE // max(1, len(uB)))
         for lo in range(0, len(offsets), slice_rows):
             part = offsets[lo : lo + slice_rows]
             for i, j in enumerate(pivots):
-                X = part[:, j][:, None] + uB[:, j][None, :]
+                X = part[:, j][:, None] + uB[:, i][None, :]
                 bad[lo : lo + slice_rows] += (self.powtabs[j][X] != top[:, i]).sum(axis=1)
         return bad, D
-
-
-def _exact_report(check: str, quantity: int, **fields) -> BoundReport:
-    """A zero-tolerance structural count: satisfied iff it is 0."""
-    return BoundReport(check=check, quantity=quantity, bound=0, satisfied=quantity == 0, **fields)
-
-
-def change_of_vars_check(
-    spec: ExtractorSpec,
-    V: AffineSubspace,
-    c: Sequence[int],
-    budget: int = DEFAULT_POINT_BUDGET,
-) -> BoundReport:
-    """Exact equality of the residue counts of <c, F> along both routes.
-
-    s_i -> s_i**D_i is a bijection on F_q (D_i divides lcm(d), so it is
-    coprime to q - 1), hence substituting it cannot change any count; the
-    check recomputes both sides from scratch and compares integers.
-    """
-    _check_subspace(spec, V)
-    q, m = spec.modulus, spec.m
-    if len(c) != m:
-        raise ValueError(f"character index length {len(c)} does not match m={m}")
-    if q**V.k > budget:
-        raise BudgetExceededError(f"subspace has {q**V.k} points, budget is {budget}")
-    _check_outcome_cells(q, m, budget)
-    chars = _Characters(q, m, budget, np.asarray(c, dtype=np.int64).reshape(1, -1) % q)
-    diff = _PointCounts(spec, budget).change_of_vars(
-        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1)
-    )
-    gap, _ = chars.gaps(diff)
-    c_encoded = encode_output(tuple(int(v) % q for v in c), q)
-    return _exact_report("change_of_vars", int(gap[0]), c_encoded=c_encoded)
-
-
-def substitution_form_check(
-    spec: ExtractorSpec,
-    V: AffineSubspace,
-    budget: int = DEFAULT_POINT_BUDGET,
-) -> BoundReport:
-    """Structure of the substituted restriction l(s_1**D_1, ..., s_k**D_k).
-
-    Two parts, both with zero tolerance: (a) pointwise, each pivot coordinate
-    raised to its exponent equals s_i**D on the full parameter grid of q**k
-    points, which must fit the budget; (b) for every
-    non-pivot coordinate j depending on parameters up to i, the substituted
-    degree d_j * D_i stays strictly below D, so the pivot term dominates.
-    """
-    _check_subspace(spec, V)
-    counter = _PointCounts(spec, budget)
-    if spec.modulus**V.k > budget:
-        raise BudgetExceededError(f"subspace has {spec.modulus**V.k} points, budget is {budget}")
-    bad, D = counter.substitution_form(
-        V.basis_array(), V.pivots, V.offset_array().reshape(1, -1)
-    )
-    return _exact_report("substitution_form", int(bad[0]), detail=f"D={D}")
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +924,8 @@ class _SweepState:
         if {"char_max", "xor", "change_of_vars"} & set(self.checks):
             self.chars = _Characters(q, m, budgets.points)
         self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
+        if "zero_coordinate" in self.checks:  # per nonzero c and coordinate j: (c^T A)_j == 0
+            self.zero_table = (_output_digits(q, m)[1:] @ self.counter.A) % q == 0
         # subspaces per chunk unit: the parallel offsets of one linear
         # subspace in an exhaustive sweep, else one subspace
         self.per_unit = 1
@@ -996,8 +937,7 @@ class _SweepState:
     def zero_coordinate_worst(self, pivots: tuple[int, ...]) -> tuple[int, int]:
         """Worst zero count of c^T A over pivot coordinates, over nonzero c."""
         if pivots not in self.zero_cache:
-            ball = (_output_digits(self.q, self.m)[1:] @ self.counter.A) % self.q  # (qm-1, n)
-            zeros = (ball[:, list(pivots)] == 0).sum(axis=1)  # q**m - 1 >= 1 entries
+            zeros = self.zero_table[:, list(pivots)].sum(axis=1)  # q**m - 1 >= 1 entries
             self.zero_cache[pivots] = (int(zeros.max()), int(zeros.argmax()) + 1)
         return self.zero_cache[pivots]
 
@@ -1026,7 +966,7 @@ class _SweepState:
             sd_f = absdev / float(denom)
             if "char_max" in self.checks or "xor" in self.checks:
                 # (O, q**m - 1), no larger than counts; the first maximum wins
-                mags = self.chars.magnitudes(counts, T, 1)
+                mags = self.chars.magnitudes(counts, T)
                 best = mags.argmax(axis=1)
                 eps, eps_c = mags[np.arange(O), best], best + 1
 
@@ -1043,7 +983,12 @@ class _SweepState:
             zworst, zc = self.zero_coordinate_worst(pivots)
             cols["zero_coordinate"] = (zworst, m - 1, zworst <= m - 1, zc, "")
         if "change_of_vars" in self.checks:
-            diff = self.counter.change_of_vars(basis, pivots, offsets, counts)
+            # direct counts minus those on the grid with t_i -> t_i**D_i; D_i
+            # divides lcm(d), which is coprime to q - 1, so the substitution
+            # is a bijection and leaves all zeros
+            if counts is None:
+                counts = self.counter.counts(basis, offsets, self.counter.grid(k))
+            diff = counts - self.counter.counts(basis, offsets, self.counter.pattern(pivots)[1])
             gap, first = self.chars.gaps(diff)
             c_encoded = np.where(first >= 0, first + 1, None)  # None where the gap is 0
             cols["change_of_vars"] = (gap, 0, gap == 0, c_encoded, "")

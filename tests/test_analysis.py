@@ -5,6 +5,8 @@ the plain per-point reference path (output_distribution / evaluate) on small
 exhaustive cases, and character magnitudes against direct complex sums.
 """
 
+import dataclasses
+import itertools
 import math
 import shutil
 import warnings
@@ -25,7 +27,6 @@ from affext.analysis import (
     ExplicitSubspaces,
     SampledSubspaces,
     OutputDistribution,
-    change_of_vars_check,
     character_magnitude,
     character_magnitudes,
     character_sum_subspace,
@@ -37,7 +38,6 @@ from affext.analysis import (
     output_distribution,
     reports_csv_lines,
     statistical_distance,
-    substitution_form_check,
     summary_lines,
     verify_extractor,
     write_reports_csv,
@@ -49,7 +49,7 @@ from affext.analysis import (
 )
 from affext import analysis, batch, cli
 from affext.config import Budgets, BudgetExceededError
-from affext.extractor import build_matrix, build_spec, evaluate_batch
+from affext.extractor import build_matrix, build_spec, evaluate, evaluate_batch
 from affext.subspace import (
     basis_at,
     canonicalize,
@@ -57,6 +57,7 @@ from affext.subspace import (
     enumerate_points,
     enumerate_subspaces,
     offsets_for_pattern,
+    parametrize,
     pattern_blocks,
     random_subspace,
 )
@@ -132,8 +133,6 @@ class TestStatisticalDistance:
 
 class TestOutputDistribution:
     def test_counts_match_direct_tally(self, spec13_m2):
-        from affext.extractor import evaluate
-
         V = random_subspace(3, 2, 13, seed=3)
         dist = output_distribution(spec13_m2, V)
         tally = {}
@@ -193,7 +192,7 @@ class TestCharacterSums:
     def test_trivial_character_magnitude_is_one(self, spec13):
         V = random_subspace(3, 2, 13, seed=1)
         mags = character_magnitudes(output_distribution(spec13, V))
-        assert mags[0] == pytest.approx(1.0, abs=1e-12)
+        assert mags[0] == 1.0  # written directly, not read from a phase table
 
     def test_parseval_identity(self, spec13_m2):
         # sum_c |S_c|^2 = q**m * sum_z counts[z]**2 for exact counts
@@ -207,9 +206,8 @@ class TestCharacterSums:
     def test_character_index_length_checked(self, spec13):
         V = random_subspace(3, 2, 13, seed=1)
         for c in [(1, 2), (1, 2, 3), ()]:
-            for check in (character_sum_subspace, change_of_vars_check):
-                with pytest.raises(ValueError, match="does not match m=1"):
-                    check(spec13, V, c)
+            with pytest.raises(ValueError, match="does not match m=1"):
+                character_sum_subspace(spec13, V, c)
 
     def test_character_table_budget(self, spec13_m2):
         V = random_subspace(3, 2, 13, seed=1)
@@ -226,6 +224,27 @@ class TestCharacterSums:
         with pytest.raises(BudgetExceededError, match="phase table needs 28392 entries"):
             verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
                              budgets=Budgets(points=28391))
+
+    def test_phase_tables_stay_within_the_guard(self, monkeypatch):
+        # the guard counts q**m outputs by min(256, q**m - 1) nonzero characters;
+        # c = 0 is written as 1.0, so no table is wider than that
+        shapes = []
+        real = analysis._Characters._phases
+
+        def spy(self):
+            for phase in real(self):
+                shapes.append(phase.shape)
+                yield phase
+
+        monkeypatch.setattr(analysis._Characters, "_phases", spy)
+        for (q, n, k, m), budget, want in [
+            ((13, 3, 2, 2), 169 * 168, [(169, 168)]),
+            ((7, 3, 3, 3), 343 * 256, [(343, 256), (343, 86)]),
+        ]:
+            dist = output_distribution(build_spec(q, n, k, m), random_subspace(n, k, q, seed=3))
+            shapes.clear()
+            mags = character_magnitudes(dist, budget=budget)
+            assert shapes == want and mags.shape == (q**m,) and mags[0] == 1.0
 
 
 class TestXorBound:
@@ -259,31 +278,49 @@ EDGE_SHAPES = (
 )
 
 
-def _assert_sweep_rows_match_public_checks(spec, V):
-    """One explicit-source sweep row per structural check against the
-    single-subspace functions; change_of_vars takes the first worst c."""
-    res = verify_extractor(
-        spec,
-        ExplicitSubspaces((V,)),
-        checks=("change_of_vars", "substitution_form"),
-        collect="full",
-    )
-    rows = {r.check: r for r in res.reports}
-    form = substitution_form_check(spec, V)
-    got = rows["substitution_form"]
-    assert (got.quantity, got.satisfied, got.detail) == (
-        form.quantity,
-        form.satisfied,
-        form.detail,
-    )
-    gaps = [
-        change_of_vars_check(spec, V, decode_output(enc, spec.modulus, spec.m)).quantity
-        for enc in range(1, spec.modulus**spec.m)
-    ]
+def _structural_oracle(spec, V):
+    """change_of_vars and substitution_form of V, point by point through
+    parametrize(V).evaluate and evaluate.  With u_i = t_i**D_i: per nonzero c
+    (encoded order) the worst residue-count gap of <c, F(l(t))> against
+    <c, F(l(u))>; the pivot mismatches x_{j_i}**d_{j_i} != t_i**D at
+    x = l(u), plus the non-pivot coordinates whose substituted degree reaches
+    D; and D."""
+    q, m = spec.modulus, spec.m
+    D, D_per_pivot = analysis._pivot_degrees(spec, V.pivots)
+    par = parametrize(V)
+    grid = list(itertools.product(range(q), repeat=V.k))
+    moved = [par.evaluate(tuple(pow(t_i, D_i, q) for t_i, D_i in zip(t, D_per_pivot)))
+             for t in grid]
+    direct = np.array([evaluate(spec, par.evaluate(t)) for t in grid]).reshape(-1, m)
+    substituted = np.array([evaluate(spec, x) for x in moved]).reshape(-1, m)
+    gaps = []
+    for enc in range(1, q**m):
+        c = np.array(decode_output(enc, q, m))
+        tally = (np.bincount(direct @ c % q, minlength=q)
+                 - np.bincount(substituted @ c % q, minlength=q))
+        gaps.append(int(np.abs(tally).max()))
+    form = sum(pow(x[j], spec.d[j], q) != pow(t_i, D, q)
+               for t, x in zip(grid, moved) for t_i, j in zip(t, V.pivots))
+    for j in set(range(V.n)) - set(V.pivots):
+        # x_j is linear in the t_i of the pivots left of it, so its degree is
+        # d_j times the largest of their D_i
+        left = [D_i for D_i, p in zip(D_per_pivot, V.pivots) if p < j]
+        form += bool(left) and spec.d[j] * max(left) >= D
+    return gaps, int(form), D
+
+
+def _assert_structural_rows_match_the_oracle(spec, V):
+    """The sweep's change_of_vars and substitution_form rows for V alone
+    against _structural_oracle; change_of_vars names the first worst c."""
+    res = verify_extractor(spec, ExplicitSubspaces((V,)),
+                           checks=("change_of_vars", "substitution_form"), collect="full")
+    cov, form = res.reports
+    gaps, bad, D = _structural_oracle(spec, V)
     worst = max(gaps)
-    got = rows["change_of_vars"]
-    assert got.quantity == worst and got.satisfied == (worst == 0)
-    assert got.c_encoded == (gaps.index(worst) + 1 if worst else None)
+    assert (cov.check, cov.quantity, cov.satisfied) == ("change_of_vars", worst, worst == 0)
+    assert cov.c_encoded == (gaps.index(worst) + 1 if worst else None)
+    assert (form.check, form.quantity, form.satisfied) == ("substitution_form", bad, bad == 0)
+    assert form.detail == f"D={D}"
 
 
 def _count_blocks():
@@ -313,31 +350,41 @@ class TestChangeOfVars:
                 assert got.shape == want.shape and (got == want).all(), (route, spec, basis)
 
     def test_exact_equality_on_random_subspaces(self, spec13):
-        for seed in range(25):
-            V = random_subspace(3, 2, 13, seed=seed)
-            for c in [(1,), (5,), (12,)]:
-                rep = change_of_vars_check(spec13, V, c)
-                assert rep.satisfied and rep.quantity == 0
+        # every nonzero c of every subspace: no residue-count gap at all
+        vs = tuple(random_subspace(3, 2, 13, seed=seed) for seed in range(25))
+        res = verify_extractor(spec13, ExplicitSubspaces(vs), checks=("change_of_vars",),
+                               collect="full")
+        assert res.violations == {"change_of_vars": 0} and res.processed == 25
+        rows = [(r.quantity, r.c_encoded, r.satisfied) for r in res.reports]
+        assert rows == [(0, None, True)] * 25
 
     def test_k_equals_n_and_k_zero(self):
         spec = build_spec(13, 3, 3, 1)
         V = canonicalize((0, 0, 0), np.eye(3, dtype=int).tolist(), 13)
-        assert change_of_vars_check(spec, V, (1,)).satisfied
         point = canonicalize((5, 2, 7), [], 13)
-        assert change_of_vars_check(spec, V=point, c=(3,)).satisfied
+        res = verify_extractor(spec, ExplicitSubspaces((V, point)),
+                               checks=("change_of_vars", "substitution_form"), collect="full")
+        assert [(r.subspace_id, r.quantity, r.satisfied) for r in res.reports] == [
+            (0, 0, True), (0, 0, True), (1, 0, True), (1, 0, True)]
+        assert [r.detail for r in list(res.reports)[1::2]] == [f"D={math.lcm(*spec.d)}", "D=1"]
 
-    def test_encodes_c(self, spec13_m2):
+    def test_encodes_c(self, spec13_m2, doubled_degrees):
+        # the c column is the first c with the worst gap, big-endian encoded
         V = random_subspace(3, 2, 13, seed=2)
-        rep = change_of_vars_check(spec13_m2, V, (1, 12))
-        assert rep.c_encoded == encode_output((1, 12), 13)
+        gaps, _, _ = _structural_oracle(spec13_m2, V)
+        res = verify_extractor(spec13_m2, ExplicitSubspaces((V,)), checks=("change_of_vars",),
+                               collect="full")
+        (row,) = res.reports
+        assert row.quantity == max(gaps) == 18 and gaps.index(18) + 1 == row.c_encoded
+        assert row.c_encoded == encode_output((1, 2), 13) == 1 * 13 + 2
 
     def test_budget_guard(self, spec13):
         V = random_subspace(3, 2, 13, seed=0)
-        with pytest.raises(BudgetExceededError):
-            change_of_vars_check(spec13, V, (1,), budget=50)
         # the 3 * (2q - 1) = 75 power-table entries are checked before use
-        with pytest.raises(BudgetExceededError, match="power tables"):
-            substitution_form_check(spec13, V, budget=50)
+        for checks in (("change_of_vars",), ("substitution_form",)):
+            with pytest.raises(BudgetExceededError, match="power tables"):
+                verify_extractor(spec13, ExplicitSubspaces((V,)), checks=checks,
+                                 budgets=Budgets(points=50))
 
 
 class TestCountRoutes:
@@ -443,28 +490,28 @@ class TestTransformProperties:
             got["numpy"] = counter.counts(*args)
         for route, counts in got.items():
             assert (counts[0] == want.counts).all(), route
-        mags = analysis._Characters(q, m, 10**6).magnitudes(want.counts, want.total, 0)
+        mags = character_magnitudes(want)
         for enc in np.random.default_rng(seed).integers(0, q**m, size=4).tolist():
             cs = character_sum_subspace(spec, V, decode_output(enc, q, m))
             assert abs(mags[enc] - character_magnitude(cs)) <= 1e-12, enc
+        _assert_structural_rows_match_the_oracle(spec, V)
 
 
 class TestSubstitutionForm:
     def test_holds_on_random_subspaces(self, spec13):
-        for seed in range(25):
-            for k in (1, 2):
-                V = random_subspace(3, k, 13, seed=seed)
-                rep = substitution_form_check(spec13, V)
-                assert rep.satisfied and rep.quantity == 0
-                D = math.lcm(*(spec13.d[j] for j in V.pivots))
-                assert rep.detail == f"D={D}"
+        vs = tuple(random_subspace(3, k, 13, seed=seed) for seed in range(25) for k in (1, 2))
+        res = verify_extractor(spec13, ExplicitSubspaces(vs), checks=("substitution_form",),
+                               collect="full")
+        assert res.violations == {"substitution_form": 0} and res.processed == 50
+        for V, rep in zip(vs, res.reports):
+            assert rep.satisfied and rep.quantity == 0
+            D = math.lcm(*(spec13.d[j] for j in V.pivots))
+            assert rep.detail == f"D={D}"
 
     def test_pivot_identity_by_hand(self, spec13):
         # on the substituted parametrization, pivot coordinate j_i is
         # exactly s_i**D_i, so x_{j_i}**d_{j_i} = s_i**D
         V = random_subspace(3, 2, 13, seed=17)
-        from affext.subspace import parametrize
-
         par = parametrize(V)
         D = math.lcm(*(spec13.d[j] for j in V.pivots))
         for s in [(2, 5), (12, 7), (0, 3)]:
@@ -481,10 +528,29 @@ class TestSubstitutionForm:
         # so 4 * 11 * 13**3 mismatches, more than a 10**4-point sample can show
         spec = build_spec(13, 4, 4, 1)
         V = canonicalize((0,) * 4, np.eye(4, dtype=int).tolist(), 13)
-        rep = substitution_form_check(spec, V, budget=13**4)
+        runs = [verify_extractor(spec, ExplicitSubspaces((V,)), checks=("substitution_form",),
+                                 budgets=Budgets(points=points), collect="full")
+                for points in (13**4, 13**4 - 1)]
+        (rep,) = runs[0].reports
         assert (rep.quantity, rep.satisfied) == (4 * 11 * 13**3, False)
-        with pytest.raises(BudgetExceededError, match="subspace has 28561 points"):
-            substitution_form_check(spec, V, budget=13**4 - 1)
+        # one point over the budget: the sweep skips V and records why
+        (rep,) = runs[1].reports
+        assert (runs[1].processed, runs[1].budget_errors) == (0, 1)
+        assert (rep.check, rep.quantity, rep.bound) == ("budget_error", 13**4, 13**4 - 1)
+
+    def test_each_block_reads_its_own_basis(self):
+        # bad shares good's pivot pattern, but its pivot entry is 2 (not RREF), so
+        # its pivot coordinate is 2 u_0: the rows must not depend on which basis
+        # of the pattern a worker saw first
+        spec = build_spec(13, 4, 2, 1)
+        good = random_subspace(4, 2, 13, seed=1)
+        bad = dataclasses.replace(good, basis=((2, *good.basis[0][1:]), good.basis[1]))
+        assert _structural_oracle(spec, bad)[1] == 156
+        for workers in (1, 2):
+            for vs, want in (((bad,), [156]), ((good, bad), [0, 156])):
+                res = verify_extractor(spec, ExplicitSubspaces(vs), workers=workers,
+                                       checks=("substitution_form",), collect="full")
+                assert [r.quantity for r in res.reports] == want, (workers, len(vs))
 
     def test_degree_inequality_is_checked(self):
         # build an artificial spec-like failure: if a non-pivot exponent tied
@@ -518,18 +584,22 @@ def doubled_degrees(monkeypatch):
 class TestStructuralChecksCanFail:
     # expected values come from the per-point evaluate()/parametrize route
 
-    def test_public_checks_report_the_fault(self, doubled_degrees):
+    def test_explicit_sweep_reports_the_exact_fault_counts(self, doubled_degrees):
+        checks = ("change_of_vars", "substitution_form")
         spec = build_spec(13, 3, 2, 2)
         V = random_subspace(3, 2, 13, seed=4)
-        rep = change_of_vars_check(spec, V, (1, 1))
-        assert (rep.quantity, rep.c_encoded, rep.satisfied) == (9, 14, False)
-        rep = substitution_form_check(spec, V)
-        assert (rep.quantity, rep.detail, rep.satisfied) == (286, "D=35", False)
+        gaps, _, _ = _structural_oracle(spec, V)
+        assert gaps[encode_output((1, 1), 13) - 1] == 9
+        cov, form = verify_extractor(spec, ExplicitSubspaces((V,)), checks=checks).reports
+        assert (cov.quantity, cov.c_encoded, cov.satisfied) == (13, 17, False)
+        assert (form.quantity, form.detail, form.satisfied) == (286, "D=35", False)
         spec = build_spec(13, 4, 2, 1)
         V = random_subspace(4, 2, 13, seed=4)
-        assert change_of_vars_check(spec, V, (1,)).quantity == 12
-        rep = substitution_form_check(spec, V)
-        assert (rep.quantity, rep.detail) == (287, "D=385")
+        gaps, _, _ = _structural_oracle(spec, V)
+        assert gaps[0] == 12  # c = (1,)
+        cov, form = verify_extractor(spec, ExplicitSubspaces((V,)), checks=checks).reports
+        assert (cov.quantity, cov.c_encoded) == (12, 1)
+        assert (form.quantity, form.detail) == (287, "D=385")
 
     def test_sweep_reports_the_fault(self, doubled_degrees):
         spec = build_spec(13, 3, 2, 2)
@@ -566,9 +636,12 @@ class TestStructuralChecksCanFail:
             for res in runs.values():
                 assert res.violations == per_check
 
-    def test_sweep_rows_match_public_checks(self, doubled_degrees):
-        for spec_args, V in EDGE_SHAPES:
-            _assert_sweep_rows_match_public_checks(build_spec(*spec_args), V)
+    def test_sweep_rows_match_the_point_oracle(self, request):
+        for fault in (False, True):
+            if fault:
+                request.getfixturevalue("doubled_degrees")
+            for spec_args, V in EDGE_SHAPES:
+                _assert_structural_rows_match_the_oracle(build_spec(*spec_args), V)
 
 
 class TestZeroCoordinate:
@@ -787,6 +860,19 @@ class TestSweepEngine:
             assert zc[sid].quantity == worst
             assert zc[sid].bound == spec.m - 1
 
+    def test_zero_coordinate_rows_name_the_first_worst_c(self):
+        # m = 3: up to m - 1 = 2 zeros of c^T A on the pivots of one subspace
+        spec = build_spec(7, 4, 3, 3)
+        vs = tuple(random_subspace(4, k, 7, seed=s) for s in range(4) for k in (1, 2, 3))
+        res = verify_extractor(spec, ExplicitSubspaces(vs), checks=("zero_coordinate",),
+                               collect="full")
+        for V, rep in zip(vs, res.reports):
+            zeros = [sum(sum(ci * row[j] for ci, row in zip(c, spec.A.rows)) % 7 == 0
+                         for j in V.pivots)
+                     for c in map(lambda e: decode_output(e, 7, 3), range(1, 7**3))]
+            assert (rep.quantity, rep.c_encoded) == (max(zeros), zeros.index(max(zeros)) + 1)
+        assert max(r.quantity for r in res.reports) == 2
+
     def test_explicit_source_and_structure_checks(self, spec13):
         vs = tuple(random_subspace(3, 2, 13, seed=s) for s in range(12))
         result = verify_extractor(
@@ -799,17 +885,8 @@ class TestSweepEngine:
         assert result.ok
         assert result.violations == {"change_of_vars": 0, "substitution_form": 0}
         for r in result.reports:
-            assert r.satisfied and r.quantity == 0
-        # spot-check one row against the standalone op
-        rep = substitution_form_check(spec13, vs[0])
-        row = next(
-            r
-            for r in result.reports
-            if r.check == "substitution_form" and r.subspace_id == 0
-        )
-        assert (row.quantity, row.bound) == (rep.quantity, rep.bound)
-        for spec_args, V in EDGE_SHAPES:
-            _assert_sweep_rows_match_public_checks(build_spec(*spec_args), V)
+            assert r.satisfied and r.quantity == 0 and r.bound == 0
+        _assert_structural_rows_match_the_oracle(spec13, vs[0])
 
     def test_sampled_source_reproducible_and_seed_offsets(self, spec13):
         src = SampledSubspaces(count=15, seed=42)
