@@ -72,7 +72,6 @@ from .analysis import (
     verify_extractor,
     write_reports_csv,
     write_summary,
-    xor_bound_check,
     zero_coordinate_bound,
 )
 

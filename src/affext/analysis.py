@@ -13,6 +13,9 @@ parameter grid, through shared power tables and tallies the outputs.  The
 sweep runs every count-based check on it, including change_of_vars and
 substitution_form (a single subspace is ExplicitSubspaces((V,))); the
 per-point output_distribution / evaluate route is kept as its oracle.
+There is one character transform, `_Characters`, and the sweep is its only
+caller: char_max and xor run only there, and the per-point
+character_sum_subspace / character_magnitude route is kept as its oracle.
 
 `verify_extractor` sweeps a set of affine subspaces (exhaustive, seeded
 sample, or an explicit list) and runs selected checks on each one.  The sweep
@@ -104,15 +107,6 @@ def decode_output(enc: int, q: int, m: int) -> tuple[int, ...]:
         enc, r = divmod(enc, q)
         out.append(r)
     return tuple(reversed(out))
-
-
-def _output_digits(q: int, m: int) -> np.ndarray:
-    """All q**m output vectors as rows, indexed by their encoding."""
-    enc = np.arange(q**m, dtype=np.int64)
-    digits = np.empty((q**m, m), dtype=np.int64)
-    for i in range(m):
-        digits[:, i] = (enc // q ** (m - 1 - i)) % q
-    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +221,13 @@ def character_sum_subspace(
     return CharacterSum(q=q, residue_counts=counts, total=q**V.k)
 
 
-def character_magnitudes(dist: OutputDistribution,
-                         budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """|E[w^<c,Z>]| for every c in F_q^m (encoded order), from exact counts;
-    the trivial character c = 0 is exactly 1."""
-    mags = _Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total)
-    return np.concatenate(([1.0], mags))
-
-
 class _Characters:
     """The one dense transform over the nonzero characters c of F_q^m: the
-    digits of all q**m outputs (row z encodes output z and character z), the
-    powers of w, and phase tables <z, c> mod q, _CHAR_CHUNK characters at a
-    time.  One table, q**m by min(_CHAR_CHUNK, q**m - 1), must fit the budget."""
+    digits of all q**m outputs in lexicographic order (row z encodes output z
+    and character z), the powers of w, and phase tables <z, c> mod q,
+    _CHAR_CHUNK characters at a time.  The sweep state is its only caller,
+    and c = 0 is never read.  One table, q**m by min(_CHAR_CHUNK, q**m - 1),
+    must fit the budget."""
 
     def __init__(self, q: int, m: int, budget: int) -> None:
         qm = q**m
@@ -249,7 +237,7 @@ class _Characters:
                 f"character phase table needs {cells} entries, budget is {budget}"
             )
         self.q = q
-        self.digits = _output_digits(q, m)
+        self.digits = _lex_grid(q, m)
         self.omega = _omega_powers(q)
 
     def _phases(self):
@@ -306,32 +294,6 @@ class BoundReport:
     subspace_id: int | None = None
     c_encoded: int | None = None
     detail: str = ""
-
-
-def xor_bound_check(
-    dist: OutputDistribution,
-    tolerance: float = DEFAULT_TOLERANCE,
-    budget: int = DEFAULT_POINT_BUDGET,
-) -> BoundReport:
-    """Statistical distance against the aggregated character bound.
-
-    The XOR lemma turns per-character magnitudes into the distance bound
-    sd <= max_{c!=0} |E[w^<c,Z>]| * q**(m/2); this holds unconditionally, so
-    a failure here means an arithmetic bug, not a bad parameter choice.
-    """
-    mags = character_magnitudes(dist, budget)
-    eps_star = float(mags[1:].max()) if mags.size > 1 else 0.0
-    c_star = int(mags[1:].argmax()) + 1 if mags.size > 1 else None
-    sd = float(statistical_distance(dist))
-    bound = eps_star * dist.q ** (dist.m / 2)
-    return BoundReport(
-        check="xor",
-        quantity=sd,
-        bound=bound,
-        satisfied=sd <= bound + tolerance,
-        c_encoded=c_star,
-        detail=f"eps_star={eps_star!r}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +887,12 @@ class _SweepState:
             self.chars = _Characters(q, m, budgets.points)
         self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
         if "zero_coordinate" in self.checks:  # per nonzero c and coordinate j: (c^T A)_j == 0
-            self.zero_table = (_output_digits(q, m)[1:] @ self.counter.A) % q == 0
+            cells = (self.qm - 1) * spec.n
+            if cells > budgets.points:
+                raise BudgetExceededError(
+                    f"zero-coordinate table needs {cells} entries, budget is {budgets.points}"
+                )
+            self.zero_table = (_lex_grid(q, m)[1:] @ self.counter.A) % q == 0
         # subspaces per chunk unit: the parallel offsets of one linear
         # subspace in an exhaustive sweep, else one subspace
         self.per_unit = 1

@@ -5,6 +5,8 @@ rows are the unique RREF of the direction space (pivot entries 1, zeros above
 and below each pivot, pivot columns strictly increasing) and the offset is
 the unique representative with zeros in all pivot coordinates.  Two inputs
 describe the same point set iff they canonicalise to the same object.
+AffineSubspace raises ValueError on any other form; canonicalize builds the
+canonical one from any offset and spanning set.
 
 The RREF shape makes the pivot parametrization immediate: with pivots
 j_1 < ... < j_k, the map l(t) = offset + sum_i t_i * basis_i satisfies
@@ -45,10 +47,22 @@ class AffineSubspace:
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-        if len(self.offset) != self.n or len(self.basis) != self.k:
+        if (len(self.offset) != self.n or len(self.basis) != self.k
+                or any(len(row) != self.n for row in self.basis)):
             raise ValueError("offset/basis shape does not match n, k")
         if len(self.pivots) != self.k:
             raise ValueError("pivot count does not match k")
+        # only the canonical form: another basis of the same space would give
+        # other parameters t, and the checks read pivot coordinate j_i as t_i
+        if not all(0 <= v < self.q for v in itertools.chain(self.offset, *self.basis)):
+            raise ValueError(f"entries must be residues in [0, {self.q})")
+        if not all(a < b for a, b in zip((-1, *self.pivots), (*self.pivots, self.n))):
+            raise ValueError(f"pivots {self.pivots} are not increasing columns in [0, {self.n})")
+        for i, (row, j) in enumerate(zip(self.basis, self.pivots)):
+            if any(row[:j]) or [r[j] for r in self.basis] != [int(h == i) for h in range(self.k)]:
+                raise ValueError(f"basis row {i} is not in reduced row echelon form")
+        if any(self.offset[j] for j in self.pivots):
+            raise ValueError("offset is not zero on every pivot column")
 
     def basis_array(self) -> np.ndarray:
         return np.array(self.basis, dtype=np.int64).reshape(self.k, self.n)

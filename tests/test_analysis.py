@@ -28,7 +28,6 @@ from affext.analysis import (
     SampledSubspaces,
     OutputDistribution,
     character_magnitude,
-    character_magnitudes,
     character_sum_subspace,
     decode_output,
     deligne_battery,
@@ -42,7 +41,6 @@ from affext.analysis import (
     verify_extractor,
     write_reports_csv,
     write_summary,
-    xor_bound_check,
     zero_coordinate_bound,
     _chunk_plan,
     _PointCounts,
@@ -64,6 +62,12 @@ from affext.subspace import (
 
 HAVE_CC = bool(shutil.which("cc") or shutil.which("gcc"))
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
+
+
+def _spectrum(dist, budget=10**8):
+    """The sweep's transform of one exact distribution: |E[w^<c,Z>]| for
+    c = 1, 2, ... encoded, q**m - 1 entries."""
+    return analysis._Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total)
 
 
 @pytest.fixture(scope="module")
@@ -182,24 +186,19 @@ class TestCharacterSums:
     def test_subspace_sum_matches_distribution_projection(self, spec13_m2):
         V = random_subspace(3, 2, 13, seed=8)
         dist = output_distribution(spec13_m2, V)
-        mags = character_magnitudes(dist)
+        mags = _spectrum(dist)
         for c in [(1, 0), (0, 1), (5, 7), (12, 12)]:
             cs = character_sum_subspace(spec13_m2, V, c)
             assert character_magnitude(cs) == pytest.approx(
-                mags[encode_output(c, 13)], abs=1e-9
+                mags[encode_output(c, 13) - 1], abs=1e-9
             )
 
-    def test_trivial_character_magnitude_is_one(self, spec13):
-        V = random_subspace(3, 2, 13, seed=1)
-        mags = character_magnitudes(output_distribution(spec13, V))
-        assert mags[0] == 1.0  # written directly, not read from a phase table
-
     def test_parseval_identity(self, spec13_m2):
-        # sum_c |S_c|^2 = q**m * sum_z counts[z]**2 for exact counts
+        # sum_c |S_c|^2 = q**m * sum_z counts[z]**2 for exact counts; S_0 = total
         V = random_subspace(3, 2, 13, seed=4)
         dist = output_distribution(spec13_m2, V)
-        mags = character_magnitudes(dist)
-        lhs = ((mags * dist.total) ** 2).sum()
+        mags = _spectrum(dist)
+        lhs = ((mags * dist.total) ** 2).sum() + dist.total**2
         rhs = 13**2 * float((dist.counts.astype(np.int64) ** 2).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -210,24 +209,17 @@ class TestCharacterSums:
                 character_sum_subspace(spec13, V, c)
 
     def test_character_table_budget(self, spec13_m2):
-        V = random_subspace(3, 2, 13, seed=1)
-        dist = output_distribution(spec13_m2, V)
-        with pytest.raises(BudgetExceededError):
-            character_magnitudes(dist, budget=100)
         # the sweep's rule: 169 outputs by 168 nonzero characters = 28392 entries
-        assert character_magnitudes(dist, budget=28392).shape == (169,)
         res = verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
                                budgets=Budgets(points=28392))
         assert res.processed == 1
-        with pytest.raises(BudgetExceededError, match="phase table needs 28392 entries"):
-            character_magnitudes(dist, budget=28391)
         with pytest.raises(BudgetExceededError, match="phase table needs 28392 entries"):
             verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
                              budgets=Budgets(points=28391))
 
     def test_phase_tables_stay_within_the_guard(self, monkeypatch):
         # the guard counts q**m outputs by min(256, q**m - 1) nonzero characters;
-        # c = 0 is written as 1.0, so no table is wider than that
+        # c = 0 is never read, so no table is wider than that
         shapes = []
         real = analysis._Characters._phases
 
@@ -243,26 +235,29 @@ class TestCharacterSums:
         ]:
             dist = output_distribution(build_spec(q, n, k, m), random_subspace(n, k, q, seed=3))
             shapes.clear()
-            mags = character_magnitudes(dist, budget=budget)
-            assert shapes == want and mags.shape == (q**m,) and mags[0] == 1.0
+            mags = _spectrum(dist, budget=budget)
+            assert shapes == want and mags.shape == (q**m - 1,)
 
 
 class TestXorBound:
     def test_reports_exact_sd_and_scaled_bound(self, spec13):
         V = random_subspace(3, 2, 13, seed=6)
         dist = output_distribution(spec13, V)
-        rep = xor_bound_check(dist)
-        assert rep.check == "xor"
-        assert rep.quantity == float(statistical_distance(dist))
-        mags = character_magnitudes(dist)
-        assert rep.bound == pytest.approx(float(mags[1:].max()) * 13**0.5, abs=1e-12)
-        assert rep.satisfied
+        res = verify_extractor(spec13, ExplicitSubspaces((V,)), checks=("sd", "char_max", "xor"),
+                               collect="full")
+        sd, char, xor = res.reports
+        assert xor.check == "xor"
+        assert xor.quantity == sd.quantity == float(statistical_distance(dist))
+        eps = max(character_magnitude(character_sum_subspace(spec13, V, (c,)))
+                  for c in range(1, 13))
+        assert char.quantity == pytest.approx(eps, abs=1e-12)
+        assert xor.bound == pytest.approx(eps * 13**0.5, abs=1e-12)
+        assert xor.satisfied and xor.c_encoded == char.c_encoded
 
     def test_holds_on_many_random_subspaces(self, spec13_m2):
-        for seed in range(40):
-            V = random_subspace(3, 2, 13, seed=seed)
-            rep = xor_bound_check(output_distribution(spec13_m2, V))
-            assert rep.satisfied, seed
+        vs = tuple(random_subspace(3, 2, 13, seed=seed) for seed in range(40))
+        res = verify_extractor(spec13_m2, ExplicitSubspaces(vs), checks=("xor",))
+        assert res.violations == {"xor": 0} and res.processed == 40
 
 
 # (spec arguments q, n, k, m; subspace) at the edge shapes of the count
@@ -490,10 +485,10 @@ class TestTransformProperties:
             got["numpy"] = counter.counts(*args)
         for route, counts in got.items():
             assert (counts[0] == want.counts).all(), route
-        mags = character_magnitudes(want)
-        for enc in np.random.default_rng(seed).integers(0, q**m, size=4).tolist():
+        mags = _spectrum(want)
+        for enc in np.random.default_rng(seed).integers(1, q**m, size=4).tolist():
             cs = character_sum_subspace(spec, V, decode_output(enc, q, m))
-            assert abs(mags[enc] - character_magnitude(cs)) <= 1e-12, enc
+            assert abs(mags[enc - 1] - character_magnitude(cs)) <= 1e-12, enc
         _assert_structural_rows_match_the_oracle(spec, V)
 
 
@@ -539,18 +534,21 @@ class TestSubstitutionForm:
         assert (rep.check, rep.quantity, rep.bound) == ("budget_error", 13**4, 13**4 - 1)
 
     def test_each_block_reads_its_own_basis(self):
-        # bad shares good's pivot pattern, but its pivot entry is 2 (not RREF), so
-        # its pivot coordinate is 2 u_0: the rows must not depend on which basis
-        # of the pattern a worker saw first
+        # rows share good's pivot pattern, but their pivot entry is 2 (not RREF),
+        # where the checks would read pivot coordinate 2 u_0 as u_0: that form
+        # cannot be built, and its canonical form, a second basis of the same
+        # pattern, reads its own basis on any worker count
         spec = build_spec(13, 4, 2, 1)
         good = random_subspace(4, 2, 13, seed=1)
-        bad = dataclasses.replace(good, basis=((2, *good.basis[0][1:]), good.basis[1]))
-        assert _structural_oracle(spec, bad)[1] == 156
+        rows = ((2, *good.basis[0][1:]), good.basis[1])
+        with pytest.raises(ValueError, match="reduced row echelon form"):
+            dataclasses.replace(good, basis=rows)
+        same_pattern = canonicalize(good.offset, rows, 13)
+        assert same_pattern.pivots == good.pivots and same_pattern.basis != good.basis
         for workers in (1, 2):
-            for vs, want in (((bad,), [156]), ((good, bad), [0, 156])):
-                res = verify_extractor(spec, ExplicitSubspaces(vs), workers=workers,
-                                       checks=("substitution_form",), collect="full")
-                assert [r.quantity for r in res.reports] == want, (workers, len(vs))
+            res = verify_extractor(spec, ExplicitSubspaces((good, same_pattern)), workers=workers,
+                                   checks=("substitution_form",), collect="full")
+            assert [r.quantity for r in res.reports] == [0, 0], workers
 
     def test_degree_inequality_is_checked(self):
         # build an artificial spec-like failure: if a non-pivot exponent tied
@@ -796,11 +794,16 @@ class TestSweepEngine:
         for sid, V in enumerate(enumerate_subspaces(3, 2, 5)):
             dist = output_distribution(spec, V)
             sd = statistical_distance(dist)
-            mags = character_magnitudes(dist)
-            eps_star = float(mags[1:].max())
+            # the point oracle over every nonzero c; +c and -c always tie, so
+            # the row's c need only attain the maximum
+            mags = [character_magnitude(character_sum_subspace(spec, V, (c,)))
+                    for c in range(1, 5)]
+            eps_star = max(mags)
             got = rows[sid]
             assert got["sd"].quantity == float(sd)
-            assert got["char_max"].quantity == pytest.approx(eps_star, abs=1e-9)
+            assert abs(got["char_max"].quantity - eps_star) <= 1e-12
+            for name in ("char_max", "xor"):
+                assert mags[got[name].c_encoded - 1] >= eps_star - 1e-12, (sid, name)
             assert got["xor"].quantity == float(sd)
             assert got["xor"].bound == pytest.approx(eps_star * 5**0.5, abs=1e-9)
             assert got["xor"].satisfied
@@ -1082,17 +1085,45 @@ class TestSweepEngine:
 
     def test_sd_only_sweep_builds_no_digits_table(self, monkeypatch):
         # 97/4/k3/m3: the digits of the 912,673 outputs would take 21.9 MB
-        calls = []
-        real = analysis._output_digits
-        monkeypatch.setattr(analysis, "_output_digits", lambda q, m: calls.append(m) or real(q, m))
+        states = []
+        real = analysis._SweepState.__init__
+
+        def spy(self, *args):
+            real(self, *args)
+            states.append(self)
+
+        def unreachable(*args):
+            raise AssertionError("a character transform was built")
+
+        monkeypatch.setattr(analysis._SweepState, "__init__", spy)
+        monkeypatch.setattr(analysis._Characters, "__init__", unreachable)
         res = verify_extractor(build_spec(97, 4, 3, 3), SampledSubspaces(1, 0), checks=("sd",))
-        assert res.processed == 1 and calls == []
+        assert res.processed == 1 and len(states) == 1
+        assert states[0].chars is None and not hasattr(states[0], "zero_table")
 
     def test_zero_coordinate_only_sweep_is_not_refused(self):
         # it reads the digits table but no phase table
         res = verify_extractor(build_spec(97, 4, 3, 3), SampledSubspaces(1, 0),
                                checks=("zero_coordinate",))
         assert res.processed == 1 and res.violations == {"zero_coordinate": 0}
+
+    def test_zero_coordinate_table_guard_boundary(self, monkeypatch):
+        # 7/3/k2/m2: 48 nonzero c by 3 coordinates = 144 entries, checked
+        # before any block
+        spec = build_spec(7, 3, 2, 2)
+        res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("zero_coordinate",),
+                               budgets=Budgets(points=144))
+        assert res.processed == 2
+
+        def unreachable(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(analysis._SweepState, "analyze_block", unreachable)
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceededError,
+                               match="zero-coordinate table needs 144 entries, budget is 143"):
+                verify_extractor(spec, SampledSubspaces(2, 0), checks=("zero_coordinate",),
+                                 workers=workers, budgets=Budgets(points=143))
 
     def test_argument_validation(self, spec13):
         with pytest.raises(ValueError, match="workers"):

@@ -120,6 +120,27 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             AffineSubspace(q=5, n=2, k=1, offset=(0, 0), basis=(), pivots=(0,))
 
+    def test_only_the_canonical_form_is_accepted(self):
+        # the line 2 + span((1, 0, 3)) in F_5^3, then one fault per rule
+        good = dict(q=5, n=3, k=1, offset=(0, 2, 0), basis=((1, 0, 3),), pivots=(0,))
+        assert AffineSubspace(**good) == canonicalize((0, 2, 0), [(1, 0, 3)], 5)
+        for fault, match in [
+            (dict(offset=(0, 7, 0)), "residues"),
+            (dict(basis=((1, 0, -2),)), "residues"),
+            (dict(pivots=(3,)), "increasing columns"),
+            (dict(basis=((1, 1, 3),), pivots=(1,), offset=(2, 0, 0)), "echelon"),
+            (dict(basis=((2, 0, 1),)), "echelon"),
+            (dict(offset=(1, 2, 0)), "zero on every pivot"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                AffineSubspace(**{**good, **fault})
+        plane = dict(q=5, n=3, k=2, offset=(0, 0, 4), basis=((1, 0, 2), (0, 1, 3)))
+        assert AffineSubspace(**plane, pivots=(0, 1)).pivots == (0, 1)
+        with pytest.raises(ValueError, match="increasing columns"):
+            AffineSubspace(**plane, pivots=(1, 0))
+        with pytest.raises(ValueError, match="echelon"):  # a nonzero above the second pivot
+            AffineSubspace(**{**plane, "basis": ((1, 4, 2), (0, 1, 3))}, pivots=(0, 1))
+
 
 class TestParametrize:
     def test_pivot_coordinates_are_parameters(self):
