@@ -8,8 +8,9 @@ magnitudes and the bounds built from them are float64 with a pinned absolute
 tolerance.
 
 There is one count primitive, `_PointCounts`: it reads the points
-offset + t.B of one direction space B, for a batch of parallel offsets and a
-parameter grid, through shared power tables and tallies the outputs.  The
+offset + t.B of a run of direction spaces B, for a batch of parallel offsets
+and a parameter grid, through shared power tables and tallies the outputs;
+of each +- pair of offsets it counts one and permutes the other.  The
 sweep runs every count-based check on it, including change_of_vars and
 substitution_form (a single subspace is ExplicitSubspaces((V,))); the
 per-point output_distribution / evaluate route is kept as its oracle.
@@ -19,16 +20,17 @@ character_sum_subspace / character_magnitude route is kept as its oracle.
 
 `verify_extractor` sweeps a set of affine subspaces (exhaustive, seeded
 sample, or an explicit list) and runs selected checks on each one.  The sweep
-processes one linear subspace at a time with all of its parallel offsets
-batched through the count primitive, so exhaustive runs at desk scale stay
-in the seconds-to-minutes range.  Work is sharded over processes in fixed
-chunks whose layout does not depend on the worker count, and partial results
-merge in chunk order, so reports are byte-identical for any worker count.
-Workers get the caller's sweep state, and each chunk's partial result is a
-SweepResult, merged by the same first-maximum rule that runs per block.
-Per block, each check yields one column per report field (a per-offset
-array or one shared value); violation counts read those columns, and report
-rows stay in them until read, so the CSV writer formats whole columns.
+processes runs of linear subspaces of one pivot pattern, with all of their
+parallel offsets batched through the count primitive, so exhaustive runs at
+desk scale stay in the seconds-to-minutes range.  Work is sharded over
+processes in fixed chunks whose layout does not depend on the worker count,
+and partial results merge in chunk order, so reports are byte-identical for
+any worker count.  Workers get the caller's sweep state, and each chunk's
+partial result is a SweepResult, merged by the same first-maximum rule that
+runs per run of blocks.  Per run, each check yields one column per report
+field (a per-subspace array or one shared value); violation counts read those
+columns, and report rows stay in them until read, so the CSV writer formats
+whole columns.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -85,6 +87,7 @@ DEFAULT_CHECKS = ("sd", "char_max", "xor", "zero_coordinate")
 
 _CHAR_CHUNK = 256  # character columns per matmul; fixed so results never vary
 _ELEM_SLICE = 1 << 24  # max elements in one offsets-by-points buffer
+_RUN_CELLS = 1 << 18  # max count cells (rows x q**m) in one run of blocks
 _CHUNK_TARGET = 192  # sweep chunks; fixed so chunking is worker-independent
 _AUTO_FULL_LIMIT = 100_000  # collect="auto": full rows up to here, else violations
 
@@ -346,21 +349,50 @@ def count_route() -> str:
     return "c" if fn is not None else f"numpy ({why})"
 
 
+def _negation_partners(
+    pattern: tuple[int, ...], n: int, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """offsets_for_pattern(pattern, n, q), and per offset o the row of (-o) mod q.
+
+    The offsets are listed lexicographically by their free digits, so the
+    row of an offset is the big-endian encoding of those digits.  Row 0
+    (o = 0) is its own partner; every other offset pairs with another."""
+    offsets = offsets_for_pattern(pattern, n, q)
+    free = np.delete(offsets, list(pattern), axis=1)
+    weights = q ** np.arange(free.shape[1] - 1, -1, -1, dtype=np.int64)
+    return offsets, (-free % q) @ weights
+
+
+def _representatives(partner: np.ndarray) -> np.ndarray:
+    """The rows o <= partner[o]: o = 0, and each offset whose first nonzero
+    free digit is at most (q - 1)/2; one row of every +- pair."""
+    return np.flatnonzero(np.arange(len(partner)) <= partner)
+
+
 class _PointCounts:
     """The one production route from points to output counts.
 
-    For a direction basis B, a batch of parallel offsets and a parameter
-    grid, every point offset + t.B is read through power tables over
-    [0, 2q-2], so the unreduced sum offset_j + (t.B)_j indexes x_j**d_j
-    directly.  The direct route uses the lexicographic grid; the change of
-    variables runs the same lookups on the grid with t_i -> t_i**D_i.
+    For a run of direction bases B, a batch of parallel offsets and a
+    parameter grid, every point offset + (t.B mod q) is read through power
+    tables over [0, 2q-2], so the unreduced sum indexes x_j**d_j directly.
+    The direct route uses the lexicographic grid; the change of variables
+    runs the same lookups on the grid with t_i -> t_i**D_i.
 
-    counts() runs on the C count kernel (batch.py), one compiled loop per
-    block, when the C kernels load; otherwise on a numpy loop of gathers and
-    a bincount.  Both sum rows in int64, so counts() raises ValueError
-    before any work unless n*(q-1)**2 < 2**63; below that bound both give
-    the same integers.  The per-point evaluate() of output_distribution is
-    the oracle for both.
+    Every d_j is coprime to the even q - 1, so odd, and F(-x) = -F(x): the
+    counts of -o + W are those of o + W under z -> -z.  Given the row of each
+    offset's negation (an exhaustive block's offsets are closed under it),
+    counts() tallies only the representative rows and fills each partner
+    row as a column permutation of its representative through negenc, the
+    encoding of -z per output z.  That needs an odd grid too: the
+    lexicographic one is, and the substituted one when every D_i is odd.
+
+    counts() runs on the C count kernel (batch.py), one compiled loop per run
+    of blocks, when the C kernels load; otherwise on a numpy loop of gathers
+    and a bincount per basis.  Both sum rows in int64, so counts() raises
+    ValueError before any work unless n*(q-1)**2 < 2**63, and then unless
+    every grid, basis and offset entry lies in [0, q); past those checks
+    both give the same integers and share the +- fill.  The per-point
+    evaluate() of output_distribution is the oracle for both.
     """
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
@@ -373,58 +405,77 @@ class _PointCounts:
         self.q, self.n, self.m, self.qm = q, n, m, q**m
         self.A = spec.A.array() % q
         self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
+        self.negenc = (-_lex_grid(q, m) % q) @ self.weights
         wrap = np.arange(2 * q - 1) % q
         self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
         self.grids: dict[int, np.ndarray] = {}
-        self.patterns: dict[tuple[int, ...], tuple[int, np.ndarray, int, np.ndarray]] = {}
+        self.patterns: dict[tuple[int, ...], tuple[int, np.ndarray, bool, int, np.ndarray]] = {}
 
     def grid(self, k: int) -> np.ndarray:
         if k not in self.grids:
             self.grids[k] = _lex_grid(self.q, k)
         return self.grids[k]
 
-    def counts(self, basis: np.ndarray, offsets: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """Output counts over offset + t.B for t in grid, shape (offsets, q**m)."""
+    def counts(
+        self,
+        bases: np.ndarray,
+        offsets: np.ndarray,
+        grid: np.ndarray,
+        partner: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Output counts over offset + t.B for t in grid, for each basis B of
+        bases, (nb, k, n) or one (k, n) basis: shape (nb * offsets, q**m),
+        rows basis-major.  partner, if given, is the row of each offset's
+        negation, and only _representatives(partner) are counted."""
         q, n, m, qm = self.q, self.n, self.m, self.qm
         _check_int64_sums(q, n)
-        k = basis.shape[0]
-        T = grid.shape[0]
-        O = offsets.shape[0]
-        tB = (grid @ basis) % q if k else np.zeros((1, n), dtype=np.int64)
-        counts = np.zeros((O, qm), dtype=np.int64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        tB = np.ascontiguousarray(tB, dtype=np.int64)
-        if offsets.shape != (O, n) or tB.shape != (T, n):
-            raise ValueError(f"offsets and grid points must have {n} coordinates")
-        # every point index offset_j + (t.B)_j must lie inside the power tables
-        if offsets.min() + tB.min() < 0 or offsets.max() + tB.max() > 2 * q - 2:
-            raise ValueError(f"point coordinates outside [0, {2 * q - 2}] before reduction")
+        bases, offsets, grid = (np.ascontiguousarray(a, dtype=np.int64)
+                                for a in (bases, offsets, grid))
+        if bases.ndim == 2:
+            bases = bases[None]
+        nb, k = bases.shape[:2]
+        O, T = offsets.shape[0], grid.shape[0]
+        if offsets.shape != (O, n) or bases.shape[2] != n or grid.shape != (T, k) or k > n:
+            raise ValueError(f"offsets and basis rows must have {n} coordinates, "
+                             f"grid rows one per basis row")
+        if partner is not None and partner.shape != (O,):
+            raise ValueError(f"partner must give one row per offset, {O}")
+        if any(a.size and (a.min() < 0 or a.max() >= q) for a in (grid, bases, offsets)):
+            raise ValueError(f"a grid, basis or offset entry lies outside [0, {q})")
+        rows = np.arange(O, dtype=np.int64) if partner is None else _representatives(partner)
+        counts = np.zeros((nb, O, qm), dtype=np.int64)
         fn, _ = _count_kernel()
         if fn is not None:
+            tB = np.empty((T, n), dtype=np.int64)  # the kernel's scratch for t.B mod q
             fn(self.powtabs.ctypes.data, 2 * q - 1, self.A.ctypes.data,
-               self.weights.ctypes.data, n, m, offsets.ctypes.data, O,
-               tB.ctypes.data, T, q, qm, counts.ctypes.data)
-            return counts
-        slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
-        for lo in range(0, O, slice_rows):
-            hi = min(lo + slice_rows, O)
-            enc = np.zeros((hi - lo, T), dtype=np.int64)
-            for i in range(m):
-                acc = np.zeros((hi - lo, T), dtype=np.int64)
-                for j in range(n):
-                    X = offsets[lo:hi, j][:, None] + tB[:, j][None, :]
-                    acc += self.A[i, j] * self.powtabs[j][X]
-                enc += (acc % q) * self.weights[i]
-            flat = (np.arange(hi - lo, dtype=np.int64)[:, None] * qm + enc).ravel()
-            counts[lo:hi] = np.bincount(flat, minlength=(hi - lo) * qm).reshape(
-                hi - lo, qm
-            )
-        return counts
+               self.weights.ctypes.data, n, m, grid.ctypes.data, T, k,
+               bases.ctypes.data, nb, offsets.ctypes.data, rows.ctypes.data, len(rows), O,
+               q, qm, tB.ctypes.data, counts.ctypes.data)
+        else:
+            slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
+            for b, basis in enumerate(bases):
+                tB = (grid @ basis) % q
+                for lo in range(0, len(rows), slice_rows):
+                    at = rows[lo : lo + slice_rows]
+                    enc = np.zeros((len(at), T), dtype=np.int64)
+                    for i in range(m):
+                        acc = np.zeros((len(at), T), dtype=np.int64)
+                        for j in range(n):
+                            X = offsets[at, j][:, None] + tB[:, j][None, :]
+                            acc += self.A[i, j] * self.powtabs[j][X]
+                        enc += (acc % q) * self.weights[i]
+                    flat = (np.arange(len(at), dtype=np.int64)[:, None] * qm + enc).ravel()
+                    counts[b, at] = np.bincount(flat, minlength=len(at) * qm).reshape(-1, qm)
+        if partner is not None:  # the counts of -o are those of o under z -> -z
+            fill = np.flatnonzero(np.arange(O) > partner)
+            counts[:, fill] = counts[:, partner[fill]][:, :, self.negenc]
+        return counts.reshape(nb * O, qm)
 
-    def pattern(self, pivots: tuple[int, ...]) -> tuple[int, np.ndarray, int, np.ndarray]:
+    def pattern(self, pivots: tuple[int, ...]) -> tuple[int, np.ndarray, bool, int, np.ndarray]:
         """What a pivot pattern alone determines: D, the grid with
-        t_i -> t_i**D_i, the number of non-pivot terms whose substituted
-        degree reaches D, and s_i**D per grid point and pivot."""
+        t_i -> t_i**D_i, whether that grid is odd (every D_i odd), the number
+        of non-pivot terms whose substituted degree reaches D, and s_i**D per
+        grid point and pivot."""
         if pivots not in self.patterns:
             D, D_per_pivot = _pivot_degrees(self.spec, pivots)
             # (b) degree comparison, pure integer arithmetic
@@ -435,7 +486,8 @@ class _PointCounts:
                 if j not in pivots and i and self.spec.d[j] * D_per_pivot[i - 1] >= D:
                     degree += 1
             s = self.grid(len(pivots))
-            self.patterns[pivots] = (D, _substitute(s, D_per_pivot, self.q), degree,
+            self.patterns[pivots] = (D, _substitute(s, D_per_pivot, self.q),
+                                     all(Di % 2 for Di in D_per_pivot), degree,
                                      _pow_column(D, self.q)[s])
         return self.patterns[pivots]
 
@@ -443,7 +495,7 @@ class _PointCounts:
         self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Per offset, the violations of the substituted form, and D."""
-        D, u, degree, top = self.pattern(pivots)
+        D, u, _, degree, top = self.pattern(pivots)
         uB = (u @ basis[:, list(pivots)]) % self.q  # pivot coordinates of u.B, this basis
         # (a) pivot coordinate j_i of offset + u.B, raised to d_{j_i}, is s_i**D
         bad = np.full(len(offsets), degree, dtype=np.int64)
@@ -770,6 +822,10 @@ class SweepResult:
     max_char_subspace: int | None = None
     max_char_c: int | None = None
     reports: _Reports = field(default_factory=_Reports)
+    # points the count kernel visited, and the points its counts covered
+    # (more, by the +- pairs of exhaustive blocks); in no report or summary
+    points_visited: int = 0
+    points_covered: int = 0
 
     @property
     def ok(self) -> bool:
@@ -898,7 +954,8 @@ class _SweepState:
         self.per_unit = 1
         if isinstance(source, ExhaustiveSubspaces):
             self.blocks = pattern_blocks(spec.n, spec.k, q)
-            self.offsets_cache: dict[tuple[int, ...], np.ndarray] = {}
+            # per pivot pattern: its offsets, and the row of each one's negation
+            self.offsets_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
             self.per_unit = q ** (spec.n - spec.k)
 
     def zero_coordinate_worst(self, pivots: tuple[int, ...]) -> tuple[int, int]:
@@ -912,29 +969,41 @@ class _SweepState:
 
     def analyze_block(
         self,
-        basis: np.ndarray,
+        bases: np.ndarray,
         pivots: tuple[int, ...],
         offsets: np.ndarray,
         ids: np.ndarray,
         partial: SweepResult,
+        partner: np.ndarray | None = None,
     ) -> None:
-        """Run all selected checks for one direction space and a batch of
-        parallel offsets; ids are the global subspace ids, one per offset."""
+        """Run all selected checks for a run of direction spaces of one pivot
+        pattern, bases (nb, k, n), each with the same batch of parallel
+        offsets; ids are the global subspace ids, one per (basis, offset) in
+        that order.  partner, if given, pairs each offset with its negation
+        for the count kernel."""
         q, m, qm = self.q, self.m, self.qm
-        k = basis.shape[0]
+        nb, k = bases.shape[:2]
         T = q**k
-        O = offsets.shape[0]
+        O = len(ids)
+
+        def count(grid: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
+            out = self.counter.counts(bases, offsets, grid, partner)
+            rows = len(offsets) if partner is None else len(_representatives(partner))
+            partial.points_visited += nb * rows * T
+            partial.points_covered += O * T
+            return out
 
         counts = sd_f = eps = eps_c = absdev = None
         if self.need_counts:
-            counts = self.counter.counts(basis, offsets, self.counter.grid(k))
+            counts = count(self.counter.grid(k), partner)
             absdev = np.abs(counts * qm - T).sum(axis=1)
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
             if "char_max" in self.checks or "xor" in self.checks:
-                # (O, q**m - 1), no larger than counts; the first maximum wins
-                mags = self.chars.magnitudes(counts, T)
-                best = mags.argmax(axis=1)
+                # (O, q**m - 1), no larger than counts; one call per block, so
+                # every row goes through the same matmul shape as a lone block
+                mags = np.concatenate([self.chars.magnitudes(c, T) for c in np.split(counts, nb)])
+                best = mags.argmax(axis=1)  # the first maximum wins
                 eps, eps_c = mags[np.arange(O), best], best + 1
 
         # per check: (quantity, bound, satisfied, c_encoded, detail) columns
@@ -954,13 +1023,15 @@ class _SweepState:
             # divides lcm(d), which is coprime to q - 1, so the substitution
             # is a bijection and leaves all zeros
             if counts is None:
-                counts = self.counter.counts(basis, offsets, self.counter.grid(k))
-            diff = counts - self.counter.counts(basis, offsets, self.counter.pattern(pivots)[1])
+                counts = count(self.counter.grid(k), partner)
+            _, u, odd, _, _ = self.counter.pattern(pivots)
+            diff = counts - count(u, partner if odd else None)
             gap, first = self.chars.gaps(diff)
             c_encoded = np.where(first >= 0, first + 1, None)  # None where the gap is 0
             cols["change_of_vars"] = (gap, 0, gap == 0, c_encoded, "")
         if "substitution_form" in self.checks:
-            form, D = self.counter.substitution_form(basis, pivots, offsets)
+            forms = [self.counter.substitution_form(basis, pivots, offsets) for basis in bases]
+            form, D = np.concatenate([f for f, _ in forms]), forms[0][1]
             cols["substitution_form"] = (form, 0, form == 0, None, f"D={D}")
 
         partial.processed += O
@@ -973,7 +1044,7 @@ class _SweepState:
             best = (float(eps[row]), int(ids[row]), int(eps_c[row]))
             _keep_first_max(partial, _MAX_CHAR, best)
         failed = {name: np.flatnonzero(~np.broadcast_to(c[2], O)) for name, c in cols.items()
-                  if c[2] is not None}  # per check, the offsets whose check failed
+                  if c[2] is not None}  # per check, the rows whose check failed
         for name, rows in failed.items():
             partial.violations[name] = partial.violations.get(name, 0) + len(rows)
         if self.collect == "full":
@@ -984,20 +1055,28 @@ class _SweepState:
     # -- chunk execution ----------------------------------------------------
 
     def run_range(self, lo: int, hi: int) -> SweepResult:
-        """Tally chunk units [lo, hi) into a new partial SweepResult."""
+        """Tally chunk units [lo, hi) into a new partial SweepResult.  An
+        exhaustive chunk goes to analyze_block in runs of consecutive linear
+        subspaces that share a pivot pattern, at most _RUN_CELLS count cells
+        each."""
         partial = replace(self.header, violations={}, reports=_Reports())
         spec, q = self.spec, self.q
         if isinstance(self.source, ExhaustiveSubspaces):
-            for linear in range(lo, hi):
+            linear = lo
+            while linear < hi:
                 block, basis = basis_at(self.blocks, linear, q, spec.n)
                 if block.pattern not in self.offsets_cache:
-                    self.offsets_cache[block.pattern] = offsets_for_pattern(
+                    self.offsets_cache[block.pattern] = _negation_partners(
                         block.pattern, spec.n, q
                     )
-                offsets = self.offsets_cache[block.pattern]
-                base = linear * self.per_unit
-                ids = base + np.arange(offsets.shape[0], dtype=np.int64)
-                self.analyze_block(basis, block.pattern, offsets, ids, partial)
+                offsets, partner = self.offsets_cache[block.pattern]
+                per_run = max(1, _RUN_CELLS // (len(offsets) * self.qm))
+                stop = min(hi, block.start + block.count, linear + per_run)
+                bases = np.stack([basis, *(basis_at(self.blocks, i, q, spec.n)[1]
+                                           for i in range(linear + 1, stop))])
+                ids = linear * self.per_unit + np.arange(bases.shape[0] * len(offsets))
+                self.analyze_block(bases, block.pattern, offsets, ids, partial, partner)
+                linear = stop
             return partial
         for i in range(lo, hi):
             if isinstance(self.source, SampledSubspaces):
@@ -1012,7 +1091,7 @@ class _SweepState:
                         detail="subspace skipped: point budget exceeded"))
                 continue
             offsets, ids = V.offset_array().reshape(1, -1), np.array([i], dtype=np.int64)
-            self.analyze_block(V.basis_array(), V.pivots, offsets, ids, partial)
+            self.analyze_block(V.basis_array()[None], V.pivots, offsets, ids, partial)
         return partial
 
 
@@ -1037,6 +1116,8 @@ def _run_chunk(task: tuple[int, int, int]) -> tuple[int, SweepResult]:
 def _merge(result: SweepResult, partial: SweepResult) -> None:
     result.processed += partial.processed
     result.budget_errors += partial.budget_errors
+    result.points_visited += partial.points_visited
+    result.points_covered += partial.points_covered
     for name, count in partial.violations.items():
         result.violations[name] = result.violations.get(name, 0) + count
     result.reports.tables += partial.reports.tables

@@ -18,14 +18,18 @@ When that would be "c" but the C kernel cannot be built or loaded, it says
 why in one RuntimeWarning per process and falls back to numpy.  Callers can
 pin a kernel by name for testing.
 
-The same C source also holds the count kernel, `affext_count_block`: one
-compiled loop that tallies the outputs of every point of a sweep block
-through the power tables of `analysis._PointCounts`.  It is built, cached
-and loaded with the batch kernel (one `c_build()`, one shared object).
-`_PointCounts.counts` calls it when it loads, and otherwise runs its numpy
-loop, which gives the same counts.  Both routes sum rows in int64, so counts()
-refuses any (q, n) with n*(q-1)**2 >= 2**63 before either runs.  A failed
-build warns once per process for both kernels.
+The same C source also holds the count kernel, `affext_count_blocks`: one
+compiled loop that takes the parameter grid and a run of direction bases,
+forms t.B mod q for each basis in one scratch buffer, and tallies the
+outputs of the offsets it is given through the power tables of
+`analysis._PointCounts`.  It is built, cached and loaded with the batch
+kernel (one `c_build()`, one shared object).  `_PointCounts.counts` calls it
+when it loads, and otherwise runs its numpy loop, which gives the same
+counts; in an exhaustive sweep either route counts one offset of each +-
+pair and the other row is a column permutation of it.  Both routes sum rows
+in int64, so counts() refuses any (q, n) with n*(q-1)**2 >= 2**63, and then
+any grid, basis or offset entry outside [0, q), before either runs.  A
+failed build warns once per process for both kernels.
 """
 
 from __future__ import annotations
@@ -121,35 +125,51 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
     return 0;
 }
 
-/* counts[o, enc] += 1 for every offset o < O and grid row t < T, where
+/* For each basis b < nb, B = bases[b] (k x n): first tB = grid . B mod q into
+   the T x n scratch, then counts[b, o, enc] += 1 for every counted offset row
+   o = rows[r] (r < R) and grid row t < T, where
    enc = sum_i weights[i] * (sum_j A[i, j] * tabs[j, off[o, j] + tB[t, j]] mod q)
-   and tabs holds n power tables of tablen entries.  The caller guarantees
-   what this loop does not check: A and the tables hold residues below q,
-   n * (q-1)**2 < 2**63, every off + tB lies in [0, tablen), and counts has
-   O zeroed rows of q**m cells.  The j-loop is short (n terms); vectorised
-   into gathers it ran 1.5x slower than scalar code, so GCC is told not to. */
+   and tabs holds n power tables of tablen = 2q - 1 entries.  The caller
+   guarantees what this loop does not check: grid, bases, off, A and the
+   tables hold residues below q (so off + tB < tablen), n * (q-1)**2 < 2**63
+   (so the k-term sums of tB fit too), every rows[r] < O, and counts has
+   nb * O zeroed rows of q**m cells.  The j-loop is short (n terms);
+   vectorised into gathers it ran 1.5x slower than scalar code, so GCC is
+   told not to. */
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-tree-vectorize")))
 #endif
-void affext_count_block(const int64_t *tabs, int64_t tablen, const int64_t *A,
-                        const int64_t *weights, int64_t n, int64_t m,
-                        const int64_t *off, int64_t O, const int64_t *tB,
-                        int64_t T, int64_t q, int64_t qm, int64_t *counts)
+void affext_count_blocks(const int64_t *tabs, int64_t tablen, const int64_t *A,
+                         const int64_t *weights, int64_t n, int64_t m,
+                         const int64_t *grid, int64_t T, int64_t k,
+                         const int64_t *bases, int64_t nb, const int64_t *off,
+                         const int64_t *rows, int64_t R, int64_t O,
+                         int64_t q, int64_t qm, int64_t *tB, int64_t *counts)
 {
-    for (int64_t o = 0; o < O; o++) {
-        const int64_t *oo = off + o * n;
-        int64_t *row = counts + o * qm;
-        for (int64_t t = 0; t < T; t++) {
-            const int64_t *tt = tB + t * n;
-            int64_t enc = 0;
-            for (int64_t i = 0; i < m; i++) {
-                const int64_t *a = A + i * n;
-                uint64_t acc = 0;
-                for (int64_t j = 0; j < n; j++)
-                    acc += (uint64_t)(a[j] * tabs[j * tablen + oo[j] + tt[j]]);
-                enc += weights[i] * (int64_t)(acc % (uint64_t)q);
+    for (int64_t b = 0; b < nb; b++) {
+        const int64_t *B = bases + b * k * n;
+        for (int64_t t = 0; t < T; t++)
+            for (int64_t j = 0; j < n; j++) {
+                uint64_t s = 0;
+                for (int64_t i = 0; i < k; i++)
+                    s += (uint64_t)(grid[t * k + i] * B[i * n + j]);
+                tB[t * n + j] = (int64_t)(s % (uint64_t)q);
             }
-            row[enc]++;
+        for (int64_t r = 0; r < R; r++) {
+            const int64_t *oo = off + rows[r] * n;
+            int64_t *row = counts + (b * O + rows[r]) * qm;
+            for (int64_t t = 0; t < T; t++) {
+                const int64_t *tt = tB + t * n;
+                int64_t enc = 0;
+                for (int64_t i = 0; i < m; i++) {
+                    const int64_t *a = A + i * n;
+                    uint64_t acc = 0;
+                    for (int64_t j = 0; j < n; j++)
+                        acc += (uint64_t)(a[j] * tabs[j * tablen + oo[j] + tt[j]]);
+                    enc += weights[i] * (int64_t)(acc % (uint64_t)q);
+                }
+                row[enc]++;
+            }
         }
     }
 }
@@ -258,7 +278,7 @@ def c_build() -> CBuild:
                 continue
         try:
             lib = ctypes.CDLL(path)
-            fn, count_fn = lib.affext_mont_eval, lib.affext_count_block
+            fn, count_fn = lib.affext_mont_eval, lib.affext_count_blocks
         except (OSError, AttributeError) as exc:
             errors.append(f"loading {path} failed: {exc}")
             continue
@@ -266,7 +286,8 @@ def c_build() -> CBuild:
         fn.restype = ctypes.c_int
         fn.argtypes = [ptr, i64, i64, ptr, ptr, i64, u32, u32, u32, u32, ptr]
         count_fn.restype = None
-        count_fn.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, ptr]
+        count_fn.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, i64, ptr, i64, ptr,
+                             ptr, i64, i64, i64, i64, ptr, ptr]
         return CBuild(fn=fn, count_fn=count_fn, flags=flags, compiler=version, path=path)
     return CBuild(error="; ".join(errors))
 

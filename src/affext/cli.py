@@ -13,6 +13,7 @@ All commands are deterministic given their arguments and seeds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_ARGS = 1
 EXIT_PLAN = 2
 EXIT_CHECK = 3
+
+_EXTRACT_CHUNK = 65_536  # input lines per evaluate_batch call
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -126,17 +129,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    spec = extractor.load_spec(args.spec_file)
-    q = spec.modulus
-    fh_in = sys.stdin if args.input_file == "-" else open(args.input_file, "r", encoding="ascii")
-    try:
-        lines = fh_in.read().splitlines()
-    finally:
-        if fh_in is not sys.stdin:
-            fh_in.close()
+def _parse_rows(lines: list[str], first: int, n: int, q: int) -> list[tuple[int, ...]]:
+    """The vectors of input lines first, first + 1, ...; blank and # lines are skipped."""
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -144,23 +140,44 @@ def cmd_extract(args: argparse.Namespace) -> int:
             x = tuple(int(v) for v in line.split(","))
         except ValueError:
             raise ValueError(f"input line {lineno}: not a comma-separated integer vector")
-        if len(x) != spec.n:
-            raise ValueError(f"input line {lineno}: expected {spec.n} entries, got {len(x)}")
+        if len(x) != n:
+            raise ValueError(f"input line {lineno}: expected {n} entries, got {len(x)}")
         for v in x:
             if not 0 <= v < q:
                 raise ValueError(
                     f"input line {lineno}: {v} is not a canonical residue mod {q}"
                 )
         rows.append(x)
-    outputs = extractor.evaluate_batch(spec, rows).tolist() if rows else []
-    fh_out = _open_out(args.output_file)
+    return rows
+
+
+def cmd_extract(args: argparse.Namespace) -> int:
+    """Evaluate the input _EXTRACT_CHUNK lines at a time, one evaluate_batch
+    per chunk.  A bad line stops the run with its line number; the output of
+    the chunks before it has been written by then."""
+    spec = extractor.load_spec(args.spec_file)
+    fh_in = sys.stdin if args.input_file == "-" else open(args.input_file, "r", encoding="ascii")
+    fh_out = None
     try:
-        for z in outputs:
-            print(",".join(str(v) for v in z), file=fh_out)
+        lineno = 1
+        while True:
+            chunk = list(itertools.islice(fh_in, _EXTRACT_CHUNK))
+            # split as str.splitlines would split the whole input, so line numbers match it
+            lines = [piece for raw in chunk for piece in raw.splitlines()]
+            rows = _parse_rows(lines, lineno, spec.n, spec.modulus)
+            lineno += len(lines)
+            if fh_out is None:
+                fh_out = _open_out(args.output_file)
+            if rows:
+                outputs = extractor.evaluate_batch(spec, rows).tolist()
+                fh_out.write("".join(",".join(map(str, z)) + "\n" for z in outputs))
+            if len(chunk) < _EXTRACT_CHUNK:
+                return EXIT_OK
     finally:
-        if fh_out is not sys.stdout:
+        if fh_in is not sys.stdin:
+            fh_in.close()
+        if fh_out is not None and fh_out is not sys.stdout:
             fh_out.close()
-    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -189,6 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     # how the counts were built; stderr, so stdout and the reports stay byte-identical
     print(f"count_route = {analysis.count_route()}", file=sys.stderr)
+    # points the count kernel visited, of those its counts covered (+- pairs are counted once)
+    print(f"count_points = {result.points_visited} of {result.points_covered}", file=sys.stderr)
     for line in analysis.summary_lines(result):
         print(line)
     print(f"elapsed_seconds = {elapsed:.3f}")

@@ -319,16 +319,21 @@ def _assert_structural_rows_match_the_oracle(spec, V):
 
 
 def _count_blocks():
-    """(spec, basis, offsets, subspaces) for one counts() call each: every
-    EDGE_SHAPES entry, then blocks of exhaustive 7/3/k2/m2 with 7 offsets."""
+    """(spec, bases, offsets, partner, subspaces) for one counts() call each:
+    every EDGE_SHAPES entry, then runs of up to 3 consecutive blocks of one
+    pivot pattern of exhaustive 7/3/k2/m2, 7 offsets each, with their +-
+    pairs; subspaces in row order (basis-major)."""
     for spec_args, V in EDGE_SHAPES:
-        yield build_spec(*spec_args), V.basis_array(), V.offset_array().reshape(1, -1), [V]
+        yield build_spec(*spec_args), V.basis_array()[None], V.offset_array().reshape(1, -1), None, [V]
     spec, blocks = build_spec(7, 3, 2, 2), pattern_blocks(3, 2, 7)
     for linear in range(0, count_affine_subspaces(3, 2, 7) // 7, 8):
-        block, basis = basis_at(blocks, linear, 7, 3)
-        offsets = offsets_for_pattern(block.pattern, 3, 7)
-        subspaces = [canonicalize(tuple(o), basis.tolist(), 7) for o in offsets.tolist()]
-        yield spec, basis, offsets, subspaces
+        block = basis_at(blocks, linear, 7, 3)[0]
+        stop = min(linear + 3, block.start + block.count)
+        bases = np.stack([basis_at(blocks, i, 7, 3)[1] for i in range(linear, stop)])
+        offsets, partner = analysis._negation_partners(block.pattern, 3, 7)
+        subspaces = [canonicalize(tuple(o), basis.tolist(), 7)
+                     for basis in bases for o in offsets.tolist()]
+        yield spec, bases, offsets, partner, subspaces
 
 
 class TestChangeOfVars:
@@ -338,11 +343,14 @@ class TestChangeOfVars:
             if route == "numpy":
                 monkeypatch.setattr(analysis, "_count_kernel", lambda: (None, "forced"))
             assert analysis.count_route().startswith(route)
-            for spec, basis, offsets, subspaces in _count_blocks():
+            runs = 0
+            for spec, bases, offsets, partner, subspaces in _count_blocks():
                 counter = _PointCounts(spec, 10**8)
-                got = counter.counts(basis, offsets, counter.grid(basis.shape[0]))
+                got = counter.counts(bases, offsets, counter.grid(bases.shape[1]), partner)
                 want = np.array([output_distribution(spec, V).counts for V in subspaces])
-                assert got.shape == want.shape and (got == want).all(), (route, spec, basis)
+                assert got.shape == want.shape and (got == want).all(), (route, spec, bases)
+                runs += len(bases) > 1
+            assert runs == 6  # multi-basis runs, one per 8 linear subspaces below 49
 
     def test_exact_equality_on_random_subspaces(self, spec13):
         # every nonzero c of every subspace: no residue-count gap at all
@@ -411,15 +419,27 @@ class TestCountRoutes:
                 counter.counts(V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
         assert seen == [(13, 3), (13, 3)]
 
-    def test_malformed_points_are_rejected(self):
+    def test_malformed_points_are_rejected(self, monkeypatch):
         spec = build_spec(13, 3, 2, 1)
         counter = _PointCounts(spec, 10**8)
         V = random_subspace(3, 2, 13, seed=1)
-        for offset in ((13, 12, 12), (-1, 0, 0)):
-            with pytest.raises(ValueError, match="outside"):
-                counter.counts(V.basis_array(), np.array([offset]), counter.grid(2))
+        basis, grid, origin = V.basis_array(), counter.grid(2), np.zeros((1, 3), dtype=np.int64)
+        big, negative = basis.copy(), grid.copy()
+        big[1, 2], negative[5, 1] = 13, -1
+        # a precondition of both routes: the C kernel reads these unchecked
+        for kernel in (analysis._count_kernel, lambda: (None, "forced")):
+            monkeypatch.setattr(analysis, "_count_kernel", kernel)
+            for offset in ((13, 12, 12), (-1, 0, 0)):
+                with pytest.raises(ValueError, match="outside"):
+                    counter.counts(basis, np.array([offset]), grid)
+            for bases, points in ((big, grid), (big[None], grid), (basis, negative)):
+                with pytest.raises(ValueError, match="outside"):
+                    counter.counts(bases, origin, points)
+            assert counter.counts(basis, origin, grid).sum() == 13**2
         with pytest.raises(ValueError, match="3 coordinates"):
             counter.counts(V.basis_array(), np.array([[1, 2]]), counter.grid(2))
+        with pytest.raises(ValueError, match="one row per offset"):
+            counter.counts(basis, origin, grid, partner=np.array([0, 0]))
 
     def test_no_compiler_gives_identical_reports_and_one_warning(
         self, fresh_c_build, monkeypatch
@@ -490,6 +510,42 @@ class TestTransformProperties:
             cs = character_sum_subspace(spec, V, decode_output(enc, q, m))
             assert abs(mags[enc - 1] - character_magnitude(cs)) <= 1e-12, enc
         _assert_structural_rows_match_the_oracle(spec, V)
+
+
+class TestNegationPairs:
+    """Every d_j and D_i is odd, so F(-x) = -F(x): the counts of -o + W are
+    those of o + W with each output z read at -z."""
+
+    @given(_small_shapes())
+    @example((13, 3, 3, 1, 0))  # k = n: one offset, its own partner
+    @example((11, 3, 1, 1, 1))  # k = 1
+    @example((7, 3, 2, 2, 2))  # m = k
+    @example((5, 3, 3, 3, 3))  # m = k = n
+    def test_partner_rows_are_negated_representatives(self, shape):
+        q, n, k, m, seed = shape
+        spec, blocks = build_spec(q, n, k, m), pattern_blocks(n, k, q)
+        linear = int(np.random.default_rng(seed).integers(sum(b.count for b in blocks)))
+        block, basis = basis_at(blocks, linear, q, n)
+        offsets, partner = analysis._negation_partners(block.pattern, n, q)
+        reps, O = analysis._representatives(partner), q ** (n - k)
+        assert ((offsets + offsets[partner]) % q == 0).all() and (partner[partner] == np.arange(O)).all()
+        assert partner[0] == 0 and len(reps) == (O + 1) // 2  # 0 and one of each pair
+        assert sorted([*reps, *partner[reps]]) == [0, *range(O)]
+        counter = _PointCounts(spec, 10**6)
+        _, substituted, odd, _, _ = counter.pattern(block.pattern)
+        assert odd
+        want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
+                         for o in offsets.tolist()])
+        routes = {"c": analysis._count_kernel} if HAVE_CC else {}
+        routes["numpy"] = lambda: (None, "forced")
+        for route, kernel in routes.items():
+            with mock.patch.object(analysis, "_count_kernel", kernel):
+                assert analysis.count_route().startswith(route)
+                for grid in (counter.grid(k), substituted):
+                    full = counter.counts(basis, offsets, grid)
+                    assert (full[partner] == full[:, counter.negenc]).all(), route
+                    assert (counter.counts(basis, offsets, grid, partner) == full).all(), route
+                    assert (full == want).all(), route  # the substitution permutes the grid
 
 
 class TestSubstitutionForm:
@@ -915,6 +971,31 @@ class TestSweepEngine:
         r1 = verify_extractor(spec, ExhaustiveSubspaces(), workers=1, collect="full")
         r2 = verify_extractor(spec, ExhaustiveSubspaces(), workers=3, collect="full")
         assert reports_csv_lines(r1) == reports_csv_lines(r2)
+
+    def test_runs_split_at_chunk_and_pattern_boundaries(self, monkeypatch):
+        spec = build_spec(7, 3, 2, 2)  # 57 linear subspaces: 49, 7 and 1 per pivot pattern
+
+        def lines(workers):
+            res = verify_extractor(spec, ExhaustiveSubspaces(), checks=CHECK_ORDER,
+                                   workers=workers, collect="full")
+            assert reports_csv_lines(res) == _oracle_csv_lines(res), workers
+            return reports_csv_lines(res), repr(res.reports)
+
+        whole = lines(1)  # one chunk per linear subspace, so one block per run
+        runs = []
+        real = analysis._SweepState.analyze_block
+
+        def spy(self, bases, pivots, offsets, ids, partial, partner=None):
+            runs.append((int(ids[0]) // 7, len(bases)))
+            return real(self, bases, pivots, offsets, ids, partial, partner)
+
+        monkeypatch.setattr(analysis._SweepState, "analyze_block", spy)
+        monkeypatch.setattr(analysis, "_CHUNK_TARGET", 5)  # chunks of 12 linear subspaces
+        monkeypatch.setattr(analysis, "_RUN_CELLS", 5 * 7 * 49)  # runs of at most 5 blocks
+        assert lines(1) == whole
+        assert runs == [(0, 5), (5, 5), (10, 2), (12, 5), (17, 5), (22, 2), (24, 5), (29, 5),
+                        (34, 2), (36, 5), (41, 5), (46, 2), (48, 1), (49, 5), (54, 2), (56, 1)]
+        assert lines(2) == whole
 
     def test_pool_is_capped_at_the_chunk_count(self, spec13, monkeypatch):
         # an in-process stand-in for the pool records the size asked for

@@ -4,13 +4,14 @@ Everything goes through main(argv) in-process so exit codes and the exact
 bytes of written files can be asserted.
 """
 
+import hashlib
 import os
 import warnings
 
 import pytest
 
 from affext import batch, cli
-from affext.extractor import build_spec, load_spec, save_spec
+from affext.extractor import build_spec, evaluate_batch, load_spec, save_spec
 from affext.numtheory import factorize, is_prime, typicality_threshold
 from affext.subspace import random_subspace, save_subspaces
 
@@ -184,6 +185,28 @@ class TestExtract:
         assert code == 1
         assert "canonical residue" in err
 
+    def test_chunks_give_the_same_bytes_and_line_numbers(self, spec_path, tmp_path, capsys,
+                                                         monkeypatch):
+        rows = [((5 * i) % 13, (7 * i + 1) % 13, i % 13) for i in range(cli._EXTRACT_CHUNK + 3)]
+        text = "".join(f"{a},{b},{c}\n" for a, b, c in rows)
+        calls = []
+        real = cli.extractor.evaluate_batch
+        monkeypatch.setattr(cli.extractor, "evaluate_batch",
+                            lambda spec, xs: calls.append(len(xs)) or real(spec, xs))
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("# header\n" + text, encoding="ascii")
+        code, _, _ = run(capsys, "extract", "--spec-file", spec_path,
+                         "--input", str(inp), "--output", str(out))
+        assert code == 0 and calls == [cli._EXTRACT_CHUNK - 1, 4]  # one call per chunk
+        want = evaluate_batch(load_spec(spec_path), rows).tolist()
+        assert out.read_text(encoding="ascii") == "".join(f"{z}\n" for (z,) in want)
+        # a bad line after the first chunk is named by its line in the whole input
+        inp.write_text(text + "1,2\n" + text, encoding="ascii")
+        code, _, err = run(capsys, "extract", "--spec-file", spec_path,
+                           "--input", str(inp), "--output", str(out))
+        assert code == 1
+        assert f"input line {cli._EXTRACT_CHUNK + 4}: expected 3 entries, got 2" in err
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "extract", "--spec-file", str(tmp_path / "absent.txt")
@@ -211,6 +234,22 @@ class TestVerify:
         # the count route goes to stderr only
         assert err.count("count_route = ") == 1
         assert "count_route" not in out + csv + summary
+
+    def test_count_points_go_to_stderr_and_leave_the_reports(self, tmp_path, capsys):
+        spec_file, report_dir = str(tmp_path / "spec.txt"), tmp_path / "reports"
+        run(capsys, "plan", "--q", "31", "--n", "3", "--k", "2", "--m", "1",
+            "--spec-file", spec_file)
+        code, out, err = run(capsys, "verify", "--spec-file", spec_file, "--exhaustive",
+                             "--report-dir", str(report_dir))
+        assert code == 0
+        # one offset of each +- pair: 993 blocks of 16 of the 31 offsets, 961 points each
+        assert err.splitlines()[-1] == "count_points = 15268368 of 29582463"
+        files = {name: (report_dir / name).read_bytes() for name in sorted(os.listdir(report_dir))}
+        assert "count_points =" not in out
+        assert all(b"count_points =" not in b for b in files.values())
+        digests = {name: hashlib.sha256(b).hexdigest()[:12] for name, b in files.items()}
+        assert digests == {"verify_report.csv": "2f32b6558038",
+                           "verify_summary.txt": "5870d1df15e5"}
 
     def test_count_route_without_a_compiler(
         self, spec_path, tmp_path, capsys, monkeypatch, fresh_c_build
