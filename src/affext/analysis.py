@@ -11,9 +11,10 @@ There is one count primitive, `_PointCounts`: it reads the points
 offset + t.B of a run of direction spaces B, for a batch of parallel offsets
 and a parameter grid, through shared power tables and tallies the outputs;
 of each +- pair of offsets it counts one and permutes the other.  The
-sweep runs every count-based check on it, including change_of_vars and
-substitution_form (a single subspace is ExplicitSubspaces((V,))); the
-per-point output_distribution / evaluate route is kept as its oracle.
+sweep runs every count-based check on it, change_of_vars included (a single
+subspace is ExplicitSubspaces((V,))); the per-point output_distribution /
+evaluate route is kept as its oracle.  What a pivot pattern alone determines
+lives in one record per pattern, `_Pattern`.
 There is one character transform, `_Characters`, and the sweep is its only
 caller: char_max and xor run only there, and the per-point
 character_sum_subspace / character_magnitude route is kept as its oracle.
@@ -50,6 +51,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -60,6 +62,7 @@ from .config import (
     DEFAULT_TOLERANCE,
     Budgets,
     BudgetExceededError,
+    check_tolerance,
 )
 from .extractor import ExtractorSpec, evaluate
 from .numtheory import is_prime
@@ -314,14 +317,6 @@ def _pow_column(e: int, q: int) -> np.ndarray:
     return np.array([pow(s, e, q) for s in range(q)], dtype=np.int64)
 
 
-def _substitute(grid: np.ndarray, D_per_pivot: Sequence[int], q: int) -> np.ndarray:
-    """The grid with each parameter t_i replaced by t_i**D_i."""
-    out = grid.copy()
-    for i, Di in enumerate(D_per_pivot):
-        out[:, i] = _pow_column(Di, q)[grid[:, i]]
-    return out
-
-
 def _check_int64_sums(q: int, n: int) -> None:
     """Both count routes accumulate the row sums sum_j A[i, j] * x_j**d_j
     (A reduced mod q) in int64, so they are exact only below 2**63."""
@@ -347,20 +342,6 @@ def count_route() -> str:
     """The route _PointCounts.counts takes: "c" or "numpy (<why>)"."""
     fn, why = _count_kernel()
     return "c" if fn is not None else f"numpy ({why})"
-
-
-def _negation_partners(
-    pattern: tuple[int, ...], n: int, q: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """offsets_for_pattern(pattern, n, q), and per offset o the row of (-o) mod q.
-
-    The offsets are listed lexicographically by their free digits, so the
-    row of an offset is the big-endian encoding of those digits.  Row 0
-    (o = 0) is its own partner; every other offset pairs with another."""
-    offsets = offsets_for_pattern(pattern, n, q)
-    free = np.delete(offsets, list(pattern), axis=1)
-    weights = q ** np.arange(free.shape[1] - 1, -1, -1, dtype=np.int64)
-    return offsets, (-free % q) @ weights
 
 
 def _representatives(partner: np.ndarray) -> np.ndarray:
@@ -401,7 +382,6 @@ class _PointCounts:
             raise BudgetExceededError(
                 f"power tables need {n * (2 * q - 1)} entries, budget is {budget}"
             )
-        self.spec = spec
         self.q, self.n, self.m, self.qm = q, n, m, q**m
         self.A = spec.A.array() % q
         self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
@@ -409,7 +389,6 @@ class _PointCounts:
         wrap = np.arange(2 * q - 1) % q
         self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
         self.grids: dict[int, np.ndarray] = {}
-        self.patterns: dict[tuple[int, ...], tuple[int, np.ndarray, bool, int, np.ndarray]] = {}
 
     def grid(self, k: int) -> np.ndarray:
         if k not in self.grids:
@@ -470,42 +449,6 @@ class _PointCounts:
             fill = np.flatnonzero(np.arange(O) > partner)
             counts[:, fill] = counts[:, partner[fill]][:, :, self.negenc]
         return counts.reshape(nb * O, qm)
-
-    def pattern(self, pivots: tuple[int, ...]) -> tuple[int, np.ndarray, bool, int, np.ndarray]:
-        """What a pivot pattern alone determines: D, the grid with
-        t_i -> t_i**D_i, whether that grid is odd (every D_i odd), the number
-        of non-pivot terms whose substituted degree reaches D, and s_i**D per
-        grid point and pivot."""
-        if pivots not in self.patterns:
-            D, D_per_pivot = _pivot_degrees(self.spec, pivots)
-            # (b) degree comparison, pure integer arithmetic
-            degree = 0
-            for j in range(self.n):
-                i = sum(1 for p in pivots if p < j)
-                # a coordinate left of every pivot is constant on V
-                if j not in pivots and i and self.spec.d[j] * D_per_pivot[i - 1] >= D:
-                    degree += 1
-            s = self.grid(len(pivots))
-            self.patterns[pivots] = (D, _substitute(s, D_per_pivot, self.q),
-                                     all(Di % 2 for Di in D_per_pivot), degree,
-                                     _pow_column(D, self.q)[s])
-        return self.patterns[pivots]
-
-    def substitution_form(
-        self, basis: np.ndarray, pivots: tuple[int, ...], offsets: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Per offset, the violations of the substituted form, and D."""
-        D, u, _, degree, top = self.pattern(pivots)
-        uB = (u @ basis[:, list(pivots)]) % self.q  # pivot coordinates of u.B, this basis
-        # (a) pivot coordinate j_i of offset + u.B, raised to d_{j_i}, is s_i**D
-        bad = np.full(len(offsets), degree, dtype=np.int64)
-        slice_rows = max(1, _ELEM_SLICE // max(1, len(uB)))
-        for lo in range(0, len(offsets), slice_rows):
-            part = offsets[lo : lo + slice_rows]
-            for i, j in enumerate(pivots):
-                X = part[:, j][:, None] + uB[:, i][None, :]
-                bad[lo : lo + slice_rows] += (self.powtabs[j][X] != top[:, i]).sum(axis=1)
-        return bad, D
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +569,7 @@ def deligne_bound_check(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> BoundReport:
     """|sum_x w^(b f(x))| against (degree-1)**v * q**(v/2), by brute force."""
+    check_tolerance(tolerance)
     if not 1 <= b < f.q:
         raise ValueError(f"b must be a nonzero residue mod {f.q}, got {b}")
     if f.q**f.num_vars > budget:
@@ -918,6 +862,65 @@ def _keep_first_max(result: SweepResult, names: tuple[str, ...], values: Sequenc
             setattr(result, name, value)
 
 
+class _Pattern:
+    """What a pivot pattern alone determines, one record per pattern and
+    process (_SweepState.pattern); each part is built on its first read, so a
+    sweep builds only what its checks use."""
+
+    def __init__(self, state: _SweepState, pivots: tuple[int, ...]) -> None:
+        self.state, self.pivots = state, pivots
+
+    @cached_property
+    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical offsets, and per offset o the row of (-o) mod q.  The
+        offsets are listed lexicographically by their free digits, so the row
+        of an offset is the big-endian encoding of those digits.  Row 0
+        (o = 0) is its own partner; every other offset pairs with another."""
+        q = self.state.q
+        offsets = offsets_for_pattern(self.pivots, self.state.spec.n, q)
+        free = np.delete(offsets, list(self.pivots), axis=1)
+        weights = q ** np.arange(free.shape[1] - 1, -1, -1, dtype=np.int64)
+        return offsets, (-free % q) @ weights
+
+    @cached_property
+    def zero_coordinate(self) -> tuple[int, int]:
+        """The worst zero count of c^T A on the pivots over c != 0, and the first such c."""
+        zeros = self.state.zero_table[:, list(self.pivots)].sum(axis=1)  # q**m - 1 >= 1 entries
+        return int(zeros.max()), int(zeros.argmax()) + 1
+
+    @cached_property
+    def degrees(self) -> tuple[int, list[int]]:  # D and the D_i
+        return _pivot_degrees(self.state.spec, self.pivots)
+
+    @cached_property
+    def substituted(self) -> tuple[np.ndarray, bool]:
+        """The grid with t_i -> t_i**D_i, and whether it is odd (every D_i odd)."""
+        D_per_pivot = self.degrees[1]
+        grid = self.state.counter.grid(len(self.pivots)).copy()
+        for i, Di in enumerate(D_per_pivot):
+            grid[:, i] = _pow_column(Di, self.state.q)[grid[:, i]]
+        return grid, all(Di % 2 for Di in D_per_pivot)
+
+    @cached_property
+    def substitution_form(self) -> int:
+        """The violations of the substituted form.  In canonical form the
+        basis is the identity on the pivot columns and the offset is zero
+        there, so pivot coordinate j_i of offset + u.B is u_i on every
+        subspace of the pattern, and the count is one number."""
+        spec, counter = self.state.spec, self.state.counter
+        D, D_per_pivot = self.degrees
+        s, u = counter.grid(len(self.pivots)), self.substituted[0]
+        top = _pow_column(D, self.state.q)[s]
+        # (a) pivot coordinate j_i, raised to d_{j_i}, is s_i**D at every grid point s
+        bad = sum(int((counter.powtabs[j][u[:, i]] != top[:, i]).sum())
+                  for i, j in enumerate(self.pivots))
+        # (b) a non-pivot x_j between pivot i and the next has degree d_j * D_i,
+        # below D; one left of every pivot is constant on V
+        for i, (lo, hi) in enumerate(zip(self.pivots, (*self.pivots[1:], spec.n))):
+            bad += sum(spec.d[j] * D_per_pivot[i] >= D for j in range(lo + 1, hi))
+        return bad
+
+
 class _SweepState:
     """Everything a sweep needs.  The caller builds it once, and each pool
     worker gets a copy; every chunk tallies into a blank copy of header."""
@@ -941,7 +944,7 @@ class _SweepState:
         self.chars = None  # built, and its table budget checked, only for checks that read it
         if {"char_max", "xor", "change_of_vars"} & set(self.checks):
             self.chars = _Characters(q, m, budgets.points)
-        self.zero_cache: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.patterns: dict[tuple[int, ...], _Pattern] = {}
         if "zero_coordinate" in self.checks:  # per nonzero c and coordinate j: (c^T A)_j == 0
             cells = (self.qm - 1) * spec.n
             if cells > budgets.points:
@@ -954,16 +957,13 @@ class _SweepState:
         self.per_unit = 1
         if isinstance(source, ExhaustiveSubspaces):
             self.blocks = pattern_blocks(spec.n, spec.k, q)
-            # per pivot pattern: its offsets, and the row of each one's negation
-            self.offsets_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
             self.per_unit = q ** (spec.n - spec.k)
 
-    def zero_coordinate_worst(self, pivots: tuple[int, ...]) -> tuple[int, int]:
-        """Worst zero count of c^T A over pivot coordinates, over nonzero c."""
-        if pivots not in self.zero_cache:
-            zeros = self.zero_table[:, list(pivots)].sum(axis=1)  # q**m - 1 >= 1 entries
-            self.zero_cache[pivots] = (int(zeros.max()), int(zeros.argmax()) + 1)
-        return self.zero_cache[pivots]
+    def pattern(self, pivots: tuple[int, ...]) -> _Pattern:
+        """The record of a pivot pattern, one per pattern and process."""
+        if pivots not in self.patterns:
+            self.patterns[pivots] = _Pattern(self, pivots)
+        return self.patterns[pivots]
 
     # -- block analysis ----------------------------------------------------
 
@@ -982,6 +982,7 @@ class _SweepState:
         that order.  partner, if given, pairs each offset with its negation
         for the count kernel."""
         q, m, qm = self.q, self.m, self.qm
+        pattern = self.pattern(pivots)
         nb, k = bases.shape[:2]
         T = q**k
         O = len(ids)
@@ -1016,7 +1017,7 @@ class _SweepState:
             bound = eps * self.sqrt_qm
             cols["xor"] = (sd_f, bound, sd_f <= bound + self.tolerance, eps_c, "")
         if "zero_coordinate" in self.checks:
-            zworst, zc = self.zero_coordinate_worst(pivots)
+            zworst, zc = pattern.zero_coordinate
             cols["zero_coordinate"] = (zworst, m - 1, zworst <= m - 1, zc, "")
         if "change_of_vars" in self.checks:
             # direct counts minus those on the grid with t_i -> t_i**D_i; D_i
@@ -1024,15 +1025,14 @@ class _SweepState:
             # is a bijection and leaves all zeros
             if counts is None:
                 counts = count(self.counter.grid(k), partner)
-            _, u, odd, _, _ = self.counter.pattern(pivots)
+            u, odd = pattern.substituted
             diff = counts - count(u, partner if odd else None)
             gap, first = self.chars.gaps(diff)
             c_encoded = np.where(first >= 0, first + 1, None)  # None where the gap is 0
             cols["change_of_vars"] = (gap, 0, gap == 0, c_encoded, "")
         if "substitution_form" in self.checks:
-            forms = [self.counter.substitution_form(basis, pivots, offsets) for basis in bases]
-            form, D = np.concatenate([f for f, _ in forms]), forms[0][1]
-            cols["substitution_form"] = (form, 0, form == 0, None, f"D={D}")
+            form = pattern.substitution_form
+            cols["substitution_form"] = (form, 0, form == 0, None, f"D={pattern.degrees[0]}")
 
         partial.processed += O
         if sd_f is not None:
@@ -1065,11 +1065,7 @@ class _SweepState:
             linear = lo
             while linear < hi:
                 block, basis = basis_at(self.blocks, linear, q, spec.n)
-                if block.pattern not in self.offsets_cache:
-                    self.offsets_cache[block.pattern] = _negation_partners(
-                        block.pattern, spec.n, q
-                    )
-                offsets, partner = self.offsets_cache[block.pattern]
+                offsets, partner = self.pattern(block.pattern).offsets
                 per_run = max(1, _RUN_CELLS // (len(offsets) * self.qm))
                 stop = min(hi, block.start + block.count, linear + per_run)
                 bases = np.stack([basis, *(basis_at(self.blocks, i, q, spec.n)[1]
@@ -1159,6 +1155,7 @@ def verify_extractor(
     checks = normalize_checks(checks)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    check_tolerance(tolerance)
     q = spec.modulus
     _check_outcome_cells(q, spec.m, budgets.points)
 

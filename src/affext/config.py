@@ -7,6 +7,7 @@ be crossed.  Nothing silently truncates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Absolute tolerance for every floating-point comparison in bound checks.
@@ -32,3 +33,11 @@ class Budgets:
     def __post_init__(self) -> None:
         if self.points <= 0 or self.subspaces <= 0:
             raise ValueError("budgets must be positive")
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Bound checks test quantity <= bound + tolerance, where NaN would fail
+    every row and inf pass every row untested: only a finite tolerance >= 0
+    is accepted."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")

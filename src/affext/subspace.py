@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, BudgetExceededError
-from .numtheory import check_modulus
+from .numtheory import MAX_MODULUS, check_modulus, is_prime
 
 
 @dataclass(frozen=True)
@@ -350,9 +350,10 @@ def random_subspace(n: int, k: int, q: int, seed: int) -> AffineSubspace:
             return V
 
 
-# One subspace per record: a header "n,k,q", one offset line, then k basis
-# lines, all comma-separated canonical residues.  Blank lines separate
-# records in multi-subspace files.
+# One subspace per record: a header "n,k,q" (0 <= k <= n, q a prime below
+# 2**61), one offset line, then k basis lines, all comma-separated canonical
+# residues.  Blank lines separate records in multi-subspace files, and every
+# error names the line it was found on.
 
 
 def subspace_to_text(V: AffineSubspace) -> str:
@@ -362,16 +363,26 @@ def subspace_to_text(V: AffineSubspace) -> str:
 
 
 def _parse_record(lines: list[str], start_line: int) -> AffineSubspace:
-    header = [s.strip() for s in lines[0].split(",")]
+    def ints(line: str, lineno: int) -> list[int]:
+        try:
+            return [int(v) for v in line.split(",")]
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a comma-separated integer list: {line!r}") from None
+
+    header = ints(lines[0], start_line)
     if len(header) != 3:
         raise ValueError(f"line {start_line}: header must be 'n,k,q', got {lines[0]!r}")
-    n, k, q = (int(v) for v in header)
+    n, k, q = header
+    if not (2 <= q < MAX_MODULUS and is_prime(q)):
+        raise ValueError(f"line {start_line}: q = {q} is not a prime below 2**61")
+    if not 0 <= k <= n:
+        raise ValueError(f"line {start_line}: need 0 <= k <= n, got k={k}, n={n}")
     if len(lines) != 2 + k:
         raise ValueError(
             f"line {start_line}: record declares k={k} but has {len(lines) - 2} basis lines"
         )
     def parse_vec(line: str, lineno: int) -> list[int]:
-        vals = [int(v) for v in line.split(",")]
+        vals = ints(line, lineno)
         if len(vals) != n:
             raise ValueError(f"line {lineno}: expected {n} entries, got {len(vals)}")
         for v in vals:

@@ -304,18 +304,26 @@ def _structural_oracle(spec, V):
     return gaps, int(form), D
 
 
-def _assert_structural_rows_match_the_oracle(spec, V):
-    """The sweep's change_of_vars and substitution_form rows for V alone
-    against _structural_oracle; change_of_vars names the first worst c."""
-    res = verify_extractor(spec, ExplicitSubspaces((V,)),
-                           checks=("change_of_vars", "substitution_form"), collect="full")
-    cov, form = res.reports
+def _assert_structural_rows_match_the_oracle(spec, V, rows=None):
+    """The sweep's change_of_vars and substitution_form rows for V, by
+    default from a sweep of V alone, against _structural_oracle;
+    change_of_vars names the first worst c."""
+    cov, form = rows or verify_extractor(spec, ExplicitSubspaces((V,)), collect="full",
+                                         checks=("change_of_vars", "substitution_form")).reports
     gaps, bad, D = _structural_oracle(spec, V)
     worst = max(gaps)
     assert (cov.check, cov.quantity, cov.satisfied) == ("change_of_vars", worst, worst == 0)
     assert cov.c_encoded == (gaps.index(worst) + 1 if worst else None)
     assert (form.check, form.quantity, form.satisfied) == ("substitution_form", bad, bad == 0)
     assert form.detail == f"D={D}"
+
+
+def _exhaustive_state(spec):
+    """The sweep state of an exhaustive sd sweep of spec: state.pattern(pivots)
+    is the per-pattern record, and state.counter the count primitive."""
+    header = analysis.SweepResult(spec.modulus, spec.n, spec.k, spec.m, "exhaustive",
+                                  ("sd",), "full", 1e-6, 0)
+    return analysis._SweepState(spec, ExhaustiveSubspaces(), Budgets(), header)
 
 
 def _count_blocks():
@@ -326,11 +334,12 @@ def _count_blocks():
     for spec_args, V in EDGE_SHAPES:
         yield build_spec(*spec_args), V.basis_array()[None], V.offset_array().reshape(1, -1), None, [V]
     spec, blocks = build_spec(7, 3, 2, 2), pattern_blocks(3, 2, 7)
+    state = _exhaustive_state(spec)
     for linear in range(0, count_affine_subspaces(3, 2, 7) // 7, 8):
         block = basis_at(blocks, linear, 7, 3)[0]
         stop = min(linear + 3, block.start + block.count)
         bases = np.stack([basis_at(blocks, i, 7, 3)[1] for i in range(linear, stop)])
-        offsets, partner = analysis._negation_partners(block.pattern, 3, 7)
+        offsets, partner = state.pattern(block.pattern).offsets
         subspaces = [canonicalize(tuple(o), basis.tolist(), 7)
                      for basis in bases for o in offsets.tolist()]
         yield spec, bases, offsets, partner, subspaces
@@ -526,13 +535,15 @@ class TestNegationPairs:
         spec, blocks = build_spec(q, n, k, m), pattern_blocks(n, k, q)
         linear = int(np.random.default_rng(seed).integers(sum(b.count for b in blocks)))
         block, basis = basis_at(blocks, linear, q, n)
-        offsets, partner = analysis._negation_partners(block.pattern, n, q)
+        state = _exhaustive_state(spec)
+        record = state.pattern(block.pattern)
+        offsets, partner = record.offsets
         reps, O = analysis._representatives(partner), q ** (n - k)
         assert ((offsets + offsets[partner]) % q == 0).all() and (partner[partner] == np.arange(O)).all()
         assert partner[0] == 0 and len(reps) == (O + 1) // 2  # 0 and one of each pair
         assert sorted([*reps, *partner[reps]]) == [0, *range(O)]
-        counter = _PointCounts(spec, 10**6)
-        _, substituted, odd, _, _ = counter.pattern(block.pattern)
+        counter = state.counter
+        substituted, odd = record.substituted
         assert odd
         want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
                          for o in offsets.tolist()])
@@ -696,6 +707,23 @@ class TestStructuralChecksCanFail:
                 request.getfixturevalue("doubled_degrees")
             for spec_args, V in EDGE_SHAPES:
                 _assert_structural_rows_match_the_oracle(build_spec(*spec_args), V)
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_exhaustive_rows_match_the_point_oracle(self, fault, request):
+        # substitution_form is one value per pivot pattern; every subspace's
+        # own parametrization, on each basis and offset, must give that value
+        if fault:
+            request.getfixturevalue("doubled_degrees")
+        spec = build_spec(7, 3, 2, 2)
+        res = verify_extractor(spec, ExhaustiveSubspaces(), collect="full",
+                               checks=("change_of_vars", "substitution_form"))
+        rows, subspaces = list(res.reports), list(enumerate_subspaces(3, 2, 7))
+        assert len(rows) == 2 * len(subspaces) == 2 * 399
+        for i, V in enumerate(subspaces):
+            cov, form = rows[2 * i : 2 * i + 2]
+            assert cov.subspace_id == form.subspace_id == i
+            _assert_structural_rows_match_the_oracle(spec, V, (cov, form))
+        assert res.violations == {"change_of_vars": 399 * fault, "substitution_form": 399 * fault}
 
 
 class TestZeroCoordinate:
@@ -1181,6 +1209,59 @@ class TestSweepEngine:
         res = verify_extractor(build_spec(97, 4, 3, 3), SampledSubspaces(1, 0), checks=("sd",))
         assert res.processed == 1 and len(states) == 1
         assert states[0].chars is None and not hasattr(states[0], "zero_table")
+
+    def test_pattern_records_build_only_what_the_checks_read(self, monkeypatch):
+        # exhaustive 7/3/k2: 3 pivot patterns, each with one record per
+        # process, built part by part as the selected checks read it
+        states, calls = [], {"offsets_for_pattern": 0, "_pivot_degrees": 0}
+        real_init = analysis._SweepState.__init__
+
+        def spy_init(self, *args):
+            real_init(self, *args)
+            states.append(self)
+
+        monkeypatch.setattr(analysis._SweepState, "__init__", spy_init)
+        for name in calls:
+            def spy(*args, real=getattr(analysis, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(analysis, name, spy)
+        spec = build_spec(7, 3, 2, 2)
+        every = {"offsets", "zero_coordinate", "degrees", "substituted", "substitution_form"}
+        drawn = sorted({random_subspace(3, 2, 7, seed=i).pivots for i in range(40)})
+        cases = [  # the parts built, then the calls: offsets per pattern, degrees per pattern
+            (ExhaustiveSubspaces(), analysis.DEFAULT_CHECKS, {"offsets", "zero_coordinate"}, 3, 0),
+            (ExhaustiveSubspaces(), ("sd",), {"offsets"}, 3, 0),
+            (ExhaustiveSubspaces(), CHECK_ORDER, every, 3, 3),
+            (SampledSubspaces(40, 0), CHECK_ORDER, every - {"offsets"}, 0, len(drawn)),
+        ]
+        for source, checks, built, offsets_calls, degree_calls in cases:
+            states.clear()
+            calls.update(dict.fromkeys(calls, 0))
+            assert verify_extractor(spec, source, checks=checks).processed in (399, 40)
+            (state,) = states
+            want = drawn if isinstance(source, SampledSubspaces) else [(0, 1), (0, 2), (1, 2)]
+            assert sorted(state.patterns) == want
+            for record in state.patterns.values():
+                assert set(vars(record)) - {"state", "pivots"} == built, (source, checks)
+            assert calls == {"offsets_for_pattern": offsets_calls, "_pivot_degrees": degree_calls}
+
+    def test_tolerance_must_be_finite_and_nonnegative(self, spec13, monkeypatch):
+        src, f = SampledSubspaces(3, 0), DiagonalPolynomial(7, 1, 3, (1,))
+        assert verify_extractor(spec13, src, checks=CHECK_ORDER, tolerance=0.0).ok  # 0 is legal
+        assert deligne_bound_check(f, 1, tolerance=0).satisfied
+
+        def unreachable(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(analysis._SweepState, "__init__", unreachable)
+        monkeypatch.setattr(DiagonalPolynomial, "residues_grid", unreachable)
+        for bad in (float("nan"), float("inf"), -float("inf"), -1e-9):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                verify_extractor(spec13, src, tolerance=bad)
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                deligne_bound_check(f, 1, tolerance=bad)
 
     def test_zero_coordinate_only_sweep_is_not_refused(self):
         # it reads the digits table but no phase table

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from affext import batch, cli
+from affext import analysis, batch, cli
 from affext.extractor import build_spec, evaluate_batch, load_spec, save_spec
 from affext.numtheory import factorize, is_prime, typicality_threshold
 from affext.subspace import random_subspace, save_subspaces
@@ -295,6 +295,28 @@ class TestVerify:
         assert code == 0
         assert "total_subspaces = 5" in out
 
+    def test_subspace_file_errors_name_the_line(self, spec_path, tmp_path, capsys):
+        for text, message in (("3,2,13\n0,0,x\n1,0,0\n0,1,0\n", "line 2: not a comma-separated"),
+                              ("3,1,4\n0,0,0\n2,0,0\n", "line 1: q = 4 is not a prime")):
+            sub_file = tmp_path / "subs.txt"
+            sub_file.write_text(text, encoding="ascii")
+            code, out, err = run(
+                capsys, "verify", "--spec-file", spec_path, "--subspace-file", str(sub_file),
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {message}")
+
+    def test_tolerance_must_be_finite_and_nonnegative(self, spec_path, capsys):
+        # nan made every xor row fail (exit 3) and inf made every one pass untested
+        for value in ("nan", "inf", "-0.5"):
+            code, out, err = run(capsys, "verify", "--spec-file", spec_path, "--sample", "20",
+                                 "--tolerance", value)
+            assert (code, out) == (1, "")
+            assert "tolerance must be finite and >= 0" in err
+        code, out, _ = run(capsys, "verify", "--spec-file", spec_path, "--sample", "20",
+                           "--tolerance", "0")
+        assert code == 0 and "violations_xor = 0" in out
+
     def test_violation_exit_code(self, spec_path, capsys, monkeypatch):
         # force a failed theorem-backed row to drive the exit-code path
         from affext import analysis
@@ -465,6 +487,16 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--points-budget", "10")
         assert code == 1
         assert "budget is 10" in err
+
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys):
+        # nan failed the whole battery (exit 3); now nothing runs
+        for value in ("nan", "inf", "-0.5"):
+            code, out, err = run(capsys, "bounds", "--tolerance", value)
+            assert (code, out) == (1, "")
+            assert "tolerance must be finite and >= 0" in err
+        # 0 is legal; the float sums of the degree-1 cases may then miss their bound 0
+        code, out, _ = run(capsys, "bounds", "--tolerance", "0")
+        assert code in (0, 3) and out.count("deligne[") == len(analysis.deligne_battery())
 
     def test_default_prachar_limit(self, capsys):
         code, out, _ = run(capsys, "bounds")

@@ -349,6 +349,32 @@ class TestSubspaceSerialization:
         with pytest.raises(ValueError, match="expected 2 entries"):
             subspaces_from_text("2,1,5\n0\n1,0\n")
 
+    def test_non_integer_lines_are_named(self):
+        for text, line in (
+            ("3,2,13\n0,0,x\n1,0,0\n0,1,0\n", 2),  # an offset entry
+            ("3,2,q\n0,0,0\n1,0,0\n0,1,0\n", 1),  # a header entry
+            ("3,0,5\n0,1,2\n\n# second record\n3,1,5\n0,0,0\n1,0,1.5\n", 7),  # a basis entry
+        ):
+            with pytest.raises(ValueError, match=rf"^line {line}: not a comma-separated integer"):
+                subspaces_from_text(text)
+
+    def test_header_modulus_must_be_prime(self):
+        for text, line, q in (
+            ("3,1,4\n0,0,0\n2,0,0\n", 1, 4),  # would fail inside the RREF
+            ("3,0,4\n1,2,3\n", 1, 4),  # would load a point over Z/4
+            ("3,0,13\n1,2,3\n\n3,0,1\n0,0,0\n", 4, 1),
+            (f"1,0,{2**61 + 15}\n0\n", 1, 2**61 + 15),  # prime, but above the supported range
+        ):
+            with pytest.raises(ValueError, match=rf"^line {line}: q = {q} is not a prime below"):
+                subspaces_from_text(text)
+
+    def test_header_dimensions_are_checked(self):
+        # k = -1 once matched a one-line record and then read past its end
+        for text, line in (("3,-1,5\n", 1),
+                           ("3,1,5\n0,0,0\n1,0,0\n\n2,3,5\n0,0\n1,0\n0,1\n1,1\n", 5)):
+            with pytest.raises(ValueError, match=rf"^line {line}: need 0 <= k <= n"):
+                subspaces_from_text(text)
+
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError, match="no subspace records"):
             subspaces_from_text("# nothing\n")
