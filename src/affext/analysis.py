@@ -61,7 +61,7 @@ from .config import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_TOLERANCE,
     Budgets,
-    BudgetExceededError,
+    check_budget,
     check_tolerance,
 )
 from .extractor import ExtractorSpec, evaluate
@@ -135,12 +135,6 @@ class OutputDistribution:
             raise ValueError("counts do not sum to total")
 
 
-def _check_outcome_cells(q: int, m: int, budget: int) -> None:
-    """The q**m output cells of a count vector must fit the point budget."""
-    if q**m > budget:
-        raise BudgetExceededError(f"q**m = {q**m} outcome cells, budget is {budget}")
-
-
 def output_distribution(
     spec: ExtractorSpec,
     V: AffineSubspace,
@@ -154,7 +148,7 @@ def output_distribution(
     """
     _check_subspace(spec, V)
     q, m = spec.modulus, spec.m
-    _check_outcome_cells(q, m, budget)
+    check_budget(q**m, budget, f"q**m = {q**m} outcome cells")
     counts = np.zeros(q**m, dtype=np.int64)
     for x in enumerate_points(V, budget):
         counts[encode_output(evaluate(spec, x), q)] += 1
@@ -238,10 +232,7 @@ class _Characters:
     def __init__(self, q: int, m: int, budget: int) -> None:
         qm = q**m
         cells = qm * min(_CHAR_CHUNK, qm - 1)
-        if cells > budget:
-            raise BudgetExceededError(
-                f"character phase table needs {cells} entries, budget is {budget}"
-            )
+        check_budget(cells, budget, f"character phase table needs {cells} entries")
         self.q = q
         self.digits = _lex_grid(q, m)
         self.omega = _omega_powers(q)
@@ -378,10 +369,8 @@ class _PointCounts:
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
         q, n, m = spec.modulus, spec.n, spec.m
-        if n * (2 * q - 1) > budget:
-            raise BudgetExceededError(
-                f"power tables need {n * (2 * q - 1)} entries, budget is {budget}"
-            )
+        cells = n * (2 * q - 1)
+        check_budget(cells, budget, f"power tables need {cells} entries")
         self.q, self.n, self.m, self.qm = q, n, m, q**m
         self.A = spec.A.array() % q
         self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
@@ -562,29 +551,45 @@ class DiagonalPolynomial:
         return acc
 
 
+def _squared_magnitude_is(N: np.ndarray, square: int) -> bool:
+    """Whether |S|**2 == square exactly, S = sum_r N_r w^r over the prime
+    q = len(N).  |S|**2 = sum_d a_d w^d, a_d = sum_r N_r N_(r+d) = a_(-d) (mod q
+    indices); as Phi_q is irreducible the w^d are related only by summing to 0
+    (Washington, ch. 2), so this holds iff a_d - square*[d == 0] is constant."""
+    total = int(N.sum())
+    N = N.astype(np.int64 if total * total < 2**63 else object)  # a_d <= total**2, exact
+    q, wrapped = len(N), np.concatenate([N, N])
+    a0 = int(N @ N) - square
+    return all(int(N @ wrapped[d : d + q]) == a0 for d in range(1, q // 2 + 1))
+
+
 def deligne_bound_check(
     f: DiagonalPolynomial,
     b: int,
     budget: int = DEFAULT_POINT_BUDGET,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> BoundReport:
-    """|sum_x w^(b f(x))| against (degree-1)**v * q**(v/2), by brute force."""
+    """|sum_x w^(b f(x))| against (degree-1)**v * q**(v/2), by brute force; a row
+    the float |S| fails passes if its residue counts show |S| == bound (~q**2 work)."""
     check_tolerance(tolerance)
     if not 1 <= b < f.q:
         raise ValueError(f"b must be a nonzero residue mod {f.q}, got {b}")
-    if f.q**f.num_vars > budget:
-        raise BudgetExceededError(
-            f"grid has {f.q**f.num_vars} points, budget is {budget}"
-        )
+    points = f.q**f.num_vars
+    check_budget(points, budget, f"grid has {points} points")
     residues = (b * f.residues_grid()) % f.q
     s = _omega_powers(f.q)[residues].sum()
     quantity = float(abs(s))
     bound = (f.degree - 1) ** f.num_vars * f.q ** (f.num_vars / 2)
+    satisfied = quantity <= bound + tolerance
+    if not satisfied:
+        check_budget(f.q**2, budget, f"tie test needs q**2 = {f.q**2} operations")
+        square = (f.degree - 1) ** (2 * f.num_vars) * f.q**f.num_vars  # bound**2, exactly
+        satisfied = _squared_magnitude_is(np.bincount(residues, minlength=f.q), square)
     return BoundReport(
         check="deligne",
         quantity=quantity,
         bound=bound,
-        satisfied=quantity <= bound + tolerance,
+        satisfied=satisfied,
         c_encoded=b,
         detail=f"q={f.q} vars={f.num_vars} degree={f.degree}",
     )
@@ -947,10 +952,7 @@ class _SweepState:
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
         if "zero_coordinate" in self.checks:  # per nonzero c and coordinate j: (c^T A)_j == 0
             cells = (self.qm - 1) * spec.n
-            if cells > budgets.points:
-                raise BudgetExceededError(
-                    f"zero-coordinate table needs {cells} entries, budget is {budgets.points}"
-                )
+            check_budget(cells, budgets.points, f"zero-coordinate table needs {cells} entries")
             self.zero_table = (_lex_grid(q, m)[1:] @ self.counter.A) % q == 0
         # subspaces per chunk unit: the parallel offsets of one linear
         # subspace in an exhaustive sweep, else one subspace
@@ -1157,7 +1159,7 @@ def verify_extractor(
         raise ValueError(f"workers must be positive, got {workers}")
     check_tolerance(tolerance)
     q = spec.modulus
-    _check_outcome_cells(q, spec.m, budgets.points)
+    check_budget(q**spec.m, budgets.points, f"q**m = {q**spec.m} outcome cells")
 
     if isinstance(source, ExhaustiveSubspaces):
         what, total = "exhaustive sweep", count_affine_subspaces(spec.n, spec.k, q)
@@ -1171,17 +1173,12 @@ def verify_extractor(
         what, total = "list", len(source.subspaces)
     else:
         raise TypeError(f"unknown subspace source {type(source).__name__}")
-    if total > budgets.subspaces:
-        raise BudgetExceededError(
-            f"{what} has {total} subspaces, budget is {budgets.subspaces}"
-        )
+    check_budget(total, budgets.subspaces, f"{what} has {total} subspaces")
     if isinstance(source, ExplicitSubspaces):
         for V in source.subspaces:  # each one meets the point budget in its chunk
             _check_subspace(spec, V)
-    elif q**spec.k > budgets.points:
-        raise BudgetExceededError(
-            f"each subspace has {q**spec.k} points, budget is {budgets.points}"
-        )
+    else:
+        check_budget(q**spec.k, budgets.points, f"each subspace has {q**spec.k} points")
 
     if collect == "auto":
         collect = "full" if total <= _AUTO_FULL_LIMIT else "violations"

@@ -27,6 +27,7 @@ from .config import (
     DEFAULT_TOLERANCE,
     Budgets,
     BudgetExceededError,
+    parse_ints,
 )
 
 EXIT_OK = 0
@@ -35,15 +36,6 @@ EXIT_PLAN = 2
 EXIT_CHECK = 3
 
 _EXTRACT_CHUNK = 65_536  # input lines per evaluate_batch call
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated integer list: {text!r}"
-        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--m", type=int, help="output length, set directly")
     p.add_argument("--strict-lcm", action="store_true",
                    help="fail when lcm(d) exceeds q**epsilon instead of warning")
-    p.add_argument("--seed-points", type=_int_tuple, default=None,
+    p.add_argument("--seed-points", type=str, default=None,
                    help="comma-separated Vandermonde seed points (default 1..n)")
     p.add_argument("--spec-file", type=str, required=True, help="output path")
 
@@ -105,16 +97,19 @@ def _open_out(path: str):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    seed_points = None
+    if args.seed_points is not None:
+        seed_points = parse_ints(args.seed_points, "--seed-points")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.beta is not None:
             spec = extractor.plan_parameters(
                 n=args.n, k=args.k, beta=args.beta, q=args.q,
-                seed_points=args.seed_points, strict_lcm=args.strict_lcm,
+                seed_points=seed_points, strict_lcm=args.strict_lcm,
             )
         else:
             spec = extractor.build_spec(
-                q=args.q, n=args.n, k=args.k, m=args.m, seed_points=args.seed_points,
+                q=args.q, n=args.n, k=args.k, m=args.m, seed_points=seed_points,
             )
             if args.strict_lcm:
                 extractor.check_lcm_bound(spec, strict=True)
@@ -134,20 +129,8 @@ def _parse_rows(lines: list[str], first: int, n: int, q: int) -> list[tuple[int,
     rows = []
     for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            x = tuple(int(v) for v in line.split(","))
-        except ValueError:
-            raise ValueError(f"input line {lineno}: not a comma-separated integer vector")
-        if len(x) != n:
-            raise ValueError(f"input line {lineno}: expected {n} entries, got {len(x)}")
-        for v in x:
-            if not 0 <= v < q:
-                raise ValueError(
-                    f"input line {lineno}: {v} is not a canonical residue mod {q}"
-                )
-        rows.append(x)
+        if line and not line.startswith("#"):
+            rows.append(parse_ints(line, f"input line {lineno}", n, q))
     return rows
 
 
@@ -205,7 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - start
     # how the counts were built; stderr, so stdout and the reports stay byte-identical
-    print(f"count_route = {analysis.count_route()}", file=sys.stderr)
+    route = analysis.count_route() if result.points_covered else "none (no check counted points)"
+    print(f"count_route = {route}", file=sys.stderr)
     # points the count kernel visited, of those its counts covered (+- pairs are counted once)
     print(f"count_points = {result.points_visited} of {result.points_covered}", file=sys.stderr)
     for line in analysis.summary_lines(result):

@@ -1,8 +1,9 @@
-"""Shared knobs: operation budgets and float tolerance.
+"""Shared knobs, and the rules that refuse outside input before any work.
 
-Every enumeration in this package is bounded by an explicit operation budget
-and raises BudgetExceededError *before* doing any work when the bound would
-be crossed.  Nothing silently truncates.
+Every enumeration is bounded by an operation budget, and check_budget raises
+BudgetExceededError *before* any work when it would be crossed; nothing
+silently truncates.  parse_ints reads every comma-separated integer line of
+outside input, and check_tolerance every tolerance.
 """
 
 from __future__ import annotations
@@ -41,3 +42,27 @@ def check_tolerance(tolerance: float) -> None:
     is accepted."""
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def check_budget(needed: int, budget: int, what: str) -> None:
+    """Refuse work that needs more than budget items; what names the need."""
+    if needed > budget:
+        raise BudgetExceededError(f"{what}, budget is {budget}")
+
+
+def parse_ints(
+    text: str, where: str, n: int | None = None, q: int | None = None
+) -> tuple[int, ...]:
+    """The integers of a comma-separated line, n of them if n is given and
+    each in [0, q) if q is given; every error starts with where."""
+    try:
+        values = tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ValueError(f"{where}: not a comma-separated integer list: {text!r}") from None
+    if n is not None and len(values) != n:
+        raise ValueError(f"{where}: expected {n} entries, got {len(values)}")
+    if q is not None:
+        for v in values:
+            if not 0 <= v < q:
+                raise ValueError(f"{where}: {v} is not a canonical residue mod {q}")
+    return values

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numtheory
-from .config import DEFAULT_MINOR_BUDGET, BudgetExceededError
+from .config import DEFAULT_MINOR_BUDGET, check_budget, parse_ints
 from .numtheory import PrimeModulus, check_modulus, prime_modulus
 from .subspace import _rref
 
@@ -157,10 +157,7 @@ def verify_mds(A: CoefficientMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> bool
     Cost is C(n, m) * m**3 scalar operations, guarded by the budget.
     """
     cost = math.comb(A.n, A.m) * A.m**3
-    if cost > budget:
-        raise BudgetExceededError(
-            f"MDS check needs about {cost} operations, budget is {budget}"
-        )
+    check_budget(cost, budget, f"MDS check needs about {cost} operations")
     q = A.q
     for cols in itertools.combinations(range(A.n), A.m):
         mat = [[A.rows[i][j] % q for j in cols] for i in range(A.m)]  # _rref wants residues
@@ -330,7 +327,7 @@ def spec_to_text(spec: ExtractorSpec) -> str:
 
 
 def spec_from_text(text: str) -> ExtractorSpec:
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -338,23 +335,29 @@ def spec_from_text(text: str) -> ExtractorSpec:
         if "=" not in line:
             raise ValueError(f"spec line {lineno} is not 'key = value': {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"spec line {lineno} repeats key {key!r} of line {values[key][0]}")
+        values[key] = lineno, val.strip()
     missing = [key for key in SPEC_KEYS if key not in values]
     if missing:
         raise ValueError(f"spec file is missing keys: {', '.join(missing)}")
-    try:
-        qv = int(values["q"])
-        n = int(values["n"])
-        k = int(values["k"])
-        m = int(values["m"])
-        beta = float(values["beta"])
-        epsilon = float(values["epsilon"])
-        d = tuple(int(v) for v in values["d"].split(","))
-        seeds = tuple(int(v) for v in values["seed_points"].split(","))
-        lcm = int(values["lcm"])
-        D_master = int(values["D_master"])
-    except ValueError as exc:
-        raise ValueError(f"malformed spec value: {exc}") from exc
+
+    def where(key: str) -> str:
+        return f"spec line {values[key][0]}: malformed {key} value"
+
+    def number(key: str, kind=int):
+        try:
+            return kind(values[key][1])
+        except ValueError:
+            raise ValueError(f"{where(key)}: {values[key][1]!r}") from None
+
+    qv, n, k, m, lcm, D_master = map(number, ("q", "n", "k", "m", "lcm", "D_master"))
+    beta, epsilon = number("beta", float), number("epsilon", float)
+    if n < 1:  # before n sizes d and seed_points
+        raise ValueError(f"{where('n')}: {n} is below 1")
+    d = parse_ints(values["d"][1], where("d"), n)
+    seeds = parse_ints(values["seed_points"][1], where("seed_points"), n)
     qm = prime_modulus(qv)
     ev = ExponentVector(d=d, D_master=D_master)
     if lcm != ev.lcm:  # the one lcm that comes from outside the program

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, BudgetExceededError
+from .config import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget, parse_ints
 from .numtheory import MAX_MODULUS, check_modulus, is_prime
 
 
@@ -180,10 +180,7 @@ def enumerate_points(
 ) -> Iterator[tuple[int, ...]]:
     """All q**k points, ordered lexicographically by parameter vector t."""
     total = V.q**V.k
-    if total > budget:
-        raise BudgetExceededError(
-            f"subspace has {total} points, budget is {budget}"
-        )
+    check_budget(total, budget, f"subspace has {total} points")
     q, n = V.q, V.n
     offset = V.offset
     basis = V.basis
@@ -315,10 +312,7 @@ def enumerate_subspaces(
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = count_affine_subspaces(n, k, q)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration would visit {total} subspaces, budget is {budget}"
-        )
+    check_budget(total, budget, f"enumeration would visit {total} subspaces")
     for block in pattern_blocks(n, k, q):
         offsets = offsets_for_pattern(block.pattern, n, q)
         for idx in range(block.count):
@@ -362,36 +356,22 @@ def subspace_to_text(V: AffineSubspace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_record(lines: list[str], start_line: int) -> AffineSubspace:
-    def ints(line: str, lineno: int) -> list[int]:
-        try:
-            return [int(v) for v in line.split(",")]
-        except ValueError:
-            raise ValueError(f"line {lineno}: not a comma-separated integer list: {line!r}") from None
-
-    header = ints(lines[0], start_line)
+def _parse_record(block: list[tuple[int, str]]) -> AffineSubspace:
+    """One record from its (line number, line) pairs, comment lines left out."""
+    (start_line, head), *body = block
+    header = parse_ints(head, f"line {start_line}")
     if len(header) != 3:
-        raise ValueError(f"line {start_line}: header must be 'n,k,q', got {lines[0]!r}")
+        raise ValueError(f"line {start_line}: header must be 'n,k,q', got {head!r}")
     n, k, q = header
     if not (2 <= q < MAX_MODULUS and is_prime(q)):
         raise ValueError(f"line {start_line}: q = {q} is not a prime below 2**61")
     if not 0 <= k <= n:
         raise ValueError(f"line {start_line}: need 0 <= k <= n, got k={k}, n={n}")
-    if len(lines) != 2 + k:
+    if len(body) != 1 + k:
         raise ValueError(
-            f"line {start_line}: record declares k={k} but has {len(lines) - 2} basis lines"
+            f"line {start_line}: record declares k={k} but has {len(body) - 1} basis lines"
         )
-    def parse_vec(line: str, lineno: int) -> list[int]:
-        vals = ints(line, lineno)
-        if len(vals) != n:
-            raise ValueError(f"line {lineno}: expected {n} entries, got {len(vals)}")
-        for v in vals:
-            if not 0 <= v < q:
-                raise ValueError(f"line {lineno}: {v} is not a canonical residue mod {q}")
-        return vals
-
-    offset = parse_vec(lines[1], start_line + 1)
-    rows = [parse_vec(lines[2 + i], start_line + 2 + i) for i in range(k)]
+    offset, *rows = [parse_ints(line, f"line {lineno}", n, q) for lineno, line in body]
     V = canonicalize(offset, rows, q)
     if V.k != k:
         raise ValueError(
@@ -402,22 +382,19 @@ def _parse_record(lines: list[str], start_line: int) -> AffineSubspace:
 
 def subspaces_from_text(text: str) -> list[AffineSubspace]:
     records: list[AffineSubspace] = []
-    block: list[str] = []
-    block_start = 1
+    block: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             continue
         if not line:
             if block:
-                records.append(_parse_record(block, block_start))
+                records.append(_parse_record(block))
                 block = []
             continue
-        if not block:
-            block_start = lineno
-        block.append(line)
+        block.append((lineno, line))
     if block:
-        records.append(_parse_record(block, block_start))
+        records.append(_parse_record(block))
     if not records:
         raise ValueError("no subspace records found")
     return records

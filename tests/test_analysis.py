@@ -47,7 +47,7 @@ from affext.analysis import (
 )
 from affext import analysis, batch, cli
 from affext.config import Budgets, BudgetExceededError
-from affext.extractor import build_matrix, build_spec, evaluate, evaluate_batch
+from affext.extractor import build_matrix, build_spec, evaluate, evaluate_batch, verify_mds
 from affext.subspace import (
     basis_at,
     canonicalize,
@@ -808,6 +808,34 @@ class TestDeligne:
         for f, b in battery:
             assert deligne_bound_check(f, b).satisfied
 
+    def test_exact_ties_are_recognised(self):
+        # |S| == bound exactly: two linear sums (0 against 0) and four Gauss
+        # sums; the integer test is one-sided, and a square one off is no tie
+        ties = []
+        for idx, (f, b) in enumerate(deligne_battery()):
+            counts = np.bincount((b * f.residues_grid()) % f.q, minlength=f.q)
+            square = (f.degree - 1) ** (2 * f.num_vars) * f.q**f.num_vars
+            if analysis._squared_magnitude_is(counts, square):
+                ties.append(idx)
+            assert not analysis._squared_magnitude_is(counts, square + 1)
+            assert not (square and analysis._squared_magnitude_is(counts, square - 1))
+            assert deligne_bound_check(f, b, tolerance=0).satisfied
+        assert ties == [2, 3, 4, 7, 13, 16]
+
+    def test_tie_test_is_refused_over_its_budget(self):
+        # the exact test costs about q**2 and runs only when the float |S| fails
+        f, b = deligne_battery()[7]  # |S| = sqrt(17); its float lands just above
+        assert deligne_bound_check(f, b, budget=17**2, tolerance=0).satisfied
+        with pytest.raises(BudgetExceededError) as exc:
+            deligne_bound_check(f, b, budget=17**2 - 1, tolerance=0)
+        assert str(exc.value) == "tie test needs q**2 = 289 operations, budget is 288"
+        # a large q is refused before the test starts, not run
+        big = DiagonalPolynomial(10007, 1, 1, (1,))  # S = 0 = bound; its float is not 0
+        with pytest.raises(BudgetExceededError, match=r"^tie test needs q\*\*2 = 100140049 "):
+            deligne_bound_check(big, 1, tolerance=0)
+        assert deligne_bound_check(big, 1).satisfied  # no tie test at the default tolerance
+        assert deligne_bound_check(big, 1, budget=10007**2, tolerance=0).satisfied
+
     def test_validation(self):
         with pytest.raises(ValueError, match="characteristic"):
             DiagonalPolynomial(7, 1, 14, (1,))
@@ -1514,3 +1542,57 @@ def _result_with_row(report):
     if report.satisfied is False:
         res.violations["xor"] = 1
     return res
+
+
+def _sweep(spec, source, checks=("sd",), **budgets):
+    return verify_extractor(spec, source, checks=checks, budgets=Budgets(**budgets))
+
+
+# Each budget guard: what it counts for its inputs, a run at a given budget,
+# and the message it raises one below.  A budget equal to the need runs.
+_BUDGET_GUARDS = {
+    "outcome_cells_of_one_subspace": (
+        13, lambda b: output_distribution(build_spec(13, 3, 2, 1),
+                                          random_subspace(3, 1, 13, seed=0), budget=b),
+        "q**m = 13 outcome cells"),
+    "outcome_cells_of_a_sweep": (
+        169, lambda b: _sweep(build_spec(13, 3, 2, 2), SampledSubspaces(2, 0), points=b),
+        "q**m = 169 outcome cells"),
+    "character_phase_table": (
+        169 * 168, lambda b: analysis._Characters(13, 2, b),
+        "character phase table needs 28392 entries"),
+    "power_tables": (
+        3 * 25, lambda b: _PointCounts(build_spec(13, 3, 2, 1), b),
+        "power tables need 75 entries"),
+    "deligne_grid": (
+        13, lambda b: deligne_bound_check(DiagonalPolynomial(13, 1, 2, (1,)), 1, budget=b),
+        "grid has 13 points"),
+    "zero_coordinate_table": (
+        48 * 3, lambda b: _sweep(build_spec(7, 3, 2, 2), SampledSubspaces(2, 0),
+                                 checks=("zero_coordinate",), points=b),
+        "zero-coordinate table needs 144 entries"),
+    "sweep_subspaces": (
+        10, lambda b: _sweep(build_spec(13, 3, 2, 1), SampledSubspaces(10, 0), subspaces=b),
+        "sample has 10 subspaces"),
+    "sweep_subspace_points": (
+        169, lambda b: _sweep(build_spec(13, 3, 2, 1), SampledSubspaces(2, 0), points=b),
+        "each subspace has 169 points"),
+    "enumerate_points": (
+        169, lambda b: list(enumerate_points(random_subspace(3, 2, 13, seed=0), b)),
+        "subspace has 169 points"),
+    "enumerate_subspaces": (
+        31 * 25, lambda b: list(enumerate_subspaces(3, 1, 5, b)),
+        "enumeration would visit 775 subspaces"),
+    "verify_mds": (
+        10 * 2**3, lambda b: verify_mds(build_matrix(2, 5, 13), b),
+        "MDS check needs about 80 operations"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGET_GUARDS))
+def test_budget_guard_runs_at_its_limit_and_refuses_one_over(name):
+    needed, run_at, what = _BUDGET_GUARDS[name]
+    run_at(needed)
+    with pytest.raises(BudgetExceededError) as exc:
+        run_at(needed - 1)
+    assert str(exc.value) == f"{what}, budget is {needed - 1}"

@@ -450,6 +450,34 @@ class TestSpecSerialization:
         text = spec_to_text(build_spec(13, 3, 2, 1)).replace("q = 13", "q = thirteen")
         with pytest.raises(ValueError, match="malformed"):
             spec_from_text(text)
+        # each malformed value names its line and key
+        text = "# comment\n" + spec_to_text(build_spec(13, 3, 2, 1))  # q on line 2
+        d = text.splitlines()[7]
+        for old, new, message in (
+            ("q = 13", "q = thirteen", "spec line 2: malformed q value: 'thirteen'"),
+            ("beta = 0.5", "beta = half", "spec line 6: malformed beta value: 'half'"),
+            ("n = 3", "n = 0", "spec line 3: malformed n value: 0 is below 1"),  # not d's fault
+            ("n = 3", "n = -2", "spec line 3: malformed n value: -2 is below 1"),
+            (d, "d = 35,x,5",
+             "spec line 8: malformed d value: not a comma-separated integer list: '35,x,5'"),
+            (d, "d = 35,7", "spec line 8: malformed d value: expected 3 entries, got 2"),
+            ("seed_points = 1,2,3", "seed_points = 1,,3", "spec line 9: malformed seed_points "
+             "value: not a comma-separated integer list: '1,,3'"),
+            ("seed_points = 1,2,3", "seed_points = 1,2,3,4",
+             "spec line 9: malformed seed_points value: expected 3 entries, got 4"),
+        ):
+            assert old in text
+            with pytest.raises(ValueError) as exc:
+                spec_from_text(text.replace(old, new))
+            assert str(exc.value) == message
+
+    def test_repeated_key_names_both_lines(self):
+        text = spec_to_text(build_spec(13, 3, 2, 1))
+        with pytest.raises(ValueError) as exc:
+            spec_from_text(text + "\nq = 17\n")
+        assert str(exc.value) == "spec line 12 repeats key 'q' of line 1"
+        with pytest.raises(ValueError, match="^spec line 3 repeats key 'n' of line 2$"):
+            spec_from_text(text.replace("k = 2", "n = 3"))
 
     def test_non_assignment_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -342,18 +342,24 @@ class TestSubspaceSerialization:
             subspaces_from_text(text)
 
     def test_bad_residue_rejected(self):
-        with pytest.raises(ValueError, match="canonical residue"):
+        with pytest.raises(ValueError, match="^line 2: 7 is not a canonical residue mod 5$"):
             subspaces_from_text("2,1,5\n0,7\n1,0\n")
+        # a comment inside a record does not shift the line numbers
+        with pytest.raises(ValueError, match="^line 7: 5 is not a canonical residue mod 5$"):
+            subspaces_from_text("3,0,5\n1,2,3\n\n3,1,5\n0,0,0\n# c\n1,0,5\n")
 
     def test_wrong_entry_count_rejected(self):
-        with pytest.raises(ValueError, match="expected 2 entries"):
+        with pytest.raises(ValueError, match="^line 2: expected 2 entries, got 1$"):
             subspaces_from_text("2,1,5\n0\n1,0\n")
+        with pytest.raises(ValueError, match="^line 4: expected 2 entries, got 3$"):
+            subspaces_from_text("2,1,5\n# c\n0,0\n1,0,0\n")
 
     def test_non_integer_lines_are_named(self):
         for text, line in (
             ("3,2,13\n0,0,x\n1,0,0\n0,1,0\n", 2),  # an offset entry
             ("3,2,q\n0,0,0\n1,0,0\n0,1,0\n", 1),  # a header entry
             ("3,0,5\n0,1,2\n\n# second record\n3,1,5\n0,0,0\n1,0,1.5\n", 7),  # a basis entry
+            ("3,1,5\n# c\n0,0,0\n1,0,x\n", 4),  # after a comment inside the record
         ):
             with pytest.raises(ValueError, match=rf"^line {line}: not a comma-separated integer"):
                 subspaces_from_text(text)
