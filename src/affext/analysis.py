@@ -8,9 +8,11 @@ magnitudes and the bounds built from them are float64 with a pinned absolute
 tolerance.
 
 There is one count primitive, `_PointCounts`: it reads the points
-offset + t.B of a run of direction spaces B, for a batch of parallel offsets
-and a parameter grid, through shared power tables and tallies the outputs;
-of each +- pair of offsets it counts one and permutes the other.  The
+offset + t.B of a run of direction spaces B of one pivot pattern, for a
+batch of parallel offsets and a parameter grid, through shared A-weighted
+power tables and tallies the outputs; the pivot terms are summed once per
+grid row, so each point looks up only its n - k free coordinates, and of
+each +- pair of offsets it counts one and permutes the other.  The
 sweep runs every count-based check on it, change_of_vars included (a single
 subspace is ExplicitSubspaces((V,))); the per-point output_distribution /
 evaluate route is kept as its oracle.  What a pivot pattern alone determines
@@ -309,8 +311,9 @@ def _pow_column(e: int, q: int) -> np.ndarray:
 
 
 def _check_int64_sums(q: int, n: int) -> None:
-    """Both count routes accumulate the row sums sum_j A[i, j] * x_j**d_j
-    (A reduced mod q) in int64, so they are exact only below 2**63."""
+    """Both count routes form in int64 the k <= n terms of each coordinate of
+    t.B, and the table entries A[i, j] * x**d_j, each at most (q-1)**2, so
+    they are exact only below 2**63."""
     if n * (q - 1) ** 2 >= 2**63:
         raise ValueError(f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 row sums")
 
@@ -344,11 +347,20 @@ def _representatives(partner: np.ndarray) -> np.ndarray:
 class _PointCounts:
     """The one production route from points to output counts.
 
-    For a run of direction bases B, a batch of parallel offsets and a
-    parameter grid, every point offset + (t.B mod q) is read through power
-    tables over [0, 2q-2], so the unreduced sum indexes x_j**d_j directly.
-    The direct route uses the lexicographic grid; the change of variables
-    runs the same lookups on the grid with t_i -> t_i**D_i.
+    For a run of direction bases B of one pivot pattern, a batch of parallel
+    offsets and a parameter grid, every point offset + (t.B mod q) is read
+    through A-weighted power tables, tables[i, j][x] = A[i, j] * x**d_j mod q
+    over [0, 2q-2], so the unreduced sum of two residues indexes a term of
+    output i directly.  The direct route uses the lexicographic grid; the
+    change of variables runs the same lookups on the grid with t_i -> t_i**D_i.
+
+    In canonical form each basis is the identity on the pivot columns and each
+    offset is zero there, so pivot coordinate j_i of offset + t.B is t_i on
+    either grid.  The pivot terms of each output, P[t, i], are then summed
+    once per call from the grid alone; per basis only the n - k free
+    coordinates of t.B are formed, and per point only they are looked up.
+    counts() takes the pivot pattern from its caller and refuses a basis that
+    is not the identity on it, or an offset that is nonzero on it.
 
     Every d_j is coprime to the even q - 1, so odd, and F(-x) = -F(x): the
     counts of -o + W are those of o + W under z -> -z.  Given the row of each
@@ -359,42 +371,54 @@ class _PointCounts:
     lexicographic one is, and the substituted one when every D_i is odd.
 
     counts() runs on the C count kernel (batch.py), one compiled loop per run
-    of blocks, when the C kernels load; otherwise on a numpy loop of gathers
-    and a bincount per basis.  Both sum rows in int64, so counts() raises
-    ValueError before any work unless n*(q-1)**2 < 2**63, and then unless
-    every grid, basis and offset entry lies in [0, q); past those checks
-    both give the same integers and share the +- fill.  The per-point
+    of blocks with bodies specialised for (m, n - k) in {1, 2} x {0, 1, 2},
+    when the C kernels load; otherwise on a numpy loop of one gather per
+    free coordinate and a bincount per basis.  Both sum rows in int64, so
+    counts() raises ValueError before any work unless n*(q-1)**2 < 2**63,
+    then unless every grid, basis and offset entry lies in [0, q), and then
+    unless the pivot columns are as above; past those checks both give the
+    same integers and share the tables, P and the +- fill.  The per-point
     evaluate() of output_distribution is the oracle for both.
+
+    The point budget counts grid points, and a sweep admits a subspace of up
+    to that many; the grid and the work rows (P, then the free coordinates)
+    hold one row per grid point, so their guards count rows.
     """
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
         q, n, m = spec.modulus, spec.n, spec.m
-        cells = n * (2 * q - 1)
+        cells = m * n * (2 * q - 1)
         check_budget(cells, budget, f"power tables need {cells} entries")
-        self.q, self.n, self.m, self.qm = q, n, m, q**m
+        self.q, self.n, self.m, self.qm, self.budget = q, n, m, q**m, budget
         self.A = spec.A.array() % q
-        self.weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
-        self.negenc = (-_lex_grid(q, m) % q) @ self.weights
+        weights = np.array([q ** (m - 1 - i) for i in range(m)], dtype=np.int64)
+        self.negenc = (-_lex_grid(q, m) % q) @ weights
         wrap = np.arange(2 * q - 1) % q
-        self.powtabs = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
+        powers = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
+        # A[i, j] * x**d_j < q**2, exact wherever counts() passes its int64 guard
+        self.tables = self.A[:, :, None] * powers % q  # C order, as the C kernel reads it
         self.grids: dict[int, np.ndarray] = {}
 
     def grid(self, k: int) -> np.ndarray:
         if k not in self.grids:
+            T = self.q**k
+            check_budget(T, self.budget, f"parameter grid has {T} points")
             self.grids[k] = _lex_grid(self.q, k)
         return self.grids[k]
 
     def counts(
         self,
+        pivots: Sequence[int],
         bases: np.ndarray,
         offsets: np.ndarray,
         grid: np.ndarray,
         partner: np.ndarray | None = None,
     ) -> np.ndarray:
         """Output counts over offset + t.B for t in grid, for each basis B of
-        bases, (nb, k, n) or one (k, n) basis: shape (nb * offsets, q**m),
-        rows basis-major.  partner, if given, is the row of each offset's
-        negation, and only _representatives(partner) are counted."""
+        bases, (nb, k, n) or one (k, n) basis, all in canonical form with the
+        given pivot columns: shape (nb * offsets, q**m), rows basis-major.
+        partner, if given, is the row of each offset's negation, and only
+        _representatives(partner) are counted."""
         q, n, m, qm = self.q, self.n, self.m, self.qm
         _check_int64_sums(q, n)
         bases, offsets, grid = (np.ascontiguousarray(a, dtype=np.int64)
@@ -410,33 +434,46 @@ class _PointCounts:
             raise ValueError(f"partner must give one row per offset, {O}")
         if any(a.size and (a.min() < 0 or a.max() >= q) for a in (grid, bases, offsets)):
             raise ValueError(f"a grid, basis or offset entry lies outside [0, {q})")
+        pivots = [int(j) for j in pivots]
+        free = np.array([j for j in range(n) if j not in pivots], dtype=np.int64)
+        if len(pivots) != k or len(free) != n - k:
+            raise ValueError(f"pivots {tuple(pivots)} are not {k} distinct columns below {n}")
+        if (bases[:, :, pivots] != np.eye(k, dtype=np.int64)).any() or offsets[:, pivots].any():
+            raise ValueError(f"a basis is not the identity or an offset not zero "
+                             f"on the pivot columns {tuple(pivots)}")
+        check_budget(T, self.budget, f"count work needs {T} rows of {m + n - k} entries")
         rows = np.arange(O, dtype=np.int64) if partner is None else _representatives(partner)
         counts = np.zeros((nb, O, qm), dtype=np.int64)
+        work = np.empty((T, m + n - k), dtype=np.int64)  # per grid row: P, then free coordinates
+        tabs = self.tables
+        work[:, :m] = sum((tabs[:, j, grid[:, i]] for i, j in enumerate(pivots)),
+                          np.zeros((m, T), dtype=np.int64)).T % q
         fn, _ = _count_kernel()
         if fn is not None:
-            tB = np.empty((T, n), dtype=np.int64)  # the kernel's scratch for t.B mod q
-            fn(self.powtabs.ctypes.data, 2 * q - 1, self.A.ctypes.data,
-               self.weights.ctypes.data, n, m, grid.ctypes.data, T, k,
-               bases.ctypes.data, nb, offsets.ctypes.data, rows.ctypes.data, len(rows), O,
-               q, qm, tB.ctypes.data, counts.ctypes.data)
+            status = fn(tabs.ctypes.data, 2 * q - 1, n, m, free.ctypes.data, len(free),
+                        grid.ctypes.data, T, k, bases.ctypes.data, nb, offsets.ctypes.data,
+                        rows.ctypes.data, len(rows), O, q, qm, work.ctypes.data,
+                        counts.ctypes.data)
+            if status != 0:
+                raise MemoryError(f"C count kernel could not allocate {m * len(free)} "
+                                  f"table pointers")
         else:
             slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
             for b, basis in enumerate(bases):
-                tB = (grid @ basis) % q
+                work[:, m:] = (grid @ basis[:, free]) % q
                 for lo in range(0, len(rows), slice_rows):
                     at = rows[lo : lo + slice_rows]
                     enc = np.zeros((len(at), T), dtype=np.int64)
                     for i in range(m):
-                        acc = np.zeros((len(at), T), dtype=np.int64)
-                        for j in range(n):
-                            X = offsets[at, j][:, None] + tB[:, j][None, :]
-                            acc += self.A[i, j] * self.powtabs[j][X]
-                        enc += (acc % q) * self.weights[i]
+                        acc = np.broadcast_to(work[:, i], (len(at), T)).copy()
+                        for f, j in enumerate(free):
+                            acc += tabs[i, j][offsets[at, j][:, None] + work[:, m + f]]
+                        enc = enc * q + acc % q
                     flat = (np.arange(len(at), dtype=np.int64)[:, None] * qm + enc).ravel()
                     counts[b, at] = np.bincount(flat, minlength=len(at) * qm).reshape(-1, qm)
         if partner is not None:  # the counts of -o are those of o under z -> -z
             fill = np.flatnonzero(np.arange(O) > partner)
-            counts[:, fill] = counts[:, partner[fill]][:, :, self.negenc]
+            counts[:, fill] = counts[:, partner[fill][:, None], self.negenc]
         return counts.reshape(nb * O, qm)
 
 
@@ -917,7 +954,7 @@ class _Pattern:
         s, u = counter.grid(len(self.pivots)), self.substituted[0]
         top = _pow_column(D, self.state.q)[s]
         # (a) pivot coordinate j_i, raised to d_{j_i}, is s_i**D at every grid point s
-        bad = sum(int((counter.powtabs[j][u[:, i]] != top[:, i]).sum())
+        bad = sum(int((_pow_column(spec.d[j], self.state.q)[u[:, i]] != top[:, i]).sum())
                   for i, j in enumerate(self.pivots))
         # (b) a non-pivot x_j between pivot i and the next has degree d_j * D_i,
         # below D; one left of every pivot is constant on V
@@ -990,7 +1027,7 @@ class _SweepState:
         O = len(ids)
 
         def count(grid: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
-            out = self.counter.counts(bases, offsets, grid, partner)
+            out = self.counter.counts(pivots, bases, offsets, grid, partner)
             rows = len(offsets) if partner is None else len(_representatives(partner))
             partial.points_visited += nb * rows * T
             partial.points_covered += O * T

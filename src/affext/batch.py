@@ -19,17 +19,17 @@ why in one RuntimeWarning per process and falls back to numpy.  Callers can
 pin a kernel by name for testing.
 
 The same C source also holds the count kernel, `affext_count_blocks`: one
-compiled loop that takes the parameter grid and a run of direction bases,
-forms t.B mod q for each basis in one scratch buffer, and tallies the
-outputs of the offsets it is given through the power tables of
-`analysis._PointCounts`.  It is built, cached and loaded with the batch
-kernel (one `c_build()`, one shared object).  `_PointCounts.counts` calls it
-when it loads, and otherwise runs its numpy loop, which gives the same
-counts; in an exhaustive sweep either route counts one offset of each +-
-pair and the other row is a column permutation of it.  Both routes sum rows
-in int64, so counts() refuses any (q, n) with n*(q-1)**2 >= 2**63, and then
-any grid, basis or offset entry outside [0, q), before either runs.  A
-failed build warns once per process for both kernels.
+compiled loop over the parameter grid and a run of direction bases of one
+pivot pattern.  Per basis it forms only the n - k free coordinates of
+t.B mod q, and per point it looks up only those in the A-weighted power
+tables of `analysis._PointCounts`; the pivot terms come from the caller,
+summed once per grid row.  Its loop body is specialised for (m, n - k) in
+{1, 2} x {0, 1, 2}, with one generic body for every other shape.  It is
+built, cached and loaded with the batch kernel (one `c_build()`, one shared
+object).  `_PointCounts.counts` calls it when it loads, and otherwise runs
+its numpy loop, which gives the same counts; counts() checks every
+precondition of both before either runs.  A failed build warns once per
+process for both kernels.
 """
 
 from __future__ import annotations
@@ -125,53 +125,99 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
     return 0;
 }
 
-/* For each basis b < nb, B = bases[b] (k x n): first tB = grid . B mod q into
-   the T x n scratch, then counts[b, o, enc] += 1 for every counted offset row
-   o = rows[r] (r < R) and grid row t < T, where
-   enc = sum_i weights[i] * (sum_j A[i, j] * tabs[j, off[o, j] + tB[t, j]] mod q)
-   and tabs holds n power tables of tablen = 2q - 1 entries.  The caller
-   guarantees what this loop does not check: grid, bases, off, A and the
-   tables hold residues below q (so off + tB < tablen), n * (q-1)**2 < 2**63
-   (so the k-term sums of tB fit too), every rows[r] < O, and counts has
-   nb * O zeroed rows of q**m cells.  The j-loop is short (n terms);
-   vectorised into gathers it ran 1.5x slower than scalar code, so GCC is
-   told not to. */
+/* The count kernel.  Canonical form makes every basis the identity on the
+   pivot columns and every offset zero there, so pivot coordinate j_i of
+   off + t.B is t_i: the pivot terms of output i depend on the grid row alone.
+   The caller puts them in the first m columns of each work row (T rows of
+   w = m + nf): P[t, i] = sum_i' tabs[i, j_i'][t_i'] mod q.  The last nf columns
+   are the kernel's scratch for the free coordinates fcols[0..nf): per basis,
+   work[t, m + f] = (t.B)[fcols[f]] mod q.  Then for every counted offset row
+   o = rows[r] and grid row t,
+     v_i = P[t, i] + sum_f tabs[i, fcols[f]][off[o, fcols[f]] + work[t, m + f]] mod q
+   and counts[b, o, v_0 q**(m-1) + ... + v_{m-1}] += 1.  tabs holds m * n
+   A-weighted power tables, tabs[i, j][x] = A[i, j] * x**d_j mod q for x below
+   tablen = 2q - 1, so each lookup needs no multiply, and one branchless
+   conditional subtraction keeps the running sum below q: the per-point loop
+   has no % and no data-dependent branch.  The caller guarantees what this
+   loop does not check: grid, bases, off and the tables hold residues below
+   q, the pivot columns are as above, n * (q-1)**2 < 2**63 (so the k-term
+   sums of t.B fit), every rows[r] < O, and counts has nb * O zeroed rows of
+   q**m cells.  count_body is inlined once per (m, nf) in {1, 2} x {0, 1, 2}
+   with constant loop bounds, and once more with runtime bounds for every
+   other shape.  Returns -1 if scratch allocation fails. */
+/* The loops over f are short; vectorised into gathers they ran slower than
+   scalar code, so GCC is told not to. */
 #if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("no-tree-vectorize")))
+#define NO_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
+#else
+#define NO_VECTORIZE
 #endif
-void affext_count_blocks(const int64_t *tabs, int64_t tablen, const int64_t *A,
-                         const int64_t *weights, int64_t n, int64_t m,
-                         const int64_t *grid, int64_t T, int64_t k,
-                         const int64_t *bases, int64_t nb, const int64_t *off,
-                         const int64_t *rows, int64_t R, int64_t O,
-                         int64_t q, int64_t qm, int64_t *tB, int64_t *counts)
+
+static inline __attribute__((always_inline)) NO_VECTORIZE void
+count_body(const int64_t M, const int64_t NF, const int64_t *tabs, int64_t tablen,
+           int64_t n, const int64_t *fcols, const int64_t *grid, int64_t T,
+           int64_t k, const int64_t *bases, int64_t nb, const int64_t *off,
+           const int64_t *rows, int64_t R, int64_t O, int64_t q, int64_t qm,
+           int64_t *work, const int64_t **tp, int64_t *counts)
 {
+    const int64_t w = M + NF;
     for (int64_t b = 0; b < nb; b++) {
         const int64_t *B = bases + b * k * n;
         for (int64_t t = 0; t < T; t++)
-            for (int64_t j = 0; j < n; j++) {
+            for (int64_t f = 0; f < NF; f++) {
                 uint64_t s = 0;
                 for (int64_t i = 0; i < k; i++)
-                    s += (uint64_t)(grid[t * k + i] * B[i * n + j]);
-                tB[t * n + j] = (int64_t)(s % (uint64_t)q);
+                    s += (uint64_t)(grid[t * k + i] * B[i * n + fcols[f]]);
+                work[t * w + M + f] = (int64_t)(s % (uint64_t)q);
             }
         for (int64_t r = 0; r < R; r++) {
             const int64_t *oo = off + rows[r] * n;
+            for (int64_t i = 0; i < M; i++)
+                for (int64_t f = 0; f < NF; f++)
+                    tp[i * NF + f] = tabs + (i * n + fcols[f]) * tablen + oo[fcols[f]];
             int64_t *row = counts + (b * O + rows[r]) * qm;
             for (int64_t t = 0; t < T; t++) {
-                const int64_t *tt = tB + t * n;
+                const int64_t *x = work + t * w;
                 int64_t enc = 0;
-                for (int64_t i = 0; i < m; i++) {
-                    const int64_t *a = A + i * n;
-                    uint64_t acc = 0;
-                    for (int64_t j = 0; j < n; j++)
-                        acc += (uint64_t)(a[j] * tabs[j * tablen + oo[j] + tt[j]]);
-                    enc += weights[i] * (int64_t)(acc % (uint64_t)q);
+                for (int64_t i = 0; i < M; i++) {
+                    int64_t v = x[i];
+                    for (int64_t f = 0; f < NF; f++) {
+                        v += tp[i * NF + f][x[M + f]] - q;
+                        v += q & (v >> 63); /* from [-q, q) into [0, q) */
+                    }
+                    enc = enc * q + v;
                 }
                 row[enc]++;
             }
         }
     }
+}
+
+#define COUNT_SHAPE(M, NF)                                                    \
+    if (m == M && nf == NF)                                                   \
+        count_body(M, NF, tabs, tablen, n, fcols, grid, T, k, bases, nb, off,  \
+                   rows, R, O, q, qm, work, tp, counts);                      \
+    else
+
+NO_VECTORIZE int
+affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
+                    const int64_t *fcols, int64_t nf, const int64_t *grid,
+                    int64_t T, int64_t k, const int64_t *bases, int64_t nb,
+                    const int64_t *off, const int64_t *rows, int64_t R,
+                    int64_t O, int64_t q, int64_t qm, int64_t *work,
+                    int64_t *counts)
+{
+    if ((uint64_t)(m * nf) >= SIZE_MAX / sizeof(int64_t *))
+        return -1;
+    const int64_t **tp = malloc((size_t)(m * nf + 1) * sizeof *tp);
+    if (!tp)
+        return -1;
+    COUNT_SHAPE(1, 0) COUNT_SHAPE(1, 1) COUNT_SHAPE(1, 2)
+    COUNT_SHAPE(2, 0) COUNT_SHAPE(2, 1) COUNT_SHAPE(2, 2)
+    count_body(m, nf, tabs, tablen, n, fcols, grid, T, k, bases, nb, off, rows,
+               R, O, q, qm, work, tp, counts);
+    free(tp);
+    return 0;
 }
 """
 
@@ -285,8 +331,8 @@ def c_build() -> CBuild:
         i64, u32, ptr = ctypes.c_int64, ctypes.c_uint32, ctypes.c_void_p
         fn.restype = ctypes.c_int
         fn.argtypes = [ptr, i64, i64, ptr, ptr, i64, u32, u32, u32, u32, ptr]
-        count_fn.restype = None
-        count_fn.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, i64, ptr, i64, ptr,
+        count_fn.restype = ctypes.c_int
+        count_fn.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr, i64, i64, ptr, i64, ptr,
                              ptr, i64, i64, i64, i64, ptr, ptr]
         return CBuild(fn=fn, count_fn=count_fn, flags=flags, compiler=version, path=path)
     return CBuild(error="; ".join(errors))

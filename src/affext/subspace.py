@@ -367,6 +367,8 @@ def _parse_record(block: list[tuple[int, str]]) -> AffineSubspace:
         raise ValueError(f"line {start_line}: q = {q} is not a prime below 2**61")
     if not 0 <= k <= n:
         raise ValueError(f"line {start_line}: need 0 <= k <= n, got k={k}, n={n}")
+    if not body:
+        raise ValueError(f"line {start_line}: record has no offset line")
     if len(body) != 1 + k:
         raise ValueError(
             f"line {start_line}: record declares k={k} but has {len(body) - 1} basis lines"

@@ -8,6 +8,7 @@ exhaustive cases, and character magnitudes against direct complex sums.
 import dataclasses
 import itertools
 import math
+import re
 import shutil
 import warnings
 from fractions import Fraction
@@ -62,6 +63,14 @@ from affext.subspace import (
 
 HAVE_CC = bool(shutil.which("cc") or shutil.which("gcc"))
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
+
+
+def _count_routes():
+    """Each count route as the _count_kernel to patch in: the C kernel where a
+    compiler exists, then numpy."""
+    routes = {"c": analysis._count_kernel} if HAVE_CC else {}
+    routes["numpy"] = lambda: (None, "forced")
+    return routes
 
 
 def _spectrum(dist, budget=10**8):
@@ -327,12 +336,13 @@ def _exhaustive_state(spec):
 
 
 def _count_blocks():
-    """(spec, bases, offsets, partner, subspaces) for one counts() call each:
+    """(spec, pivots, bases, offsets, partner, subspaces) for one counts() call each:
     every EDGE_SHAPES entry, then runs of up to 3 consecutive blocks of one
     pivot pattern of exhaustive 7/3/k2/m2, 7 offsets each, with their +-
     pairs; subspaces in row order (basis-major)."""
     for spec_args, V in EDGE_SHAPES:
-        yield build_spec(*spec_args), V.basis_array()[None], V.offset_array().reshape(1, -1), None, [V]
+        yield (build_spec(*spec_args), V.pivots, V.basis_array()[None],
+               V.offset_array().reshape(1, -1), None, [V])
     spec, blocks = build_spec(7, 3, 2, 2), pattern_blocks(3, 2, 7)
     state = _exhaustive_state(spec)
     for linear in range(0, count_affine_subspaces(3, 2, 7) // 7, 8):
@@ -342,7 +352,7 @@ def _count_blocks():
         offsets, partner = state.pattern(block.pattern).offsets
         subspaces = [canonicalize(tuple(o), basis.tolist(), 7)
                      for basis in bases for o in offsets.tolist()]
-        yield spec, bases, offsets, partner, subspaces
+        yield spec, block.pattern, bases, offsets, partner, subspaces
 
 
 class TestChangeOfVars:
@@ -353,9 +363,9 @@ class TestChangeOfVars:
                 monkeypatch.setattr(analysis, "_count_kernel", lambda: (None, "forced"))
             assert analysis.count_route().startswith(route)
             runs = 0
-            for spec, bases, offsets, partner, subspaces in _count_blocks():
+            for spec, pivots, bases, offsets, partner, subspaces in _count_blocks():
                 counter = _PointCounts(spec, 10**8)
-                got = counter.counts(bases, offsets, counter.grid(bases.shape[1]), partner)
+                got = counter.counts(pivots, bases, offsets, counter.grid(len(pivots)), partner)
                 want = np.array([output_distribution(spec, V).counts for V in subspaces])
                 assert got.shape == want.shape and (got == want).all(), (route, spec, bases)
                 runs += len(bases) > 1
@@ -379,6 +389,18 @@ class TestChangeOfVars:
         assert [(r.subspace_id, r.quantity, r.satisfied) for r in res.reports] == [
             (0, 0, True), (0, 0, True), (1, 0, True), (1, 0, True)]
         assert [r.detail for r in list(res.reports)[1::2]] == [f"D={math.lcm(*spec.d)}", "D=1"]
+        # the counts of both, on either grid and either route: the kernel body
+        # for (m, n - k) = (1, 0), then the generic one at n - k = 3
+        state = _exhaustive_state(spec)
+        for W in (V, point):
+            want = output_distribution(spec, W).counts
+            grids = (state.counter.grid(W.k), state.pattern(W.pivots).substituted[0])
+            for route, kernel in _count_routes().items():
+                with mock.patch.object(analysis, "_count_kernel", kernel):
+                    for grid in grids:
+                        got = state.counter.counts(W.pivots, W.basis_array(),
+                                                   W.offset_array()[None], grid)
+                        assert (got[0] == want).all(), (route, W.k)
 
     def test_encodes_c(self, spec13_m2, doubled_degrees):
         # the c column is the first c with the worst gap, big-endian encoded
@@ -425,7 +447,7 @@ class TestCountRoutes:
         for kernel in (analysis._count_kernel, lambda: (None, "forced")):
             monkeypatch.setattr(analysis, "_count_kernel", kernel)
             with pytest.raises(ValueError, match="guard"):
-                counter.counts(V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
+                counter.counts(V.pivots, V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
         assert seen == [(13, 3), (13, 3)]
 
     def test_malformed_points_are_rejected(self, monkeypatch):
@@ -440,15 +462,47 @@ class TestCountRoutes:
             monkeypatch.setattr(analysis, "_count_kernel", kernel)
             for offset in ((13, 12, 12), (-1, 0, 0)):
                 with pytest.raises(ValueError, match="outside"):
-                    counter.counts(basis, np.array([offset]), grid)
+                    counter.counts(V.pivots, basis, np.array([offset]), grid)
             for bases, points in ((big, grid), (big[None], grid), (basis, negative)):
                 with pytest.raises(ValueError, match="outside"):
-                    counter.counts(bases, origin, points)
-            assert counter.counts(basis, origin, grid).sum() == 13**2
+                    counter.counts(V.pivots, bases, origin, points)
+            assert counter.counts(V.pivots, basis, origin, grid).sum() == 13**2
         with pytest.raises(ValueError, match="3 coordinates"):
-            counter.counts(V.basis_array(), np.array([[1, 2]]), counter.grid(2))
+            counter.counts(V.pivots, V.basis_array(), np.array([[1, 2]]), counter.grid(2))
         with pytest.raises(ValueError, match="one row per offset"):
-            counter.counts(basis, origin, grid, partner=np.array([0, 0]))
+            counter.counts(V.pivots, basis, origin, grid, partner=np.array([0, 0]))
+
+    def test_pivot_columns_are_a_precondition(self, monkeypatch):
+        # the kernel reads pivot coordinate j_i of offset + t.B as t_i, so a
+        # basis that is not the identity on the pivots, or an offset nonzero
+        # there, is refused before any work, on both routes
+        spec = build_spec(13, 3, 2, 1)
+        counter = _PointCounts(spec, 10**8)
+        V = random_subspace(3, 2, 13, seed=1)
+        basis, offset, grid = V.basis_array(), V.offset_array()[None], counter.grid(2)
+        (free,) = set(range(3)) - set(V.pivots)
+        scaled, swapped, moved = basis.copy(), basis[::-1].copy(), offset.copy()
+        scaled[0, V.pivots[0]] = 2
+        moved[0, V.pivots[1]] = 1
+        assert moved[0, free] == offset[0, free]
+        ran = []
+
+        def spy(*args):
+            ran.append(args)
+            return 0
+
+        for kernel in (lambda: (spy, ""), lambda: (None, "forced")):
+            monkeypatch.setattr(analysis, "_count_kernel", kernel)
+            for bases, offsets in ((scaled, offset), (swapped, offset), (basis, moved),
+                                   (np.stack([basis, scaled]), offset)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"a basis is not the identity or an offset not zero "
+                        f"on the pivot columns {V.pivots}")):
+                    counter.counts(V.pivots, bases, offsets, grid)
+            for pivots in ((0,), (0, 0), (0, 3), (-1, 0), (0, 1, 2)):
+                with pytest.raises(ValueError, match="are not 2 distinct columns below 3"):
+                    counter.counts(pivots, basis, offset, grid)
+        assert ran == []
 
     def test_no_compiler_gives_identical_reports_and_one_warning(
         self, fresh_c_build, monkeypatch
@@ -494,26 +548,31 @@ def _small_shapes(draw):
 
 
 class TestTransformProperties:
+    # the C count kernel has a body per (m, n - k) in {1, 2} x {0, 1, 2} and a
+    # generic one; the examples run each of them
     @given(_small_shapes())
-    @example((13, 3, 3, 1, 0))  # k = n
-    @example((11, 3, 1, 1, 1))  # k = 1
-    @example((7, 3, 3, 3, 2))  # m = k = n: 342 nonzero c, two blocks of characters
-    @example((5, 2, 2, 2, 3))  # m = k
+    @example((13, 3, 3, 1, 0))  # k = n; (m, n - k) = (1, 0)
+    @example((13, 3, 2, 1, 4))  # (1, 1)
+    @example((11, 3, 1, 1, 1))  # k = 1; (1, 2)
+    @example((7, 3, 1, 1, 5))  # (1, 2)
+    @example((5, 2, 2, 2, 3))  # m = k; (2, 0)
+    @example((7, 3, 2, 2, 6))  # (2, 1)
+    @example((7, 4, 2, 2, 7))  # (2, 2)
+    @example((7, 3, 3, 3, 2))  # m = k = n, generic: 342 nonzero c, two blocks of characters
+    @example((7, 4, 1, 1, 8))  # generic: n - k = 3
     def test_count_routes_and_transform_match_the_oracles(self, shape):
         q, n, k, m, seed = shape
         spec, V = build_spec(q, n, k, m), random_subspace(n, k, q, seed=seed)
         want = output_distribution(spec, V)
         counter = _PointCounts(spec, 10**6)
-        args = (V.basis_array(), V.offset_array().reshape(1, -1), counter.grid(k))
-        got = {}
-        if HAVE_CC:
-            assert analysis.count_route() == "c"
-            got["c"] = counter.counts(*args)
-        with mock.patch.object(analysis, "_count_kernel", lambda: (None, "forced")):
-            assert analysis.count_route().startswith("numpy")
-            got["numpy"] = counter.counts(*args)
-        for route, counts in got.items():
-            assert (counts[0] == want.counts).all(), route
+        substituted = _exhaustive_state(spec).pattern(V.pivots).substituted[0]
+        for route, kernel in _count_routes().items():
+            with mock.patch.object(analysis, "_count_kernel", kernel):
+                assert analysis.count_route().startswith(route)
+                for grid in (counter.grid(k), substituted):  # the substitution permutes the grid
+                    counts = counter.counts(V.pivots, V.basis_array(),
+                                            V.offset_array().reshape(1, -1), grid)
+                    assert (counts[0] == want.counts).all(), route
         mags = _spectrum(want)
         for enc in np.random.default_rng(seed).integers(1, q**m, size=4).tolist():
             cs = character_sum_subspace(spec, V, decode_output(enc, q, m))
@@ -526,10 +585,15 @@ class TestNegationPairs:
     those of o + W with each output z read at -z."""
 
     @given(_small_shapes())
-    @example((13, 3, 3, 1, 0))  # k = n: one offset, its own partner
-    @example((11, 3, 1, 1, 1))  # k = 1
-    @example((7, 3, 2, 2, 2))  # m = k
-    @example((5, 3, 3, 3, 3))  # m = k = n
+    @example((13, 3, 3, 1, 0))  # k = n: one offset, its own partner; (m, n - k) = (1, 0)
+    @example((13, 3, 2, 1, 4))  # (1, 1)
+    @example((11, 3, 1, 1, 1))  # k = 1; (1, 2)
+    @example((7, 3, 1, 1, 5))  # (1, 2)
+    @example((5, 2, 2, 2, 3))  # (2, 0)
+    @example((7, 3, 2, 2, 2))  # m = k; (2, 1)
+    @example((7, 4, 2, 2, 7))  # (2, 2)
+    @example((5, 3, 3, 3, 3))  # m = k = n, generic
+    @example((7, 4, 1, 1, 8))  # generic: n - k = 3
     def test_partner_rows_are_negated_representatives(self, shape):
         q, n, k, m, seed = shape
         spec, blocks = build_spec(q, n, k, m), pattern_blocks(n, k, q)
@@ -547,15 +611,14 @@ class TestNegationPairs:
         assert odd
         want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
                          for o in offsets.tolist()])
-        routes = {"c": analysis._count_kernel} if HAVE_CC else {}
-        routes["numpy"] = lambda: (None, "forced")
-        for route, kernel in routes.items():
+        for route, kernel in _count_routes().items():
             with mock.patch.object(analysis, "_count_kernel", kernel):
                 assert analysis.count_route().startswith(route)
                 for grid in (counter.grid(k), substituted):
-                    full = counter.counts(basis, offsets, grid)
+                    full = counter.counts(block.pattern, basis, offsets, grid)
                     assert (full[partner] == full[:, counter.negenc]).all(), route
-                    assert (counter.counts(basis, offsets, grid, partner) == full).all(), route
+                    assert (counter.counts(block.pattern, basis, offsets, grid, partner)
+                            == full).all(), route
                     assert (full == want).all(), route  # the substitution permutes the grid
 
 
@@ -1548,6 +1611,13 @@ def _sweep(spec, source, checks=("sd",), **budgets):
     return verify_extractor(spec, source, checks=checks, budgets=Budgets(**budgets))
 
 
+def _count_one_plane(spec, budget):
+    """counts() of one plane on a grid built outside the counter's budget."""
+    V = random_subspace(spec.n, 2, spec.modulus, seed=0)
+    return _PointCounts(spec, budget).counts(V.pivots, V.basis_array(), V.offset_array()[None],
+                                             analysis._lex_grid(spec.modulus, 2))
+
+
 # Each budget guard: what it counts for its inputs, a run at a given budget,
 # and the message it raises one below.  A budget equal to the need runs.
 _BUDGET_GUARDS = {
@@ -1564,6 +1634,15 @@ _BUDGET_GUARDS = {
     "power_tables": (
         3 * 25, lambda b: _PointCounts(build_spec(13, 3, 2, 1), b),
         "power tables need 75 entries"),
+    "power_tables_per_output": (
+        2 * 3 * 25, lambda b: _PointCounts(build_spec(13, 3, 2, 2), b),
+        "power tables need 150 entries"),
+    "parameter_grid": (
+        169, lambda b: _PointCounts(build_spec(13, 3, 2, 1), b).grid(2),
+        "parameter grid has 169 points"),
+    "count_work_rows": (
+        169, lambda b: _count_one_plane(build_spec(13, 3, 2, 1), b),
+        "count work needs 169 rows of 2 entries"),
     "deligne_grid": (
         13, lambda b: deligne_bound_check(DiagonalPolynomial(13, 1, 2, (1,)), 1, budget=b),
         "grid has 13 points"),

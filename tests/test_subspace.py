@@ -381,6 +381,14 @@ class TestSubspaceSerialization:
             with pytest.raises(ValueError, match=rf"^line {line}: need 0 <= k <= n"):
                 subspaces_from_text(text)
 
+    def test_missing_offset_line_is_named(self):
+        # a header alone once read its missing offset as a basis line of -1
+        for text, line in (("3,0,5\n\n", 1), ("3,1,5\n", 1), ("3,0,5\n1,2,3\n\n# c\n2,2,5\n", 5)):
+            with pytest.raises(ValueError, match=rf"^line {line}: record has no offset line$"):
+                subspaces_from_text(text)
+        with pytest.raises(ValueError, match="^line 1: record declares k=1 but has 0 basis lines$"):
+            subspaces_from_text("3,1,5\n0,0,0\n")
+
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError, match="no subspace records"):
             subspaces_from_text("# nothing\n")
