@@ -26,14 +26,14 @@ sample, or an explicit list) and runs selected checks on each one.  The sweep
 processes runs of linear subspaces of one pivot pattern, with all of their
 parallel offsets batched through the count primitive, so exhaustive runs at
 desk scale stay in the seconds-to-minutes range.  Work is sharded over
-processes in fixed chunks whose layout does not depend on the worker count,
-and partial results merge in chunk order, so reports are byte-identical for
-any worker count.  Workers get the caller's sweep state, and each chunk's
-partial result is a SweepResult, merged by the same first-maximum rule that
-runs per run of blocks.  Per run, each check yields one column per report
-field (a per-subspace array or one shared value); violation counts read those
-columns, and report rows stay in them until read, so the CSV writer formats
-whole columns.
+processes in fixed chunks, each at least one full run of blocks, whose layout
+does not depend on the worker count, and partial results merge in chunk
+order, so reports are byte-identical for any worker count.  Workers get the
+caller's sweep state, and each chunk's partial result is a SweepResult,
+merged by the same first-maximum rule that runs per run of blocks.  Per run,
+each check yields one column per report field (a per-subspace array or one
+shared value); violation counts read those columns, and report rows stay in
+them until read, so the CSV writer formats whole columns.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -93,6 +93,7 @@ DEFAULT_CHECKS = ("sd", "char_max", "xor", "zero_coordinate")
 _CHAR_CHUNK = 256  # character columns per matmul; fixed so results never vary
 _ELEM_SLICE = 1 << 24  # max elements in one offsets-by-points buffer
 _RUN_CELLS = 1 << 18  # max count cells (rows x q**m) in one run of blocks
+_RUN_POINTS = 1 << 23  # max points in one run; more only starves the pool
 _CHUNK_TARGET = 192  # sweep chunks; fixed so chunking is worker-independent
 _AUTO_FULL_LIMIT = 100_000  # collect="auto": full rows up to here, else violations
 
@@ -229,7 +230,8 @@ class _Characters:
     and character z), the powers of w, and phase tables <z, c> mod q,
     _CHAR_CHUNK characters at a time.  The sweep state is its only caller,
     and c = 0 is never read.  One table, q**m by min(_CHAR_CHUNK, q**m - 1),
-    must fit the budget."""
+    must fit the budget; magnitudes() builds each table once per call, a
+    whole run of blocks, and keeps none past it."""
 
     def __init__(self, q: int, m: int, budget: int) -> None:
         qm = q**m
@@ -246,10 +248,19 @@ class _Characters:
 
     def magnitudes(self, counts: np.ndarray, total: int) -> np.ndarray:
         """|E[w^<c,Z>]| along the last axis for every c != 0 (c = 1, 2, ...
-        encoded); counts is (q**m,) or (rows, q**m)."""
-        counts_f = counts.astype(np.float64)
-        return np.concatenate([np.abs(counts_f @ self.omega[phase]) / total
-                               for phase in self._phases()], axis=-1)
+        encoded); counts is (q**m,), (rows, q**m) or a run (blocks, rows,
+        q**m).  Each phase table and its powers of w are built once, then
+        every block is multiplied in turn, so its rows go through the same
+        matmul shape as a lone block and get the same bits."""
+        run = counts.astype(np.float64).reshape(-1, *counts.shape[-2:])  # (blocks, rows, q**m)
+        out = np.empty((*run.shape[:-1], len(self.digits) - 1))
+        at = 0
+        for phase in self._phases():
+            roots = self.omega[phase]
+            for block, mags in zip(run, out):
+                mags[..., at : at + phase.shape[1]] = np.abs(block @ roots) / total
+            at += phase.shape[1]
+        return out.reshape(*counts.shape[:-1], out.shape[-1])
 
     def gaps(self, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of diff, a difference of two count vectors, the worst
@@ -809,9 +820,12 @@ class SweepResult:
     max_char_c: int | None = None
     reports: _Reports = field(default_factory=_Reports)
     # points the count kernel visited, and the points its counts covered
-    # (more, by the +- pairs of exhaustive blocks); in no report or summary
+    # (more, by the +- pairs of exhaustive blocks); the runs of blocks
+    # analysed, and the chunks of the plan; in no report or summary
     points_visited: int = 0
     points_covered: int = 0
+    runs: int = 0
+    chunks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -992,11 +1006,15 @@ class _SweepState:
             check_budget(cells, budgets.points, f"zero-coordinate table needs {cells} entries")
             self.zero_table = (_lex_grid(q, m)[1:] @ self.counter.A) % q == 0
         # subspaces per chunk unit: the parallel offsets of one linear
-        # subspace in an exhaustive sweep, else one subspace
-        self.per_unit = 1
+        # subspace in an exhaustive sweep, else one subspace; and chunk units
+        # per full run of blocks, at most _RUN_CELLS count cells and
+        # _RUN_POINTS points
+        self.per_unit = self.run_units = 1
         if isinstance(source, ExhaustiveSubspaces):
             self.blocks = pattern_blocks(spec.n, spec.k, q)
             self.per_unit = q ** (spec.n - spec.k)
+            self.run_units = max(1, min(_RUN_CELLS // (self.per_unit * self.qm),
+                                        _RUN_POINTS // (self.per_unit * q**spec.k)))
 
     def pattern(self, pivots: tuple[int, ...]) -> _Pattern:
         """The record of a pivot pattern, one per pattern and process."""
@@ -1025,6 +1043,7 @@ class _SweepState:
         nb, k = bases.shape[:2]
         T = q**k
         O = len(ids)
+        partial.runs += 1
 
         def count(grid: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
             out = self.counter.counts(pivots, bases, offsets, grid, partner)
@@ -1040,9 +1059,9 @@ class _SweepState:
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
             if "char_max" in self.checks or "xor" in self.checks:
-                # (O, q**m - 1), no larger than counts; one call per block, so
-                # every row goes through the same matmul shape as a lone block
-                mags = np.concatenate([self.chars.magnitudes(c, T) for c in np.split(counts, nb)])
+                # (O, q**m - 1), no larger than counts; one call per run, each
+                # block through the same matmul shape as a lone block
+                mags = self.chars.magnitudes(counts.reshape(nb, -1, qm), T).reshape(O, -1)
                 best = mags.argmax(axis=1)  # the first maximum wins
                 eps, eps_c = mags[np.arange(O), best], best + 1
 
@@ -1096,8 +1115,7 @@ class _SweepState:
     def run_range(self, lo: int, hi: int) -> SweepResult:
         """Tally chunk units [lo, hi) into a new partial SweepResult.  An
         exhaustive chunk goes to analyze_block in runs of consecutive linear
-        subspaces that share a pivot pattern, at most _RUN_CELLS count cells
-        each."""
+        subspaces that share a pivot pattern, at most run_units each."""
         partial = replace(self.header, violations={}, reports=_Reports())
         spec, q = self.spec, self.q
         if isinstance(self.source, ExhaustiveSubspaces):
@@ -1105,8 +1123,7 @@ class _SweepState:
             while linear < hi:
                 block, basis = basis_at(self.blocks, linear, q, spec.n)
                 offsets, partner = self.pattern(block.pattern).offsets
-                per_run = max(1, _RUN_CELLS // (len(offsets) * self.qm))
-                stop = min(hi, block.start + block.count, linear + per_run)
+                stop = min(hi, block.start + block.count, linear + self.run_units)
                 bases = np.stack([basis, *(basis_at(self.blocks, i, q, spec.n)[1]
                                            for i in range(linear + 1, stop))])
                 ids = linear * self.per_unit + np.arange(bases.shape[0] * len(offsets))
@@ -1153,6 +1170,7 @@ def _merge(result: SweepResult, partial: SweepResult) -> None:
     result.budget_errors += partial.budget_errors
     result.points_visited += partial.points_visited
     result.points_covered += partial.points_covered
+    result.runs += partial.runs
     for name, count in partial.violations.items():
         result.violations[name] = result.violations.get(name, 0) + count
     result.reports.tables += partial.reports.tables
@@ -1160,12 +1178,14 @@ def _merge(result: SweepResult, partial: SweepResult) -> None:
         _keep_first_max(result, names, [getattr(partial, name) for name in names])
 
 
-def _chunk_plan(total_units: int) -> list[tuple[int, int, int]]:
-    """Fixed chunking of [0, total_units); independent of the worker count so
-    merged output is always byte-identical."""
+def _chunk_plan(total_units: int, run_units: int) -> list[tuple[int, int, int]]:
+    """Fixed chunking of [0, total_units) into at most _CHUNK_TARGET chunks,
+    each but the last at least one full run of run_units; it depends only on
+    the spec and the source, never on the worker count, so merged output is
+    always byte-identical."""
     if total_units == 0:
         return []
-    size = max(1, math.ceil(total_units / _CHUNK_TARGET))
+    size = max(math.ceil(total_units / _CHUNK_TARGET), run_units)
     return [
         (idx, lo, min(lo + size, total_units))
         for idx, lo in enumerate(range(0, total_units, size))
@@ -1188,7 +1208,8 @@ def verify_extractor(
     keeps only failed rows, "none" keeps no rows, "auto" switches from full
     to violations above 100000 subspaces.  Summary statistics (max distance,
     max character magnitude, violation counts) are always gathered.  log, if
-    given, gets one line when workers exceeds the CPU count.
+    given, gets one line when the pool has fewer processes than workers: for
+    the CPU count, or else for the chunk count.
     """
     budgets = budgets or Budgets()
     checks = normalize_checks(checks)
@@ -1235,7 +1256,8 @@ def verify_extractor(
         violations={name: 0 for name in checks if name in THEOREM_CHECKS},
     )
     state = _SweepState(spec, source, budgets, result)  # raises on the table budgets
-    tasks = _chunk_plan(total // state.per_unit)
+    tasks = _chunk_plan(total // state.per_unit, state.run_units)
+    result.chunks = len(tasks)
     if workers == 1:
         partials = (state.run_range(lo, hi) for _, lo, hi in tasks)
     else:
@@ -1244,6 +1266,8 @@ def verify_extractor(
         processes = min(workers, len(tasks))  # no more processes than chunks
         if log is not None and workers > (cpus := multiprocessing.cpu_count()):
             log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {processes}")
+        elif log is not None and processes < workers:
+            log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {processes}")
         with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(state,)) as pool:
             done = sorted(pool.imap_unordered(_run_chunk, tasks), key=lambda item: item[0])
         partials = (partial for _, partial in done)

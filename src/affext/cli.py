@@ -187,6 +187,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         log=lambda line: print(line, file=sys.stderr),
     )
     elapsed = time.perf_counter() - start
+    # analyze_block calls, and the chunks they ran in; stderr, like the lines below
+    print(f"sweep_runs = {result.runs} in {result.chunks} chunks", file=sys.stderr)
     # how the counts were built; stderr, so stdout and the reports stay byte-identical
     route = analysis.count_route() if result.points_covered else "none (no check counted points)"
     print(f"count_route = {route}", file=sys.stderr)

@@ -226,6 +226,50 @@ class TestCharacterSums:
             verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
                              budgets=Budgets(points=28391))
 
+    def test_a_run_gets_the_bits_of_lone_blocks(self, monkeypatch):
+        # magnitudes() on a run (blocks, rows, q**m) equals, bit for bit, the
+        # transform of each block alone as the sweep made it one block per call,
+        # and builds each phase table once per run, not once per block
+        tables = []
+        real = analysis._Characters._phases
+
+        def spy(self):
+            for phase in real(self):
+                tables.append(phase.shape)
+                yield phase
+
+        def runs():
+            # three consecutive blocks of an exhaustive sweep, all their offsets:
+            # one phase table at 13/3/k2/m1, two at 17/3/k2/m2 (288 > 256 nonzero c)
+            for q, n, k, m in ((13, 3, 2, 1), (17, 3, 2, 2)):
+                state = _exhaustive_state(build_spec(q, n, k, m))
+                block = pattern_blocks(n, k, q)[0]
+                bases = np.stack([basis_at([block], i, q, n)[1] for i in range(3)])
+                offsets, partner = state.pattern(block.pattern).offsets
+                counts = state.counter.counts(block.pattern, bases, offsets,
+                                              state.counter.grid(k), partner)
+                yield q, m, counts.reshape(3, len(offsets), -1), q**k
+            # the edge shapes: V's counts, and two rearrangements of them as blocks
+            for (q, n, k, m), V in EDGE_SHAPES:
+                c = output_distribution(build_spec(q, n, k, m), V).counts
+                yield q, m, np.stack([c, np.roll(c, 1), c[::-1]])[:, None], q**k
+
+        for q, m, run, total in runs():
+            chars = analysis._Characters(q, m, 10**8)
+            lone = np.stack([np.concatenate([np.abs(block.astype(np.float64) @ chars.omega[phase])
+                                             / total for phase in real(chars)], axis=-1)
+                             for block in run])
+            monkeypatch.setattr(analysis._Characters, "_phases", spy)
+            tables.clear()
+            got = chars.magnitudes(run, total)
+            assert len(tables) == math.ceil((q**m - 1) / 256), (q, m)
+            assert got.shape == (*run.shape[:2], q**m - 1)
+            assert (got.view(np.int64) == lone.view(np.int64)).all(), (q, m)
+            for block, want in zip(run, got):  # a lone block, and a lone row, keep their shapes
+                assert (chars.magnitudes(block, total).view(np.int64) == want.view(np.int64)).all()
+                assert chars.magnitudes(block[0], total).shape == (q**m - 1,)
+            monkeypatch.undo()
+
     def test_phase_tables_stay_within_the_guard(self, monkeypatch):
         # the guard counts q**m outputs by min(256, q**m - 1) nonzero characters;
         # c = 0 is never read, so no table is wider than that
@@ -931,14 +975,37 @@ class TestNormalizeChecks:
 
 class TestChunkPlan:
     def test_covers_range_exactly(self):
+        # at most 192 chunks, and every chunk but the last holds a full run
         for total in (0, 1, 5, 191, 192, 193, 1000, 30783):
-            plan = _chunk_plan(total)
-            covered = []
-            for idx, (i, lo, hi) in enumerate(plan):
-                assert i == idx
-                covered.extend(range(lo, hi))
-            assert covered == list(range(total))
-            assert len(plan) <= 192
+            for run_units in (1, 7, 272, 5000):
+                plan = _chunk_plan(total, run_units)
+                covered = []
+                for idx, (i, lo, hi) in enumerate(plan):
+                    assert i == idx
+                    covered.extend(range(lo, hi))
+                assert covered == list(range(total))
+                assert len(plan) <= 192
+                assert all(hi - lo >= run_units for _, lo, hi in plan[:-1])
+
+    def test_sweep_plans(self):
+        # (spec, run units, chunks): a run is at most 2**18 count cells of q**(n-k)
+        # offsets by q**m outputs, and at most 2**23 points, q**k per offset; at 13/4/k2
+        # the 31110 linear subspaces need chunks of 163 > run_units to stay within 192
+        # chunks, so the plan there is the same as before runs counted.  At k = 3 the
+        # points bind (2380 units of 13 * 13**3 points; 5220 of 17 * 17**3), so a sweep
+        # with a large grid keeps enough chunks for a pool: 9 and 53, not 2 and 6
+        for args, run_units, chunks in (((31, 3, 2, 1), 272, 4), ((17, 3, 2, 2), 53, 6),
+                                        ((7, 3, 2, 1), 5349, 1), ((13, 4, 2, 1), 119, 191),
+                                        ((13, 4, 2, 2), 9, 191), ((13, 4, 3, 1), 293, 9),
+                                        ((17, 4, 3, 1), 100, 53)):
+            state = _exhaustive_state(build_spec(*args))
+            q, n, k, _ = args
+            total = count_affine_subspaces(n, k, q) // state.per_unit
+            plan = _chunk_plan(total, state.run_units)
+            assert (state.run_units, len(plan)) == (run_units, chunks), args
+            size = max(math.ceil(total / 192), run_units)
+            assert plan == [(i, lo, min(lo + size, total))
+                            for i, lo in enumerate(range(0, total, size))], args
 
 
 @pytest.fixture(scope="module")
@@ -1115,6 +1182,28 @@ class TestSweepEngine:
         assert runs == [(0, 5), (5, 5), (10, 2), (12, 5), (17, 5), (22, 2), (24, 5), (29, 5),
                         (34, 2), (36, 5), (41, 5), (46, 2), (48, 1), (49, 5), (54, 2), (56, 1)]
         assert lines(2) == whole
+
+    def test_runs_split_only_at_pattern_boundaries(self, monkeypatch):
+        # unpatched, a chunk holds at least one full run, so a run ends only at
+        # run_units or at the end of its pivot pattern: 7/3/k2/m2 is one chunk
+        # of three runs, 31/3/k2/m1 four chunks of six (run_units = 272)
+        runs = []
+        real = analysis._SweepState.analyze_block
+
+        def spy(self, bases, pivots, offsets, ids, partial, partner=None):
+            runs.append((int(ids[0]) // len(offsets), len(bases)))
+            return real(self, bases, pivots, offsets, ids, partial, partner)
+
+        monkeypatch.setattr(analysis._SweepState, "analyze_block", spy)
+        res = verify_extractor(build_spec(7, 3, 2, 2), ExhaustiveSubspaces(), checks=CHECK_ORDER,
+                               collect="full")
+        assert reports_csv_lines(res) == _oracle_csv_lines(res)
+        assert runs == [(0, 49), (49, 7), (56, 1)] and (res.runs, res.chunks) == (3, 1)
+        runs.clear()
+        res = verify_extractor(build_spec(31, 3, 2, 1), ExhaustiveSubspaces(), checks=("sd",),
+                               collect="none")
+        assert runs == [(0, 272), (272, 272), (544, 272), (816, 145), (961, 31), (992, 1)]
+        assert (res.runs, res.chunks, res.processed) == (6, 4, 993 * 31)
 
     def test_pool_is_capped_at_the_chunk_count(self, spec13, monkeypatch):
         # an in-process stand-in for the pool records the size asked for

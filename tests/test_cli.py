@@ -253,6 +253,21 @@ class TestVerify:
         assert digests == {"verify_report.csv": "2f32b6558038",
                            "verify_summary.txt": "5870d1df15e5"}
 
+    def test_sweep_runs_go_to_stderr_and_leave_the_reports(self, tmp_path, capsys):
+        # 993 linear subspaces of 31 offsets; a chunk holds at least one full run of
+        # 2**18 // (31 * 31) = 272 of them, so 4 chunks and 6 runs: 272, 272, 272,
+        # then 145, 31 and 1 at the ends of the three pivot patterns
+        spec_file, report_dir = str(tmp_path / "spec.txt"), tmp_path / "reports"
+        run(capsys, "plan", "--q", "31", "--n", "3", "--k", "2", "--m", "1",
+            "--spec-file", spec_file)
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "verify", "--spec-file", spec_file, "--exhaustive",
+                                 "--workers", workers, "--report-dir", str(report_dir))
+            assert code == 0
+            assert err.splitlines().count("sweep_runs = 6 in 4 chunks") == 1
+            assert "sweep_runs =" not in out
+            assert all(b"sweep_runs =" not in p.read_bytes() for p in report_dir.iterdir())
+
     def test_no_count_route_when_nothing_was_counted(self, spec_path, capsys, monkeypatch):
         def unbuilt():
             raise AssertionError("the C kernels were looked up")
@@ -358,21 +373,25 @@ class TestVerify:
     def test_workers_above_cpu_count_go_to_stderr(self, spec_path, tmp_path, capsys, monkeypatch):
         from affext import analysis
 
-        for cpus, workers, line in (
-            (1, 2, "workers = 2 > cpu_count = 1; pool capped at 2"),
-            (1, 4, "workers = 4 > cpu_count = 1; pool capped at 3"),  # 3 chunks
-            (8, 2, None),
+        # a pool smaller than --workers is named once: for the CPU count, else the chunk count
+        for cpus, workers, source, line in (
+            (1, 2, "--sample=3", "workers = 2 > cpu_count = 1; pool capped at 2"),
+            (1, 4, "--sample=3", "workers = 4 > cpu_count = 1; pool capped at 3"),  # 3 chunks
+            (8, 2, "--sample=3", None),
+            (8, 4, "--sample=3", "workers = 4 > chunks = 3; pool capped at 3"),
+            (8, 2, "--exhaustive", "workers = 2 > chunks = 1; pool capped at 1"),  # one full run
+            (1, 2, "--exhaustive", "workers = 2 > cpu_count = 1; pool capped at 1"),
         ):
             monkeypatch.setattr(analysis.multiprocessing, "cpu_count", lambda: cpus)
-            d = tmp_path / f"{cpus}-{workers}"
+            d = tmp_path / f"{cpus}-{workers}{source}"
             code, out, err = run(
-                capsys, "verify", "--spec-file", spec_path, "--sample", "3",
+                capsys, "verify", "--spec-file", spec_path, source,
                 "--workers", str(workers), "--report-dir", str(d),
             )
             assert code == 0
-            assert [l for l in err.splitlines() if "cpu_count = " in l] == ([line] if line else [])
+            assert [l for l in err.splitlines() if "pool capped" in l] == ([line] if line else [])
             files = "".join(p.read_text(encoding="ascii") for p in d.iterdir())
-            assert "cpu_count = " not in out + files
+            assert "cpu_count = " not in out + files and "pool capped" not in out + files
 
     def test_worker_fault_names_its_chunk(self, spec_path, capsys, monkeypatch):
         from affext import analysis
