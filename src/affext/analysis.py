@@ -26,9 +26,10 @@ sample, or an explicit list) and runs selected checks on each one.  The sweep
 processes runs of linear subspaces of one pivot pattern, with all of their
 parallel offsets batched through the count primitive, so exhaustive runs at
 desk scale stay in the seconds-to-minutes range.  Work is sharded over
-processes in fixed chunks, each at least one full run of blocks, whose layout
-does not depend on the worker count, and partial results merge in chunk
-order, so reports are byte-identical for any worker count.  Workers get the
+processes in fixed chunks, each a whole number of full runs of blocks, whose
+layout does not depend on the worker count, and partial results merge in
+chunk order, so reports are byte-identical for any worker count.  A sweep
+that would get a pool of one process runs in the caller's.  Workers get the
 caller's sweep state, and each chunk's partial result is a SweepResult,
 merged by the same first-maximum rule that runs per run of blocks.  Per run,
 each check yields one column per report field (a per-subspace array or one
@@ -1180,12 +1181,12 @@ def _merge(result: SweepResult, partial: SweepResult) -> None:
 
 def _chunk_plan(total_units: int, run_units: int) -> list[tuple[int, int, int]]:
     """Fixed chunking of [0, total_units) into at most _CHUNK_TARGET chunks,
-    each but the last at least one full run of run_units; it depends only on
-    the spec and the source, never on the worker count, so merged output is
-    always byte-identical."""
+    each but the last a whole number of full runs of run_units, so no chunk
+    splits a run; it depends only on the spec and the source, never on the
+    worker count, so merged output is always byte-identical."""
     if total_units == 0:
         return []
-    size = max(math.ceil(total_units / _CHUNK_TARGET), run_units)
+    size = run_units * math.ceil(math.ceil(total_units / _CHUNK_TARGET) / run_units)
     return [
         (idx, lo, min(lo + size, total_units))
         for idx, lo in enumerate(range(0, total_units, size))
@@ -1209,7 +1210,8 @@ def verify_extractor(
     to violations above 100000 subspaces.  Summary statistics (max distance,
     max character magnitude, violation counts) are always gathered.  log, if
     given, gets one line when the pool has fewer processes than workers: for
-    the CPU count, or else for the chunk count.
+    the CPU count, or else for the chunk count.  A pool of one process is
+    never started; the chunks then run here, in order.
     """
     budgets = budgets or Budgets()
     checks = normalize_checks(checks)
@@ -1258,16 +1260,16 @@ def verify_extractor(
     state = _SweepState(spec, source, budgets, result)  # raises on the table budgets
     tasks = _chunk_plan(total // state.per_unit, state.run_units)
     result.chunks = len(tasks)
-    if workers == 1:
+    processes = min(workers, len(tasks))  # no more processes than chunks
+    if log is not None and workers > (cpus := multiprocessing.cpu_count()):
+        log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {processes}")
+    elif log is not None and processes < workers:
+        log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {processes}")
+    if processes <= 1:  # a pool of one process would only add a fork and a pickle
         partials = (state.run_range(lo, hi) for _, lo, hi in tasks)
     else:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         ctx = multiprocessing.get_context(method)
-        processes = min(workers, len(tasks))  # no more processes than chunks
-        if log is not None and workers > (cpus := multiprocessing.cpu_count()):
-            log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {processes}")
-        elif log is not None and processes < workers:
-            log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {processes}")
         with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(state,)) as pool:
             done = sorted(pool.imap_unordered(_run_chunk, tasks), key=lambda item: item[0])
         partials = (partial for _, partial in done)

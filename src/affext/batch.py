@@ -2,12 +2,22 @@
 
 Three interchangeable kernels, all bit-identical, registered fastest first:
 
-  * "c"      - Montgomery-arithmetic kernel in C, odd moduli below 2**31.
+  * "c"      - modular-arithmetic kernel in C, odd moduli below 2**31.
     Rows are processed in chunks of 2,048 so the exponent-bit loop sits
     outside tight SIMD-friendly inner loops, and the matrix product is fused
-    in so the powered batch is never materialised.  The system C compiler
-    builds it on first use; the shared object is cached once per machine and
-    loaded with ctypes.
+    in so the powered batch is never materialised.  The kernel picks its
+    reduction from q, once per call, in C:
+      - q = 2**31 - 1 (a Mersenne prime): every product t < 2**62 is
+        reduced with no multiply by two folds, r = (t & q) + (t >> 31) and
+        v = (r & q) + (r >> 31), which keep the residue because 2**31 = 1
+        mod q and leave v <= 2**31, then one conditional subtraction of q.
+        Values stay in normal form throughout.
+      - every other odd q < 2**31: Montgomery products with R = 2**32, the
+        powers kept in Montgomery form.
+    The two loop bodies are one inlined C function compiled twice with a
+    constant flag, so they cannot drift apart.  The system C compiler builds
+    the kernel on first use; the shared object is cached once per machine
+    and loaded with ctypes.
   * "numpy"  - column-wise square-and-multiply in uint64, moduli below 2**32.
     The fast path for 2**31 <= q < 2**32, and the fallback when the C kernel
     cannot be built or loaded.
@@ -16,7 +26,9 @@ Three interchangeable kernels, all bit-identical, registered fastest first:
 `pick_impl(q, "auto")` takes the first registered kernel that handles q.
 When that would be "c" but the C kernel cannot be built or loaded, it says
 why in one RuntimeWarning per process and falls back to numpy.  Callers can
-pin a kernel by name for testing.
+pin a kernel by name for testing.  `batch_route(q)` names what "auto" runs,
+with the reduction of the C kernel: "c (mersenne)", "c (montgomery)",
+"numpy" or "python".
 
 The same C source also holds the count kernel, `affext_count_blocks`: one
 compiled loop over the parameter grid and a run of direction bases of one
@@ -48,6 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _C_MAX_Q = 1 << 31  # Montgomery kernel uses R = 2**32 and 64-bit products
+_MERSENNE31 = (1 << 31) - 1  # the modulus the C kernel reduces by folding
 _NUMPY_MAX_Q = 1 << 32  # uint64 holds (q-1)**2 exactly below 2**32
 
 _C_SOURCE = r"""
@@ -64,14 +77,42 @@ static inline uint32_t redc(uint64_t t, uint32_t q, uint32_t qneg)
     return v >= q ? v - q : v;
 }
 
-/* out[b, r] = sum_j A[r, j] * base[b, j]**exps[j] mod q.  The power buffer
-   is kept in Montgomery form (value * R mod q), so one Montgomery product
-   against the normal-form A entry lands the term back in normal form:
-   (p*R) * a * R^-1 = p*a mod q.  Returns -1 if scratch allocation fails. */
-int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
-                     const uint64_t *exps, const uint32_t *arows, int64_t m,
-                     uint32_t q, uint32_t qneg, uint32_t r1, uint32_t r2,
-                     int64_t *out)
+#define MERSENNE31 0x7fffffffu /* 2**31 - 1 */
+
+/* t mod 2**31 - 1 for t < 2**62, with no multiply: 2**31 = 1 mod q, so
+   adding the bits above 31 to the bits below is a fold that keeps the
+   residue.  The first fold leaves r <= 2 * (2**31 - 1) < 2**32, the second
+   v <= 2**31 - 1 + 1 = 2**31, and one conditional subtraction of q makes
+   v canonical. */
+static inline uint32_t fold31(uint64_t t)
+{
+    uint32_t r = (uint32_t)(t & MERSENNE31) + (uint32_t)(t >> 31);
+    uint32_t v = (r & MERSENNE31) + (r >> 31);
+    return v >= MERSENNE31 ? v - MERSENNE31 : v;
+}
+
+/* t mod q by the reduction eval_body was inlined with: a fold if MERS,
+   else a Montgomery product, t * R^-1 mod q. */
+static inline __attribute__((always_inline)) uint32_t
+mulmod(const int MERS, uint64_t t, uint32_t q, uint32_t qneg)
+{
+    return MERS ? fold31(t) : redc(t, q, qneg);
+}
+
+/* out[b, r] = sum_j A[r, j] * base[b, j]**exps[j] mod q.  eval_body is
+   inlined twice, once per reduction, with MERS a constant:
+     - MERS = 1, q = 2**31 - 1: every product t < 2**62 is reduced by
+       fold31, in normal form throughout: x = base mod q, p starts at 1, and
+       the A-product folds a * p as well.
+     - MERS = 0, any other odd q < 2**31: Montgomery products.  The power
+       buffer is kept in Montgomery form (value * R mod q), so one Montgomery
+       product against the normal-form A entry lands the term back in normal
+       form: (p*R) * a * R^-1 = p*a mod q.
+   Returns -1 if scratch allocation fails. */
+static inline __attribute__((always_inline)) int
+eval_body(const int MERS, const int64_t *base, int64_t total, int64_t n,
+          const uint64_t *exps, const uint32_t *arows, int64_t m, uint32_t q,
+          uint32_t qneg, uint32_t r1, uint32_t r2, int64_t *out)
 {
     if ((uint64_t)n > SIZE_MAX / (CHUNK * sizeof(uint32_t)))
         return -1;
@@ -89,19 +130,21 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
         const int64_t *rows = base + s * n;
         for (int64_t j = 0; j < n; j++) {
             uint32_t *p = pbuf + j * CHUNK;
-            /* lift the column into Montgomery form: x = base * R mod q */
+            /* x = base mod q, lifted into Montgomery form (base * R mod q)
+               unless MERS */
             for (int64_t i = 0; i < w; i++) {
-                x[i] = redc((uint64_t)rows[i * n + j] * r2, q, qneg);
-                p[i] = r1;
+                x[i] = MERS ? fold31((uint64_t)rows[i * n + j])
+                            : redc((uint64_t)rows[i * n + j] * r2, q, qneg);
+                p[i] = MERS ? 1 : r1;
             }
             for (uint64_t e = exps[j]; e;) {
                 if (e & 1)
                     for (int64_t i = 0; i < w; i++)
-                        p[i] = redc((uint64_t)p[i] * x[i], q, qneg);
+                        p[i] = mulmod(MERS, (uint64_t)p[i] * x[i], q, qneg);
                 e >>= 1;
                 if (e)
                     for (int64_t i = 0; i < w; i++)
-                        x[i] = redc((uint64_t)x[i] * x[i], q, qneg);
+                        x[i] = mulmod(MERS, (uint64_t)x[i] * x[i], q, qneg);
             }
         }
         for (int64_t r = 0; r < m; r++) {
@@ -111,7 +154,7 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
                 uint32_t a = arows[r * n + j];
                 const uint32_t *p = pbuf + j * CHUNK;
                 for (int64_t i = 0; i < w; i++) {
-                    uint32_t v = acc[i] + redc((uint64_t)a * p[i], q, qneg);
+                    uint32_t v = acc[i] + mulmod(MERS, (uint64_t)a * p[i], q, qneg);
                     acc[i] = v >= q ? v - q : v; /* acc, v < q < 2**31 */
                 }
             }
@@ -123,6 +166,18 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
     free(acc);
     free(pbuf);
     return 0;
+}
+
+/* The batch kernel: eval_body with the fold for q = 2**31 - 1, with
+   Montgomery products for every other odd q < 2**31. */
+int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
+                     const uint64_t *exps, const uint32_t *arows, int64_t m,
+                     uint32_t q, uint32_t qneg, uint32_t r1, uint32_t r2,
+                     int64_t *out)
+{
+    if (q == MERSENNE31)
+        return eval_body(1, base, total, n, exps, arows, m, q, qneg, r1, r2, out);
+    return eval_body(0, base, total, n, exps, arows, m, q, qneg, r1, r2, out);
 }
 
 /* The count kernel.  Canonical form makes every basis the identity on the
@@ -453,6 +508,16 @@ def pick_impl(q: int, impl: str = "auto") -> str:
     if impl == "c" and c_build().fn is None:
         raise RuntimeError(f"C batch kernel unavailable: {c_build().error}")
     return impl
+
+
+def batch_route(q: int) -> str:
+    """What batch_apply(..., impl="auto") runs for modulus q: "c (mersenne)"
+    or "c (montgomery)", by the reduction the C kernel picks from q, else
+    "numpy" or "python"."""
+    chosen = pick_impl(q)
+    if chosen != "c":
+        return chosen
+    return "c (mersenne)" if q == _MERSENNE31 else "c (montgomery)"
 
 
 def batch_apply(xs, exps, rows, q: int, impl: str = "auto") -> np.ndarray:

@@ -137,12 +137,15 @@ def _parse_rows(lines: list[str], first: int, n: int, q: int) -> list[tuple[int,
 def cmd_extract(args: argparse.Namespace) -> int:
     """Evaluate the input _EXTRACT_CHUNK lines at a time, one evaluate_batch
     per chunk.  A bad line stops the run with its line number; the output of
-    the chunks before it has been written by then."""
+    the chunks before it has been written by then.  Before the first batch,
+    the kernel that runs it is named once on stderr."""
+    from . import batch  # imported here, as evaluate_batch does, so other commands skip it
+
     spec = extractor.load_spec(args.spec_file)
     fh_in = sys.stdin if args.input_file == "-" else open(args.input_file, "r", encoding="ascii")
     fh_out = None
     try:
-        lineno = 1
+        lineno, routed = 1, False
         while True:
             chunk = list(itertools.islice(fh_in, _EXTRACT_CHUNK))
             # split as str.splitlines would split the whole input, so line numbers match it
@@ -152,6 +155,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             if fh_out is None:
                 fh_out = _open_out(args.output_file)
             if rows:
+                if not routed:  # stderr, so the output stays byte-identical
+                    print(f"batch_route = {batch.batch_route(spec.modulus)}", file=sys.stderr)
+                    routed = True
                 outputs = extractor.evaluate_batch(spec, rows).tolist()
                 fh_out.write("".join(",".join(map(str, z)) + "\n" for z in outputs))
             if len(chunk) < _EXTRACT_CHUNK:

@@ -8,6 +8,7 @@ exhaustive cases, and character magnitudes against direct complex sums.
 import dataclasses
 import itertools
 import math
+import multiprocessing.pool
 import re
 import shutil
 import warnings
@@ -975,9 +976,9 @@ class TestNormalizeChecks:
 
 class TestChunkPlan:
     def test_covers_range_exactly(self):
-        # at most 192 chunks, and every chunk but the last holds a full run
+        # at most 192 chunks, and every chunk but the last a whole number of full runs
         for total in (0, 1, 5, 191, 192, 193, 1000, 30783):
-            for run_units in (1, 7, 272, 5000):
+            for run_units in (1, 7, 119, 272, 5000):
                 plan = _chunk_plan(total, run_units)
                 covered = []
                 for idx, (i, lo, hi) in enumerate(plan):
@@ -985,27 +986,39 @@ class TestChunkPlan:
                     covered.extend(range(lo, hi))
                 assert covered == list(range(total))
                 assert len(plan) <= 192
-                assert all(hi - lo >= run_units for _, lo, hi in plan[:-1])
+                assert all((hi - lo) % run_units == 0 and hi > lo for _, lo, hi in plan[:-1])
 
-    def test_sweep_plans(self):
-        # (spec, run units, chunks): a run is at most 2**18 count cells of q**(n-k)
-        # offsets by q**m outputs, and at most 2**23 points, q**k per offset; at 13/4/k2
-        # the 31110 linear subspaces need chunks of 163 > run_units to stay within 192
-        # chunks, so the plan there is the same as before runs counted.  At k = 3 the
+    def test_sweep_plans(self, monkeypatch):
+        # (spec, run units, chunks, runs): a run is at most 2**18 count cells of
+        # q**(n-k) offsets by q**m outputs, and at most 2**23 points, q**k per offset.
+        # At 13/4/k2 the 31110 linear subspaces need chunks of at least 163 to stay
+        # within 192 chunks; rounded up to whole runs that is 238 at m = 1 (131 chunks
+        # and 267 runs, where chunks of 163 split a run of 119 in each and made 191
+        # chunks and 386 runs) and 171 at m = 2 (182 chunks, not 191).  At k = 3 the
         # points bind (2380 units of 13 * 13**3 points; 5220 of 17 * 17**3), so a sweep
-        # with a large grid keeps enough chunks for a pool: 9 and 53, not 2 and 6
-        for args, run_units, chunks in (((31, 3, 2, 1), 272, 4), ((17, 3, 2, 2), 53, 6),
-                                        ((7, 3, 2, 1), 5349, 1), ((13, 4, 2, 1), 119, 191),
-                                        ((13, 4, 2, 2), 9, 191), ((13, 4, 3, 1), 293, 9),
-                                        ((17, 4, 3, 1), 100, 53)):
+        # with a large grid keeps enough chunks for a pool: 9 and 53, not 2 and 6.
+        # 31/3/k2/m1 (sweep_m1) and 17/3/k2/m2 keep the plans they had before chunks
+        # were rounded to whole runs
+        runs = []
+        monkeypatch.setattr(analysis._SweepState, "analyze_block",
+                            lambda self, bases, *args: runs.append(len(bases)))
+        for args, run_units, chunks, n_runs in (
+            ((31, 3, 2, 1), 272, 4, 6), ((17, 3, 2, 2), 53, 6, 8), ((7, 3, 2, 1), 5349, 1, 3),
+            ((13, 4, 2, 1), 119, 131, 267), ((13, 4, 2, 2), 9, 182, 3462),
+            ((13, 4, 3, 1), 293, 9, 12), ((17, 4, 3, 1), 100, 53, 56),
+        ):
             state = _exhaustive_state(build_spec(*args))
             q, n, k, _ = args
             total = count_affine_subspaces(n, k, q) // state.per_unit
             plan = _chunk_plan(total, state.run_units)
             assert (state.run_units, len(plan)) == (run_units, chunks), args
-            size = max(math.ceil(total / 192), run_units)
+            size = run_units * math.ceil(math.ceil(total / 192) / run_units)
             assert plan == [(i, lo, min(lo + size, total))
                             for i, lo in enumerate(range(0, total, size))], args
+            runs.clear()
+            res = verify_extractor(build_spec(*args), ExhaustiveSubspaces(), checks=("sd",),
+                                   collect="none")
+            assert (len(runs), res.chunks) == (n_runs, chunks), args
 
 
 @pytest.fixture(scope="module")
@@ -1176,11 +1189,13 @@ class TestSweepEngine:
             return real(self, bases, pivots, offsets, ids, partial, partner)
 
         monkeypatch.setattr(analysis._SweepState, "analyze_block", spy)
-        monkeypatch.setattr(analysis, "_CHUNK_TARGET", 5)  # chunks of 12 linear subspaces
-        monkeypatch.setattr(analysis, "_RUN_CELLS", 5 * 7 * 49)  # runs of at most 5 blocks
+        monkeypatch.setattr(analysis, "_CHUNK_TARGET", 10)  # chunks of 6 linear subspaces
+        monkeypatch.setattr(analysis, "_RUN_CELLS", 3 * 7 * 49)  # runs of at most 3 blocks
         assert lines(1) == whole
-        assert runs == [(0, 5), (5, 5), (10, 2), (12, 5), (17, 5), (22, 2), (24, 5), (29, 5),
-                        (34, 2), (36, 5), (41, 5), (46, 2), (48, 1), (49, 5), (54, 2), (56, 1)]
+        # a chunk is two full runs, so only a run that a pattern boundary shifted
+        # (at 49) is cut by a chunk boundary (at 54)
+        assert runs == [(lo, 3) for lo in range(0, 48, 3)] + [(48, 1), (49, 3), (52, 2),
+                                                              (54, 2), (56, 1)]
         assert lines(2) == whole
 
     def test_runs_split_only_at_pattern_boundaries(self, monkeypatch):
@@ -1233,6 +1248,32 @@ class TestSweepEngine:
         assert asked == [5]
         single = verify_extractor(spec13, src, workers=1, collect="full")
         assert reports_csv_lines(res) == reports_csv_lines(single)
+
+    def test_one_chunk_runs_in_process(self, monkeypatch, tmp_path):
+        # exhaustive 13/3/k2/m1 is one chunk: 183 linear subspaces, one run of up to
+        # 1551; a pool of one process would only fork and pickle the partial back
+        spec = build_spec(13, 3, 2, 1)
+
+        def files(workers, log=None):
+            res = verify_extractor(spec, ExhaustiveSubspaces(), workers=workers,
+                                   collect="full", log=log)
+            assert res.chunks == 1
+            write_reports_csv(res, tmp_path / f"report{workers}.csv")
+            analysis.write_summary(res, tmp_path / f"summary{workers}.txt")
+            return [(tmp_path / f"{name}{workers}.{ext}").read_bytes()
+                    for name, ext in (("report", "csv"), ("summary", "txt"))]
+
+        single = files(1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was constructed")
+
+        monkeypatch.setattr(analysis.multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setattr(analysis.multiprocessing, "cpu_count", lambda: 8)
+        logged = []
+        assert files(2, logged.append) == single
+        assert logged == ["workers = 2 > chunks = 1; pool capped at 1"]
 
     def test_worker_fault_names_its_chunk(self, spec13, monkeypatch):
         real = analysis._SweepState.run_range

@@ -209,6 +209,26 @@ class TestExtract:
         assert code == 1
         assert f"input line {cli._EXTRACT_CHUNK + 4}: expected 3 entries, got 2" in err
 
+    def test_batch_route_goes_to_stderr_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_EXTRACT_CHUNK", 2)  # three chunks, one route line
+        for q, route in ((2**31 - 1, "c (mersenne)"), (13, "c (montgomery)")):
+            if batch.c_build().fn is None:
+                route = "numpy"
+            spec_file, out = tmp_path / f"spec{q}.txt", tmp_path / f"out{q}.txt"
+            save_spec(build_spec(q, 3, 2, 1), spec_file)
+            rows = [(0, 1, q - 1), (q - 1, q - 1, q - 1), (2, 1, 1), (q - 2, 0, 1), (5, 6, 7)]
+            inp = tmp_path / f"in{q}.txt"
+            inp.write_text("".join(f"{a},{b},{c}\n" for a, b, c in rows), encoding="ascii")
+            code, stdout, err = run(capsys, "extract", "--spec-file", str(spec_file),
+                                    "--input", str(inp), "--output", str(out))
+            assert (code, stdout, err) == (0, "", f"batch_route = {route}\n"), q
+            want = evaluate_batch(load_spec(spec_file), rows, impl="python").tolist()
+            assert out.read_bytes() == "".join(f"{z}\n" for (z,) in want).encode("ascii"), q
+            code, stdout, err = run(capsys, "extract", "--spec-file", str(spec_file),
+                                    "--input", str(inp))
+            assert (code, err) == (0, f"batch_route = {route}\n"), q
+            assert stdout.encode("ascii") == out.read_bytes(), q
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "extract", "--spec-file", str(tmp_path / "absent.txt")

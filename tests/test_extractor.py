@@ -1,5 +1,6 @@
 """Unit tests for exponent generation, the Vandermonde matrix, and evaluation."""
 
+import ctypes
 import math
 import os
 import shutil
@@ -417,6 +418,77 @@ class TestCKernel:
         monkeypatch.setattr(batch, "c_build", lambda: batch.CBuild(fn=lambda *a: -1))
         with pytest.raises(MemoryError):
             evaluate_batch(build_spec(13, 3, 2, 1), np.zeros((4, 3), dtype=np.int64), impl="c")
+
+
+Q31 = 2**31 - 1  # the Mersenne prime the C kernel reduces by folding
+
+
+def _edge_batch(q, n, rows=2049):
+    """rows residues, the first 49 of them edge inputs 0, 1, 2, 2**16, 2**30,
+    q - 2 and q - 1: each in every column, and each pair of them in
+    neighbouring columns; exponents from 2 to q - 2; and three rows of A, the
+    first and the last column all q - 1."""
+    rng = np.random.default_rng(n)
+    edge = np.array([0, 1, 2, 2**16, 2**30, q - 2, q - 1], dtype=np.int64)
+    xs = rng.integers(0, q, size=(rows, n), dtype=np.int64)
+    cols = np.arange(n)
+    for i in range(len(edge) ** 2):
+        xs[i] = edge[(i + (i // len(edge) + 1) * cols) % len(edge)]
+    exps = [(q - 2, 3, 2, 65537)[j] if j < 4 else int(rng.integers(2, q)) for j in range(n)]
+    A = rng.integers(1, q, size=(3, n))
+    A[0], A[:, -1] = q - 1, q - 1
+    return xs, exps, A.tolist()
+
+
+class TestMersenneBody:
+    """The C kernel folds products at q = 2**31 - 1 and uses Montgomery
+    products at every other modulus; both agree with the python oracle."""
+
+    @needs_cc
+    @pytest.mark.parametrize("n", (1, 2, 64))
+    @pytest.mark.parametrize("q, route", ((Q31, "c (mersenne)"),
+                                          (2**31 - 19, "c (montgomery)")))
+    def test_matches_the_oracle_at_the_edges(self, q, route, n):
+        assert batch.batch_route(q) == route
+        xs, exps, A = _edge_batch(q, n)
+        want = batch.batch_apply(xs, exps, A, q, impl="python")
+        for m in (1, 2, 3):  # the first m rows of A give the first m outputs
+            for rows in (0, 1, 2047, 2048, 2049):  # either side of one 2,048-row chunk
+                got = batch.batch_apply(xs[:rows], exps, A[:m], q, impl="c")
+                assert got.shape == (rows, m), (m, rows)
+                assert np.array_equal(got, want[:rows, :m]), (m, rows)
+
+    @needs_cc
+    def test_fold_reduces_every_input_below_2_62(self, tmp_path):
+        # fold31 is static in the kernel source, and no product of canonical
+        # residues is a nonzero multiple of q, so the kernel alone cannot show
+        # the second fold or the final subtraction at work; a copy of the
+        # source with one exported wrapper reaches the fold directly
+        probe = tmp_path / "probe.so"
+        subprocess.run(
+            [batch._find_compiler(), "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", str(probe)],
+            input=batch._C_SOURCE + "\nuint32_t fold_probe(uint64_t t) { return fold31(t); }\n",
+            text=True, check=True, timeout=120,
+        )
+        fold = ctypes.CDLL(str(probe)).fold_probe
+        fold.restype, fold.argtypes = ctypes.c_uint32, [ctypes.c_uint64]
+        rng = np.random.default_rng(31)
+        ts = [0, 1, Q31 - 1, Q31, Q31 + 1, 2**31, 2 * Q31 - 1, 2 * Q31, 2**32 - 1,
+              (Q31 - 1) ** 2, Q31**2, 2**62 - 2, 2**62 - 1]  # 2**62 - 1 = q * (2**31 + 1)
+        ts += [int(t) for t in rng.integers(0, 2**62, size=2000, dtype=np.uint64)]
+        ts += [Q31 * int(c) for c in rng.integers(1, 2**31 + 2, size=200)]
+        assert [fold(t) for t in ts] == [t % Q31 for t in ts]
+
+    def test_batch_route_names_the_kernel_and_its_reduction(self, fresh_c_build, monkeypatch):
+        if batch.c_build().fn is not None:
+            assert [batch.batch_route(q) for q in (Q31, 2**31 - 19, 13)] == [
+                "c (mersenne)", "c (montgomery)", "c (montgomery)"]
+        assert batch.batch_route(2**31 + 11) == "numpy"
+        assert batch.batch_route(2**61 - 1) == "python"
+        batch.c_build.cache_clear()
+        monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            assert batch.batch_route(Q31) == "numpy"
 
 
 class TestSpecSerialization:
