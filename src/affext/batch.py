@@ -5,12 +5,20 @@ Three interchangeable kernels, all bit-identical, registered fastest first:
   * "c"      - modular-arithmetic kernel in C, odd moduli below 2**31.
     Rows are processed in chunks of 2,048 so the exponent-bit loop sits
     outside tight SIMD-friendly inner loops, and the matrix product is fused
-    in so the powered batch is never materialised.  The kernel picks its
-    reduction from q, once per call, in C:
-      - q = 2**31 - 1 (a Mersenne prime): every product t < 2**62 is
-        reduced with no multiply by two folds, r = (t & q) + (t >> 31) and
-        v = (r & q) + (r >> 31), which keep the residue because 2**31 = 1
-        mod q and leave v <= 2**31, then one conditional subtraction of q.
+    in so the powered batch is never materialised.  A chunk is read 16 rows
+    at a time into one buffer per column, not a column at a time with the
+    batch's row stride.  Each column is raised left to right by sliding
+    windows: a table of x**2 and the odd powers x, x**3, .., x**(2**k - 1),
+    then one squaring per exponent bit below the first window and one table
+    multiply per later window; the first window is copied from the table.
+    The width k in {1, 2, 3} is picked per column in C, the one whose
+    windows take the fewest products for that exponent (the smallest on a
+    tie).  The kernel picks its reduction from q, once per call, in C:
+      - q = 2**31 - 1 (a Mersenne prime): every product t <= 2**62 - 2 is
+        reduced with no multiply by one fold, r = (t & q) + (t >> 31), which
+        keeps the residue because 2**31 = 1 mod q and leaves r <= 2q - 1,
+        then one conditional subtraction of q.  Every product the kernel
+        forms is at most q**2 = 2**62 - 2**32 + 1, inside that range.
         Values stay in normal form throughout.
       - every other odd q < 2**31: Montgomery products with R = 2**32, the
         powers kept in Montgomery form.
@@ -79,16 +87,16 @@ static inline uint32_t redc(uint64_t t, uint32_t q, uint32_t qneg)
 
 #define MERSENNE31 0x7fffffffu /* 2**31 - 1 */
 
-/* t mod 2**31 - 1 for t < 2**62, with no multiply: 2**31 = 1 mod q, so
+/* t mod 2**31 - 1 with no multiply, for t <= 2**62 - 2: 2**31 = 1 mod q, so
    adding the bits above 31 to the bits below is a fold that keeps the
-   residue.  The first fold leaves r <= 2 * (2**31 - 1) < 2**32, the second
-   v <= 2**31 - 1 + 1 = 2**31, and one conditional subtraction of q makes
-   v canonical. */
+   residue.  It leaves r <= 2q - 1 (r = 2q only at t = 2**62 - 1 =
+   q * (2**31 + 1)), and one conditional subtraction of q makes r canonical.
+   The range holds every product the kernel forms: none exceeds q**2 =
+   2**62 - 2**32 + 1, and 2**62 - 1 is no product of two values <= q. */
 static inline uint32_t fold31(uint64_t t)
 {
     uint32_t r = (uint32_t)(t & MERSENNE31) + (uint32_t)(t >> 31);
-    uint32_t v = (r & MERSENNE31) + (r >> 31);
-    return v >= MERSENNE31 ? v - MERSENNE31 : v;
+    return r >= MERSENNE31 ? r - MERSENNE31 : r;
 }
 
 /* t mod q by the reduction eval_body was inlined with: a fold if MERS,
@@ -99,15 +107,73 @@ mulmod(const int MERS, uint64_t t, uint32_t q, uint32_t qneg)
     return MERS ? fold31(t) : redc(t, q, qneg);
 }
 
+/* Sliding windows of width k over e > 0, read from the top bit down.  A
+   window starts at a set bit i and ends at the lowest set bit l with
+   i - l < k, so its value, bits i..l of e, is odd and below 2**k. */
+static int window_end(uint64_t e, int i, int k)
+{
+    int l = i - k + 1 > 0 ? i - k + 1 : 0;
+    while (!(e >> l & 1))
+        l++;
+    return l;
+}
+
+/* Bits i..l of e: the value of the window from bit i down to bit l. */
+static unsigned window_value(uint64_t e, int i, int l)
+{
+    return (unsigned)(e >> l & ((2u << (i - l)) - 1));
+}
+
+/* The index of the top set bit of e > 0. */
+static int top_bit(uint64_t e)
+{
+    int i = 63;
+    while (!(e >> i & 1))
+        i--;
+    return i;
+}
+
+/* The products that raising to e > 0 with windows of width k takes: the
+   table (x**2 and the odd powers x**3 .. x**(2**k - 1), none for k = 1),
+   one squaring per bit below the first window, and one multiply per later
+   window.  The first window is copied from the table. */
+static int window_cost(uint64_t e, int k)
+{
+    int cost = k > 1 ? 1 << (k - 1) : 0;
+    for (int i = window_end(e, top_bit(e), k) - 1, l; i >= 0; i = l - 1) {
+        l = e >> i & 1 ? window_end(e, i, k) : i; /* a window, or one 0 bit */
+        cost += i - l + 1 + (int)(e >> l & 1);
+    }
+    return cost;
+}
+
+/* The width k in {1, 2, 3} whose windows raise to e > 0 in the fewest
+   products, the smallest on a tie.  Width 4 was measured no faster. */
+static int window_width(uint64_t e)
+{
+    int k = 1;
+    for (int kk = 2; kk <= 3; kk++)
+        if (window_cost(e, kk) < window_cost(e, k))
+            k = kk;
+    return k;
+}
+
 /* out[b, r] = sum_j A[r, j] * base[b, j]**exps[j] mod q.  eval_body is
    inlined twice, once per reduction, with MERS a constant:
-     - MERS = 1, q = 2**31 - 1: every product t < 2**62 is reduced by
-       fold31, in normal form throughout: x = base mod q, p starts at 1, and
-       the A-product folds a * p as well.
+     - MERS = 1, q = 2**31 - 1: every product (at most q**2) is reduced by
+       fold31, in normal form throughout: x = base mod q, and the A-product
+       folds a * p as well.
      - MERS = 0, any other odd q < 2**31: Montgomery products.  The power
        buffer is kept in Montgomery form (value * R mod q), so one Montgomery
        product against the normal-form A entry lands the term back in normal
        form: (p*R) * a * R^-1 = p*a mod q.
+   Per chunk, x of every column goes into pbuf, and each column is then
+   raised in place, left to right by sliding windows of the width k in
+   {1, 2, 3} that takes the fewest products for its exponent (the smallest
+   k on a tie).  The table tab holds x, x**3, .. x**7 in rows 0..3 and x**2
+   in row 4; width k fills rows 0..2**(k-1) - 1, and x**2 for k > 1.  The
+   first window is copied from the table, so no product multiplies by one,
+   and e = 0 gives one (1, or r1 in Montgomery form).
    Returns -1 if scratch allocation fails. */
 static inline __attribute__((always_inline)) int
 eval_body(const int MERS, const int64_t *base, int64_t total, int64_t n,
@@ -116,35 +182,64 @@ eval_body(const int MERS, const int64_t *base, int64_t total, int64_t n,
 {
     if ((uint64_t)n > SIZE_MAX / (CHUNK * sizeof(uint32_t)))
         return -1;
-    uint32_t *x = malloc(CHUNK * sizeof *x);
+    uint32_t *tab = malloc(5 * CHUNK * sizeof *tab);
     uint32_t *acc = malloc(CHUNK * sizeof *acc);
     uint32_t *pbuf = malloc((size_t)n * CHUNK * sizeof *pbuf);
-    if (!x || !acc || !pbuf) {
-        free(x);
+    if (!tab || !acc || !pbuf) {
+        free(tab);
         free(acc);
         free(pbuf);
         return -1;
     }
+    uint32_t *x = tab, *x2 = tab + 4 * CHUNK;
     for (int64_t s = 0; s < total; s += CHUNK) {
         int64_t w = total - s < CHUNK ? total - s : CHUNK;
         const int64_t *rows = base + s * n;
+        /* x = base mod q, lifted into Montgomery form (base * R mod q)
+           unless MERS, into the columns of pbuf.  The batch is read 16 rows
+           at a time, so each column gets one whole cache line per block;
+           read a column at a time, its stride of n * 8 bytes was slower. */
+        for (int64_t i0 = 0; i0 < w; i0 += 16) {
+            int64_t i1 = w - i0 < 16 ? w : i0 + 16;
+            for (int64_t j = 0; j < n; j++)
+                for (int64_t i = i0; i < i1; i++)
+                    pbuf[j * CHUNK + i] = MERS ? fold31((uint64_t)rows[i * n + j])
+                                               : redc((uint64_t)rows[i * n + j] * r2, q, qneg);
+        }
         for (int64_t j = 0; j < n; j++) {
             uint32_t *p = pbuf + j * CHUNK;
-            /* x = base mod q, lifted into Montgomery form (base * R mod q)
-               unless MERS */
-            for (int64_t i = 0; i < w; i++) {
-                x[i] = MERS ? fold31((uint64_t)rows[i * n + j])
-                            : redc((uint64_t)rows[i * n + j] * r2, q, qneg);
-                p[i] = MERS ? 1 : r1;
+            uint64_t e = exps[j];
+            if (!e) {
+                for (int64_t i = 0; i < w; i++)
+                    p[i] = MERS ? 1 : r1;
+                continue;
             }
-            for (uint64_t e = exps[j]; e;) {
-                if (e & 1)
+            int k = window_width(e);
+            for (int64_t i = 0; i < w; i++)
+                x[i] = p[i];
+            if (k > 1) {
+                for (int64_t i = 0; i < w; i++)
+                    x2[i] = mulmod(MERS, (uint64_t)x[i] * x[i], q, qneg);
+                for (uint32_t *t = tab + CHUNK; t < tab + (CHUNK << (k - 1)); t += CHUNK) {
+                    const uint32_t *prev = t - CHUNK; /* row u: x**(2u+1) = x**(2u-1) * x**2 */
                     for (int64_t i = 0; i < w; i++)
-                        p[i] = mulmod(MERS, (uint64_t)p[i] * x[i], q, qneg);
-                e >>= 1;
-                if (e)
+                        t[i] = mulmod(MERS, (uint64_t)prev[i] * x2[i], q, qneg);
+                }
+            }
+            int hi = top_bit(e), lo = window_end(e, hi, k);
+            const uint32_t *t = tab + window_value(e, hi, lo) / 2 * CHUNK;
+            for (int64_t i = 0; i < w; i++)
+                p[i] = t[i];
+            for (hi = lo - 1; hi >= 0; hi = lo - 1) {
+                lo = e >> hi & 1 ? window_end(e, hi, k) : hi; /* a window, or one 0 bit */
+                for (int sq = hi; sq >= lo; sq--)
                     for (int64_t i = 0; i < w; i++)
-                        x[i] = mulmod(MERS, (uint64_t)x[i] * x[i], q, qneg);
+                        p[i] = mulmod(MERS, (uint64_t)p[i] * p[i], q, qneg);
+                if (e >> lo & 1) {
+                    t = tab + window_value(e, hi, lo) / 2 * CHUNK;
+                    for (int64_t i = 0; i < w; i++)
+                        p[i] = mulmod(MERS, (uint64_t)p[i] * t[i], q, qneg);
+                }
             }
         }
         for (int64_t r = 0; r < m; r++) {
@@ -162,7 +257,7 @@ eval_body(const int MERS, const int64_t *base, int64_t total, int64_t n,
                 out[(s + i) * m + r] = acc[i];
         }
     }
-    free(x);
+    free(tab);
     free(acc);
     free(pbuf);
     return 0;

@@ -440,6 +440,28 @@ def _edge_batch(q, n, rows=2049):
     return xs, exps, A.tolist()
 
 
+@pytest.fixture(scope="module")
+def kernel_probe(tmp_path_factory):
+    """The kernel source with exported wrappers around its static helpers:
+    fold_probe(t) = fold31(t), width_probe(e) = window_width(e) and
+    cost_probe(e, k) = window_cost(e, k)."""
+    probe = tmp_path_factory.mktemp("probe") / "probe.so"
+    subprocess.run(
+        [batch._find_compiler(), "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", str(probe)],
+        input=batch._C_SOURCE + (
+            "\nuint32_t fold_probe(uint64_t t) { return fold31(t); }"
+            "\nint width_probe(uint64_t e) { return window_width(e); }"
+            "\nint cost_probe(uint64_t e, int k) { return window_cost(e, k); }\n"),
+        text=True, check=True, timeout=120,
+    )
+    lib = ctypes.CDLL(str(probe))
+    lib.fold_probe.restype, lib.fold_probe.argtypes = ctypes.c_uint32, [ctypes.c_uint64]
+    lib.width_probe.restype, lib.width_probe.argtypes = ctypes.c_int, [ctypes.c_uint64]
+    lib.cost_probe.restype = ctypes.c_int
+    lib.cost_probe.argtypes = [ctypes.c_uint64, ctypes.c_int]
+    return lib
+
+
 class TestMersenneBody:
     """The C kernel folds products at q = 2**31 - 1 and uses Montgomery
     products at every other modulus; both agree with the python oracle."""
@@ -459,25 +481,61 @@ class TestMersenneBody:
                 assert np.array_equal(got, want[:rows, :m]), (m, rows)
 
     @needs_cc
-    def test_fold_reduces_every_input_below_2_62(self, tmp_path):
+    def test_fold_reduces_every_input_below_2_62(self, kernel_probe):
         # fold31 is static in the kernel source, and no product of canonical
-        # residues is a nonzero multiple of q, so the kernel alone cannot show
-        # the second fold or the final subtraction at work; a copy of the
-        # source with one exported wrapper reaches the fold directly
-        probe = tmp_path / "probe.so"
-        subprocess.run(
-            [batch._find_compiler(), "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", str(probe)],
-            input=batch._C_SOURCE + "\nuint32_t fold_probe(uint64_t t) { return fold31(t); }\n",
-            text=True, check=True, timeout=120,
-        )
-        fold = ctypes.CDLL(str(probe)).fold_probe
-        fold.restype, fold.argtypes = ctypes.c_uint32, [ctypes.c_uint64]
+        # residues is a nonzero multiple of q, so the kernel alone cannot tell
+        # r >= q from r > q; the probe reaches the fold directly.  Its range
+        # ends at 2**62 - 2: 2**62 - 1 = q * (2**31 + 1) is no product of two
+        # values <= q, and the one fold maps it to q
+        fold = kernel_probe.fold_probe
         rng = np.random.default_rng(31)
         ts = [0, 1, Q31 - 1, Q31, Q31 + 1, 2**31, 2 * Q31 - 1, 2 * Q31, 2**32 - 1,
-              (Q31 - 1) ** 2, Q31**2, 2**62 - 2, 2**62 - 1]  # 2**62 - 1 = q * (2**31 + 1)
-        ts += [int(t) for t in rng.integers(0, 2**62, size=2000, dtype=np.uint64)]
-        ts += [Q31 * int(c) for c in rng.integers(1, 2**31 + 2, size=200)]
+              (Q31 - 1) ** 2, Q31**2, 2**62 - 2]
+        ts += [int(t) for t in rng.integers(0, 2**62 - 1, size=2000, dtype=np.uint64)]
+        ts += [Q31 * int(c) for c in rng.integers(1, 2**31 + 1, size=200)]  # q * 2**31 < 2**62 - 2
+        assert max(ts) == 2**62 - 2
         assert [fold(t) for t in ts] == [t % Q31 for t in ts]
+
+    @needs_cc
+    @pytest.mark.parametrize("q", (Q31, 2**31 - 19))
+    def test_windows_match_the_oracle_at_the_exponent_edges(self, q, kernel_probe):
+        exps = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127,
+                2**32 - 1, 2**32 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1, q - 2]
+        # window_width takes e > 0; the kernel gives one for e = 0 before it
+        assert {kernel_probe.width_probe(e) for e in exps if e} == {1, 2, 3}
+        rng = np.random.default_rng(q)
+        xs = rng.integers(0, q, size=(2049, len(exps)), dtype=np.int64)
+        xs[:3] = np.array([0, 1, q - 1])[:, None]
+        A = rng.integers(1, q, size=(2, len(exps))).tolist()
+        want = batch.batch_apply(xs, exps, A, q, impl="python")
+        for rows in (0, 1, 2047, 2048, 2049):
+            got = batch.batch_apply(xs[:rows], exps, A, q, impl="c")
+            assert np.array_equal(got, want[:rows]), rows
+
+    @needs_cc
+    def test_window_widths_of_the_criterion_10_spec(self, kernel_probe):
+        # the widths and product count the kernel's documentation quotes
+        exps = [int(d) for d in build_spec(Q31, 64, 64, 2).d]
+        widths = [kernel_probe.width_probe(e) for e in exps]
+        assert [widths.count(k) for k in (1, 2, 3)] == [8, 26, 30]
+        assert sum(kernel_probe.cost_probe(e, k) for e, k in zip(exps, widths)) == 1625
+        # against bit_length - 1 + popcount by square-and-multiply
+        assert sum(e.bit_length() - 1 + bin(e).count("1") for e in exps) == 1856
+
+    @needs_cc
+    @pytest.mark.parametrize("flags", batch._C_FLAGS, ids=" ".join)
+    def test_every_flag_set_builds_warning_free_and_matches_the_oracle(
+            self, flags, fresh_c_build, monkeypatch, tmp_path):
+        strict = (*flags, "-Wall", "-Wextra", "-Werror")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(batch, "_C_FLAGS", (strict,))
+        build = batch.c_build()
+        assert build.fn is not None, build.error
+        assert build.flags == strict
+        for q in (Q31, 2**31 - 19):
+            xs, exps, A = _edge_batch(q, 8)
+            assert np.array_equal(batch.batch_apply(xs, exps, A, q, impl="c"),
+                                  batch.batch_apply(xs, exps, A, q, impl="python")), (flags, q)
 
     def test_batch_route_names_the_kernel_and_its_reduction(self, fresh_c_build, monkeypatch):
         if batch.c_build().fn is not None:
