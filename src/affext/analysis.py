@@ -34,7 +34,8 @@ caller's sweep state, and each chunk's partial result is a SweepResult,
 merged by the same first-maximum rule that runs per run of blocks.  Per run,
 each check yields one column per report field (a per-subspace array or one
 shared value); violation counts read those columns, and report rows stay in
-them until read, so the CSV writer formats whole columns.
+them until read, so the CSV writer formats whole columns and leaves the
+per-row work, and the merge into sweep order, to the C source.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -50,6 +51,7 @@ Checks
 
 from __future__ import annotations
 
+import io
 import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
@@ -330,24 +332,45 @@ def _check_int64_sums(q: int, n: int) -> None:
         raise ValueError(f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 row sums")
 
 
-def _count_kernel() -> tuple[object, str]:
-    """The C count kernel, or None and why not.
+def _c_kernel(name: str, instead: str) -> tuple[object, str]:
+    """The loaded C function CBuild.<name>, or None and why not.
 
     Looking it up builds or loads the C kernels; when that fails, the
-    fallback warning is issued once per process for both C kernels."""
+    fallback warning is issued once per process for all of them."""
     from . import batch
 
     build = batch.c_build()
-    if build.count_fn is None:
-        batch.warn_c_fallback("numpy")
+    if getattr(build, name) is None:
+        batch.warn_c_fallback(instead)
         return None, f"C kernels unavailable: {build.error}"
-    return build.count_fn, ""
+    return getattr(build, name), ""
+
+
+def _count_kernel() -> tuple[object, str]:
+    return _c_kernel("count_fn", "numpy kernel")
 
 
 def count_route() -> str:
     """The route _PointCounts.counts takes: "c" or "numpy (<why>)"."""
     fn, why = _count_kernel()
     return "c" if fn is not None else f"numpy ({why})"
+
+
+# Reports of fewer rows go to the python writer: C saves under 1 ms on them,
+# and loading the C kernels where no count has (affext bounds) takes ~20 ms.
+_C_REPORT_ROWS = 1024
+
+
+def _report_writer(rows: int) -> tuple[object, str]:
+    if rows < _C_REPORT_ROWS:
+        return None, f"{rows} rows, below {_C_REPORT_ROWS}"
+    return _c_kernel("write_fn", "python writer")
+
+
+def report_route(result: SweepResult) -> str:
+    """The route write_reports_csv takes for result: "c" or "python (<why>)"."""
+    fn, why = _report_writer(len(result.reports))
+    return "c" if fn is not None else f"python ({why})"
 
 
 def _representatives(partner: np.ndarray) -> np.ndarray:
@@ -717,18 +740,45 @@ SubspaceSource = ExhaustiveSubspaces | SampledSubspaces | ExplicitSubspaces
 # sweep result
 
 
-def _csv_cells(col: np.ndarray) -> list[str]:
-    """A report column as CSV cells: floats by repr, bools as true/false, None empty, else str."""
-    if col.dtype.kind in "fi" and col.itemsize == 8:  # each bit pattern once: sweeps repeat values
+_REPORT_BUFFER = 1 << 20  # bytes of the C report writer's buffer, for any report size
+_CELL_EMPTY, _CELL_INT, _CELL_BOOL, _CELL_TABLE = range(4)  # cell kinds of affext_write_rows
+
+
+def _csv_cells(col: np.ndarray) -> tuple[list[str], np.ndarray | None]:
+    """A report column as CSV cells: floats by repr, bools as true/false, None
+    empty, else str.  A float64 column gives each bit pattern's cell once
+    (sweeps repeat values) and each row's index into them; any other column
+    one cell per row, and None."""
+    if col.dtype == np.float64:
         bits, at = np.unique(col.view(np.int64), return_inverse=True)
-        return np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)[at].tolist()
-    if col.dtype.kind == "b":
-        return np.where(col, "true", "false").tolist()
+        return list(map(repr, bits.view(np.float64).tolist())), at
     values = col.tolist()
     if values.count(None) == len(values):
-        return [""] * len(values)
+        return [""], np.zeros(len(values), np.int64)
     return ["" if v is None else str(v).lower() if isinstance(v, bool)
-            else repr(v) if isinstance(v, float) else str(v) for v in values]
+            else repr(v) if isinstance(v, float) else str(v) for v in values], None
+
+
+def _csv_column(col: np.ndarray) -> list[str]:
+    cells, at = _csv_cells(col)
+    return cells if at is None else np.array(cells, dtype=object)[at].tolist()
+
+
+def _c_cell(col: np.ndarray, hold: list) -> tuple[list[int], int]:
+    """A report column as affext_write_rows reads it: (kind, a, b, c), and
+    its widest cell.  hold keeps the arrays the fields point into alive."""
+    if col.dtype.kind in "ib":
+        ints = col.dtype.kind == "i"
+        hold.append(col := np.ascontiguousarray(col, np.int64 if ints else bool))
+        return [_CELL_INT if ints else _CELL_BOOL, col.ctypes.data, 0, 0], 20 if ints else 5
+    cells, at = _csv_cells(col)
+    if cells == [""]:
+        return [_CELL_EMPTY, 0, 0, 0], 0
+    lens = list(map(len, cells))
+    at = np.asarray(np.arange(len(col)) if at is None else at, np.int64)
+    pool = np.frombuffer("".join(cells).encode("ascii"), np.uint8)
+    hold += [at, pool, off := np.cumsum([0, *lens], dtype=np.int64)]
+    return [_CELL_TABLE, at.ctypes.data, pool.ctypes.data, off.ctypes.data], max(lens, default=0)
 
 
 class _Reports:
@@ -747,17 +797,18 @@ class _Reports:
         self.tables.append((np.array([r.subspace_id]), cols, None))
         self._rows = None
 
-    def _in_order(self, detail: bool, cells, rows_of) -> list:
-        """rows_of(name, *columns) per check, merged into sweep order.  Each
-        column (quantity, bound, satisfied, ids, c_encoded and, with detail,
-        detail) joins the kept rows of every table and goes through cells
-        once, also when two checks share it, as xor shares sd's quantity."""
+    def _columns(self, detail: bool) -> list[tuple[str, np.ndarray, list]]:
+        """Per check: its name, its rows' sort keys, ascending (row position *
+        len(CHECK_ORDER) + the check's slot in its table), and its columns in
+        CSV order (ids, c_encoded, quantity, bound, satisfied and, with
+        detail, detail), each the kept rows of every table joined once.  A
+        column two checks share, as xor shares sd's quantity, is one array."""
         checks: dict[str, tuple[list, list[list]]] = {}
         pos = 0
         for ids, cols, keep in self.tables:
             for slot, (name, col) in enumerate(cols.items()):
                 at = np.arange(len(ids)) if keep is None else keep.get(name, ids[:0])
-                fields = [*col[:3], ids, *col[3 : 4 + detail]]
+                fields = [ids, col[3], *col[:3], *col[4 : 4 + detail]]
                 if detail and isinstance(col[4], tuple):
                     a, b = (v // np.gcd(*col[4]) for v in col[4])
                     fields[5] = np.array([f"exact={x}/{y}" for x, y in zip(a.tolist(), b.tolist())])
@@ -767,22 +818,32 @@ class _Reports:
                     c = c if isinstance(c, np.ndarray) else np.array([c]).repeat(len(ids))
                     part.append(c if keep is None else c[at])
             pos += len(ids)
-        done: dict[tuple, list] = {}  # cells by the arrays joined; checks hold them alive
-        rows, order = [], [np.arange(0)]
-        for name, (keys, parts) in checks.items():
-            for p in parts:
-                if (key := tuple(map(id, p))) not in done:  # each value keeps its Python type
-                    same = len({a.dtype for a in p}) < 2
-                    done[key] = cells(np.concatenate(p if same else [a.astype(object) for a in p]))
-            rows += rows_of(name, *(done[tuple(map(id, p))] for p in parts))
-            order += keys
-        order = np.argsort(np.concatenate(order), kind="stable")
+        joined: dict[tuple, np.ndarray] = {}  # by the arrays joined; checks hold them alive
+        for p in (p for _, parts in checks.values() for p in parts):
+            if (key := tuple(map(id, p))) not in joined:  # each value keeps its Python type
+                same = len({a.dtype for a in p}) < 2
+                joined[key] = np.concatenate(p if same else [a.astype(object) for a in p])
+        return [(name, np.concatenate(keys).astype(np.int64, copy=False),
+                 [joined[tuple(map(id, p))] for p in parts]) for name, (keys, parts) in checks.items()]
+
+    def _in_order(self, detail: bool, cells, rows_of) -> list:
+        """rows_of(name, *cells(column)) per check, merged into sweep order;
+        cells runs once per column."""
+        done: dict[int, list] = {}
+        rows, keys = [], [np.arange(0)]
+        for name, key, cols in self._columns(detail):
+            for c in cols:
+                if id(c) not in done:
+                    done[id(c)] = cells(c)
+            rows += rows_of(name, *(done[id(c)] for c in cols))
+            keys.append(key)
+        order = np.argsort(np.concatenate(keys), kind="stable")
         return list(map(rows.__getitem__, order.tolist()))
 
     def rows(self) -> list[BoundReport]:
         if self._rows is None:
-            self._rows = self._in_order(True, np.ndarray.tolist, lambda name, *columns: map(
-                BoundReport, repeat(name), *columns))
+            self._rows = self._in_order(True, np.ndarray.tolist, lambda name, i, c, q, b, s, d: map(
+                BoundReport, repeat(name), q, b, s, i, c, d))
         return self._rows
 
     def __len__(self) -> int:  # from the tables, without building the rows
@@ -866,16 +927,48 @@ def summary_lines(result: SweepResult) -> list[str]:
 REPORT_COLUMNS = ("check_name", "subspace_id", "c_encoded", "quantity", "bound", "satisfied")
 
 
+def _write_rows_c(reports: _Reports, fh, fn) -> None:
+    """The report rows through affext_write_rows, one fixed buffer at a time."""
+    hold, desc, cells = [], [], {}
+    for name, keys, cols in reports._columns(False):
+        for c in cols:
+            if id(c) not in cells:
+                cells[id(c)] = _c_cell(c, hold)
+        hold += [keys, label := np.frombuffer(name.encode("ascii"), np.uint8)]
+        width = len(label) + sum(cells[id(c)][1] for c in cols) + 6  # 5 commas and a newline
+        desc.append([keys.ctypes.data, len(keys), label.ctypes.data, len(label), width,
+                     *(f for c in cols for f in cells[id(c)][0])])
+    desc = np.array(desc, dtype=np.int64).reshape(len(desc), 25)
+    at = np.zeros(len(desc), dtype=np.int64)
+    buf = np.empty(max(_REPORT_BUFFER, desc[:, 4].max(initial=0)), dtype=np.uint8)  # a line fits
+    while n := fn(desc.ctypes.data, len(desc), at.ctypes.data, buf.ctypes.data, len(buf)):
+        fh.write(buf[:n])
+
+
+def _write_reports(result: SweepResult, fh) -> None:
+    """The header, the report rows (by the C writer if it loads, else in
+    Python, with the same bytes) and the summary, as ASCII to a binary fh."""
+    fh.write(",".join(REPORT_COLUMNS).encode("ascii") + b"\n")
+    fn, _ = _report_writer(len(result.reports))
+    if fn is not None:
+        _write_rows_c(result.reports, fh, fn)
+    else:
+        rows = result.reports._in_order(False, _csv_column, lambda name, *cells: map(
+            ",".join, zip(repeat(name), *cells)))
+        fh.write("".join(f"{row}\n" for row in rows).encode("ascii"))
+    fh.write("".join(f"# {line}\n" for line in summary_lines(result)).encode("ascii"))
+
+
 def reports_csv_lines(result: SweepResult) -> list[str]:
-    """The header, the report rows with each column formatted whole, then the summary."""
-    rows = result.reports._in_order(False, _csv_cells, lambda name, q, b, s, ids, c: map(
-        ",".join, zip(repeat(name), ids, c, q, b, s)))
-    return [",".join(REPORT_COLUMNS), *rows, *(f"# {line}" for line in summary_lines(result))]
+    """The lines of write_reports_csv, written to memory by the same writer."""
+    fh = io.BytesIO()
+    _write_reports(result, fh)
+    return fh.getvalue().decode("ascii").split("\n")[:-1]
 
 
 def write_reports_csv(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(reports_csv_lines(result)) + "\n")
+    with open(path, "wb") as fh:
+        _write_reports(result, fh)
 
 
 def write_summary(result: SweepResult, path) -> None:

@@ -48,8 +48,13 @@ summed once per grid row.  Its loop body is specialised for (m, n - k) in
 built, cached and loaded with the batch kernel (one `c_build()`, one shared
 object).  `_PointCounts.counts` calls it when it loads, and otherwise runs
 its numpy loop, which gives the same counts; counts() checks every
-precondition of both before either runs.  A failed build warns once per
-process for both kernels.
+precondition of both before either runs.
+
+The third function of that source, `affext_write_rows`, writes report rows
+for `analysis.write_reports_csv`: it formats int and bool cells, copies
+cells from string tables, and merges each check's rows into sweep order,
+into a buffer of fixed size.  Without it the python writer runs, with the
+same bytes.  A failed build warns once per process for all three.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ _NUMPY_MAX_Q = 1 << 32  # uint64 holds (q-1)**2 exactly below 2**32
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define CHUNK 2048 /* rows per chunk; keeps the power buffer L2-resident */
 
@@ -369,6 +375,77 @@ affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
     free(tp);
     return 0;
 }
+
+/* The report writer.  desc holds DESC int64 fields per check, pointers as
+   integers: its rows' sort keys, ascending, and their count; its name and
+   the name's length; a bound on the width of its lines; then per CSV cell
+   (subspace_id, c_encoded, quantity, bound, satisfied) a kind and three
+   fields a, b, c:
+     CELL_EMPTY  nothing is written;
+     CELL_INT    a: int64 values, written in decimal as Python's str(int);
+     CELL_BOOL   a: one byte per row, written true or false;
+     CELL_TABLE  a: an int64 index per row into a table of strings, b: the
+                 table's bytes, c: int64 offsets, string s is [c[s], c[s+1]).
+   at[i] is check i's next row.  Each line is the next row of the check with
+   the smallest next key, so the checks' rows come out merged in key order.
+   Before each line the writer checks that the check's width bound still
+   fits in the cap bytes of buf, and stops when it does not.  It returns the
+   bytes written; with cap at least every check's width bound, 0 means every
+   row is written. */
+enum { CELL_EMPTY, CELL_INT, CELL_BOOL, CELL_TABLE };
+#define DESC 25 /* 5 fields per check, then 4 per cell */
+#define PTR(T, v) ((const T *)(intptr_t)(v))
+
+static char *put_int64(char *p, int64_t v)
+{
+    char digits[20];
+    int i = 0;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v; /* also for -2**63 */
+    do
+        digits[i++] = (char)('0' + u % 10);
+    while (u /= 10);
+    if (v < 0)
+        *p++ = '-';
+    while (i)
+        *p++ = digits[--i];
+    return p;
+}
+
+int64_t affext_write_rows(const int64_t *desc, int64_t nc, int64_t *at, char *buf,
+                          int64_t cap)
+{
+    char *p = buf;
+    for (;;) {
+        int64_t c = -1, key = 0;
+        for (int64_t i = 0; i < nc; i++) {
+            const int64_t *d = desc + i * DESC;
+            if (at[i] < d[1] && (c < 0 || PTR(int64_t, d[0])[at[i]] < key))
+                c = i, key = PTR(int64_t, d[0])[at[i]];
+        }
+        if (c < 0 || buf + cap - p < desc[c * DESC + 4])
+            return p - buf;
+        const int64_t *d = desc + c * DESC;
+        int64_t r = at[c]++;
+        memcpy(p, PTR(char, d[2]), (size_t)d[3]);
+        p += d[3];
+        for (const int64_t *f = d + 5; f < d + DESC; f += 4) {
+            *p++ = ',';
+            if (f[0] == CELL_INT) {
+                p = put_int64(p, PTR(int64_t, f[1])[r]);
+            } else if (f[0] == CELL_BOOL) {
+                int t = PTR(uint8_t, f[1])[r] != 0;
+                memcpy(p, t ? "true" : "false", 5 - (size_t)t);
+                p += 5 - t;
+            } else if (f[0] == CELL_TABLE) {
+                const int64_t *off = PTR(int64_t, f[3]);
+                int64_t s = PTR(int64_t, f[1])[r];
+                memcpy(p, PTR(char, f[2]) + off[s], (size_t)(off[s + 1] - off[s]));
+                p += off[s + 1] - off[s];
+            }
+        }
+        *p++ = '\n';
+    }
+}
 """
 
 # Compiler flags, tried in order; the first set the compiler accepts is used.
@@ -381,10 +458,11 @@ class CBuild:
 
     fn: object = None  # the loaded batch kernel (ctypes function), or None
     count_fn: object = None  # the loaded count kernel, or None
+    write_fn: object = None  # the loaded report writer, or None
     flags: tuple[str, ...] = ()
     compiler: str = ""  # first line of `cc --version`
     path: str = ""  # the cached shared object
-    error: str = ""  # why fn and count_fn are None
+    error: str = ""  # why fn, count_fn and write_fn are None
 
 
 def _find_compiler() -> str | None:
@@ -474,7 +552,8 @@ def c_build() -> CBuild:
                 continue
         try:
             lib = ctypes.CDLL(path)
-            fn, count_fn = lib.affext_mont_eval, lib.affext_count_blocks
+            fn, count_fn, write_fn = (lib.affext_mont_eval, lib.affext_count_blocks,
+                                      lib.affext_write_rows)
         except (OSError, AttributeError) as exc:
             errors.append(f"loading {path} failed: {exc}")
             continue
@@ -484,7 +563,10 @@ def c_build() -> CBuild:
         count_fn.restype = ctypes.c_int
         count_fn.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr, i64, i64, ptr, i64, ptr,
                              ptr, i64, i64, i64, i64, ptr, ptr]
-        return CBuild(fn=fn, count_fn=count_fn, flags=flags, compiler=version, path=path)
+        write_fn.restype = i64
+        write_fn.argtypes = [ptr, i64, ptr, ptr, i64]
+        return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, flags=flags,
+                      compiler=version, path=path)
     return CBuild(error="; ".join(errors))
 
 
@@ -570,13 +652,12 @@ _fallback_warned = False
 
 def warn_c_fallback(instead: str) -> None:
     """Say why the C kernels could not be built or loaded, once per process
-    for the batch and count kernels together."""
+    for the batch and count kernels and the report writer together."""
     global _fallback_warned
     if not _fallback_warned:
         _fallback_warned = True
         warnings.warn(
-            f"C batch and count kernels unavailable ({c_build().error}); "
-            f"using the {instead} kernel instead",
+            f"C kernels unavailable ({c_build().error}); using the {instead} instead",
             RuntimeWarning, stacklevel=3,
         )
 
@@ -594,7 +675,7 @@ def pick_impl(q: int, impl: str = "auto") -> str:
     if impl == "auto":
         chosen = kernels_for(q)[0]
         if chosen != "c" and KERNELS["c"].handles(q):
-            warn_c_fallback(chosen)
+            warn_c_fallback(f"{chosen} kernel")
         return chosen
     if impl not in KERNELS:
         raise ValueError(f"unknown implementation {impl!r}")

@@ -198,6 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # how the counts were built; stderr, so stdout and the reports stay byte-identical
     route = analysis.count_route() if result.points_covered else "none (no check counted points)"
     print(f"count_route = {route}", file=sys.stderr)
+    if args.report_dir is not None:  # how the report rows are written
+        print(f"report_route = {analysis.report_route(result)}", file=sys.stderr)
     # points the count kernel visited, of those its counts covered (+- pairs are counted once)
     print(f"count_points = {result.points_visited} of {result.points_covered}", file=sys.stderr)
     for line in analysis.summary_lines(result):
@@ -245,6 +247,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.report_dir is not None:
         os.makedirs(args.report_dir, exist_ok=True)
         path = os.path.join(args.report_dir, "deligne_battery.csv")
+        print(f"report_route = {analysis.report_route(result)}", file=sys.stderr)
         analysis.write_reports_csv(result, path)
         print(f"battery rows written to {path}")
     return EXIT_OK if failed == 0 else EXIT_CHECK

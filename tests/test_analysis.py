@@ -550,24 +550,31 @@ class TestCountRoutes:
         assert ran == []
 
     def test_no_compiler_gives_identical_reports_and_one_warning(
-        self, fresh_c_build, monkeypatch
+        self, fresh_c_build, monkeypatch, tmp_path
     ):
         spec = build_spec(7, 3, 2, 2)
 
-        def run():
+        def run(path):
             res = verify_extractor(spec, ExhaustiveSubspaces(), checks=CHECK_ORDER, collect="full")
-            return reports_csv_lines(res) + summary_lines(res), repr(res.reports)
+            write_reports_csv(res, path)
+            return res, (reports_csv_lines(res) + summary_lines(res), repr(res.reports),
+                         path.read_bytes())
 
-        compiled = run()
+        res, compiled = run(tmp_path / "compiled.csv")
+        assert len(res.reports) >= analysis._C_REPORT_ROWS
+        if HAVE_CC:
+            assert analysis.report_route(res) == "c"
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
         batch.c_build.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run() == compiled
+            assert run(tmp_path / "python.csv")[1] == compiled  # the report writer too
             assert [w.category for w in caught] == [RuntimeWarning]  # from the counts
             evaluate_batch(spec, [[1, 2, 3]])  # the batch kernel shares that warning
         assert len(caught) == 1 and "no C compiler" in str(caught[0].message)
         assert analysis.count_route().startswith("numpy (C kernels unavailable: no C compiler")
+        assert analysis.report_route(res).startswith(
+            "python (C kernels unavailable: no C compiler")
 
     @needs_cc
     def test_spawned_workers_match_one_worker(self, monkeypatch):
@@ -1613,6 +1620,10 @@ def _oracle_csv_lines(result) -> list[str]:
 
 
 class TestColumnWriter:
+    @pytest.fixture(autouse=True)
+    def _writer(self, monkeypatch):  # the C writer, when it loads, for reports of any size
+        monkeypatch.setattr(analysis, "_C_REPORT_ROWS", 0)
+
     @pytest.mark.parametrize("fault", [False, True])
     def test_edge_shapes_match_the_row_oracle(self, fault, request):
         if fault:  # failed structural rows, with c_encoded set on change_of_vars
@@ -1714,6 +1725,80 @@ class TestColumnWriter:
         res.reports.append(extra)
         assert res.reports == rows + [extra] and len(res.reports) == len(rows) + 1
         assert reports_csv_lines(res)[len(rows) + 1] == "xor,99,,0.5,1.0,true"
+
+    def test_edge_cells_match_the_row_oracle_as_bytes(self, tmp_path):
+        ints = (0, -1, 2**63 - 1, -(2**63))
+        floats = (-0.0, math.nan, math.inf, -math.inf, 1e-05, 1e16, 5e-324)
+        mixed = (1, 2.5, None, True, Fraction(1, 3), 2**70, "s")
+        res = _result_with_row(BoundReport("xor", 0.5, 1.0, True, subspace_id=0))
+        rows = [BoundReport("ints", v, v, v < 0, subspace_id=i, c_encoded=v)
+                for i, v in enumerate(ints)]
+        rows += [BoundReport("floats", v, -v, None, subspace_id=i) for i, v in enumerate(floats)]
+        rows += [BoundReport("mixed", v, None, v, subspace_id=None, c_encoded=v) for v in mixed]
+        rows += [BoundReport("budget_error", 169, 100, None, subspace_id=7)]  # a skipped subspace
+        for r in rows:
+            res.reports.append(r)
+        kinds = {name: [analysis._c_cell(c, [])[0][0] for c in cols]
+                 for name, _, cols in res.reports._columns(False)}
+        INT, BOOL, EMPTY, TABLE = (analysis._CELL_INT, analysis._CELL_BOOL,
+                                   analysis._CELL_EMPTY, analysis._CELL_TABLE)
+        assert kinds["ints"] == [INT, INT, INT, INT, BOOL]  # id, c, quantity, bound, satisfied
+        assert kinds["floats"] == [INT, EMPTY, TABLE, TABLE, EMPTY]
+        assert kinds["mixed"] == [EMPTY, TABLE, TABLE, EMPTY, TABLE]
+        _assert_written_like_the_oracle(res, tmp_path / "edges.csv")
+        lines = reports_csv_lines(res)
+        assert "ints,3,-9223372036854775808,-9223372036854775808,-9223372036854775808,true" in lines
+        assert "floats,0,,-0.0,0.0," in lines and "floats,6,,5e-324,-5e-324," in lines
+
+    def test_zero_rows(self, spec13, tmp_path):
+        empty = verify_extractor(spec13, SampledSubspaces(count=3, seed=1), collect="none")
+        assert len(empty.reports) == 0
+        _assert_written_like_the_oracle(empty, tmp_path / "empty.csv")
+        _assert_written_like_the_oracle(
+            dataclasses.replace(empty, reports=analysis._Reports()), tmp_path / "none.csv")
+
+    def test_a_report_longer_than_the_buffer(self, monkeypatch, tmp_path):
+        fn, _ = analysis._report_writer(0)
+        fills, caps = [], set()
+
+        def spy(*args):  # one fill of the buffer, never past its cap
+            fills.append(fn(*args))
+            caps.add(args[4])
+            assert 0 <= fills[-1] <= args[4]
+            return fills[-1]
+
+        if fn is not None:
+            monkeypatch.setattr(analysis, "_report_writer", lambda rows: (spy, ""))
+        for workers in (1, 2):
+            res = verify_extractor(build_spec(13, 3, 2, 1), ExhaustiveSubspaces(),
+                                   checks=CHECK_ORDER, workers=workers, collect="full")
+            rows = _oracle_csv_lines(res)[1 : len(res.reports) + 1]
+            for buffer in (1, 4096):  # the widest line, or 4096 bytes, per fill
+                monkeypatch.setattr(analysis, "_REPORT_BUFFER", buffer)
+                fills.clear()
+                caps.clear()
+                _assert_written_like_the_oracle(res, tmp_path / f"r{workers}.csv")
+                if fn is not None:  # the file, then memory: every row in many fills
+                    assert sum(fills) == 2 * sum(len(r) + 1 for r in rows) > 8 * max(caps)
+                    assert fills.count(0) == 2 and len(caps) == 1  # the buffer fits every line
+                    assert max(buffer, 1 + max(map(len, rows))) <= max(caps) <= max(buffer, 128)
+
+
+class TestColumnWriterPythonRoute(TestColumnWriter):
+    """Every TestColumnWriter test again on the python writer, the route
+    write_reports_csv takes when the C kernels do not load."""
+
+    @pytest.fixture(autouse=True)
+    def _writer(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_report_writer", lambda rows: (None, "forced"))
+
+
+def _assert_written_like_the_oracle(res, path):
+    """The bytes of write_reports_csv, and reports_csv_lines, against the row oracle."""
+    want = _oracle_csv_lines(res)
+    write_reports_csv(res, path)
+    assert path.read_bytes() == "".join(f"{line}\n" for line in want).encode("ascii")
+    assert reports_csv_lines(res) == want
 
 
 def _result_with_row(report):

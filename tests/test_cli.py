@@ -319,6 +319,48 @@ class TestVerify:
         assert "count_route = numpy (C kernels unavailable: no C compiler" in err
         assert files[0] == files[1]
 
+    def test_report_route_goes_to_stderr_only(
+        self, spec_path, tmp_path, capsys, monkeypatch, fresh_c_build
+    ):
+        # verify: 9,516 rows, on the C writer when it loads; bounds: 24 rows, below
+        # analysis._C_REPORT_ROWS, so on the python writer, with no C kernel looked up
+        verify = ("verify", "--spec-file", spec_path, "--exhaustive")
+        files = []
+        for hide in (False, True):
+            if hide:
+                monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+                monkeypatch.setattr(batch, "_fallback_warned", False)
+                batch.c_build.cache_clear()
+            routes = {verify: "report_route = c" if batch.c_build().write_fn is not None else
+                      "report_route = python (C kernels unavailable: no C compiler",
+                      ("bounds",): "report_route = python (24 rows, below 1024)"}
+            d = tmp_path / str(hide)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for argv, route in routes.items():
+                    code, out, err = run(capsys, *argv, "--report-dir", str(d))
+                    assert code == 0
+                    [line] = [l for l in err.splitlines() if l.startswith("report_route = ")]
+                    assert line.startswith(route), argv
+                    assert "report_route =" not in out
+                    _, _, err = run(capsys, *argv)  # no report files, no route line
+                    assert "report_route =" not in err
+            if hide:  # the one fallback warning, shared with the count kernel
+                assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+                    "C kernels unavailable (no C compiler found (tried cc, gcc)); "
+                    "using the numpy kernel instead"]
+            files.append({name: (d / name).read_bytes() for name in sorted(os.listdir(d))})
+        assert files[0] == files[1] and len(files[0]) == 3
+        assert all(b"report_route =" not in b for b in files[0].values())
+
+    def test_bounds_looks_up_no_c_kernel(self, tmp_path, capsys, monkeypatch):
+        def unbuilt():
+            raise AssertionError("the C kernels were looked up")
+
+        monkeypatch.setattr(batch, "c_build", unbuilt)
+        code, _, err = run(capsys, "bounds", "--report-dir", str(tmp_path))
+        assert code == 0 and "report_route = python (24 rows, below 1024)" in err.splitlines()
+
     def test_sampled_run_deterministic_files(self, spec_path, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affext import batch, numtheory
+from affext import analysis, batch, numtheory
 from affext.config import BudgetExceededError
 from affext.extractor import (
     CoefficientMatrix,
@@ -530,12 +530,20 @@ class TestMersenneBody:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(batch, "_C_FLAGS", (strict,))
         build = batch.c_build()
-        assert build.fn is not None, build.error
+        assert build.fn is not None and build.write_fn is not None, build.error
         assert build.flags == strict
         for q in (Q31, 2**31 - 19):
             xs, exps, A = _edge_batch(q, 8)
             assert np.array_equal(batch.batch_apply(xs, exps, A, q, impl="c"),
                                   batch.batch_apply(xs, exps, A, q, impl="python")), (flags, q)
+        # one report through this build's writer, against the python writer
+        res = analysis.verify_extractor(build_spec(7, 3, 2, 1), analysis.SampledSubspaces(5, 1),
+                                        checks=analysis.CHECK_ORDER, collect="full")
+        monkeypatch.setattr(analysis, "_C_REPORT_ROWS", 0)
+        assert analysis.report_route(res) == "c"
+        lines = analysis.reports_csv_lines(res)
+        monkeypatch.setattr(analysis, "_report_writer", lambda rows: (None, "forced"))
+        assert lines == analysis.reports_csv_lines(res), flags
 
     def test_batch_route_names_the_kernel_and_its_reduction(self, fresh_c_build, monkeypatch):
         if batch.c_build().fn is not None:
