@@ -25,13 +25,13 @@ character_sum_subspace / character_magnitude route is kept as its oracle.
 sample, or an explicit list) and runs selected checks on each one.  The sweep
 processes runs of linear subspaces of one pivot pattern, with all of their
 parallel offsets batched through the count primitive, so exhaustive runs at
-desk scale stay in the seconds-to-minutes range.  Work is sharded over
-processes in fixed chunks, each a whole number of full runs of blocks, whose
+desk scale stay in the seconds-to-minutes range.  One thread pool runs the
+work in fixed chunks, each a whole number of full runs of blocks, whose
 layout does not depend on the worker count, and partial results merge in
-chunk order, so reports are byte-identical for any worker count.  A sweep
-that would get a pool of one process runs in the caller's.  Workers get the
-caller's sweep state, and each chunk's partial result is a SweepResult,
-merged by the same first-maximum rule that runs per run of blocks.  Per run,
+chunk order, so reports are byte-identical for any worker count (on one
+numpy/BLAS build).  The threads share the caller's sweep state, and each
+chunk's partial result is a SweepResult, merged by the same first-maximum
+rule that runs per run of blocks.  Per run,
 each check yields one column per report field (a per-subspace array or one
 shared value); violation counts read those columns, and report rows stay in
 them until read, so the CSV writer formats whole columns and leaves the
@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import io
 import math
-import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -1014,7 +1015,7 @@ def _keep_first_max(result: SweepResult, names: tuple[str, ...], values: Sequenc
 
 class _Pattern:
     """What a pivot pattern alone determines, one record per pattern and
-    process (_SweepState.pattern); each part is built on its first read, so a
+    sweep (_SweepState.pattern); each part is built on its first read, so a
     sweep builds only what its checks use."""
 
     def __init__(self, state: _SweepState, pivots: tuple[int, ...]) -> None:
@@ -1072,8 +1073,13 @@ class _Pattern:
 
 
 class _SweepState:
-    """Everything a sweep needs.  The caller builds it once, and each pool
-    worker gets a copy; every chunk tallies into a blank copy of header."""
+    """Everything a sweep needs, built once by the caller and shared by the
+    pool's threads; every chunk tallies into a blank copy of header.
+    patterns keeps the first record of each pattern (dict.setdefault is
+    atomic).  counter.grids and the _Pattern cached properties are built on
+    first use with no lock (cached_property has none since Python 3.12), so
+    two threads may build one twice: that is safe, as both give equal values
+    and no value is ever mutated in place."""
 
     def __init__(
         self,
@@ -1111,10 +1117,8 @@ class _SweepState:
                                         _RUN_POINTS // (self.per_unit * q**spec.k)))
 
     def pattern(self, pivots: tuple[int, ...]) -> _Pattern:
-        """The record of a pivot pattern, one per pattern and process."""
-        if pivots not in self.patterns:
-            self.patterns[pivots] = _Pattern(self, pivots)
-        return self.patterns[pivots]
+        """The record of a pivot pattern, one per pattern and sweep."""
+        return self.patterns.setdefault(pivots, _Pattern(self, pivots))
 
     # -- block analysis ----------------------------------------------------
 
@@ -1240,23 +1244,14 @@ class _SweepState:
             self.analyze_block(V.basis_array()[None], V.pivots, offsets, ids, partial)
         return partial
 
-
-_WORKER_STATE: _SweepState | None = None
-
-
-def _init_worker(state: _SweepState) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _run_chunk(task: tuple[int, int, int]) -> tuple[int, SweepResult]:
-    assert _WORKER_STATE is not None
-    idx, lo, hi = task
-    try:
-        return idx, _WORKER_STATE.run_range(lo, hi)
-    except Exception as exc:  # same type, so callers map it as before
-        exc.args = (f"chunk {idx} [{lo}, {hi}): {exc}",)
-        raise
+    def run_chunk(self, task: tuple[int, int, int]) -> SweepResult:
+        """run_range over chunk (idx, lo, hi); an error names the chunk."""
+        idx, lo, hi = task
+        try:
+            return self.run_range(lo, hi)
+        except Exception as exc:  # same type, so callers map it as before
+            exc.args = (f"chunk {idx} [{lo}, {hi}): {exc}",)
+            raise
 
 
 def _merge(result: SweepResult, partial: SweepResult) -> None:
@@ -1302,9 +1297,9 @@ def verify_extractor(
     keeps only failed rows, "none" keeps no rows, "auto" switches from full
     to violations above 100000 subspaces.  Summary statistics (max distance,
     max character magnitude, violation counts) are always gathered.  log, if
-    given, gets one line when the pool has fewer processes than workers: for
-    the CPU count, or else for the chunk count.  A pool of one process is
-    never started; the chunks then run here, in order.
+    given, gets one line when the pool has fewer threads than workers: for
+    the CPU count, or else for the chunk count.  An error in a chunk names it
+    and cancels the chunks not yet started.
     """
     budgets = budgets or Budgets()
     checks = normalize_checks(checks)
@@ -1353,19 +1348,17 @@ def verify_extractor(
     state = _SweepState(spec, source, budgets, result)  # raises on the table budgets
     tasks = _chunk_plan(total // state.per_unit, state.run_units)
     result.chunks = len(tasks)
-    processes = min(workers, len(tasks))  # no more processes than chunks
-    if log is not None and workers > (cpus := multiprocessing.cpu_count()):
-        log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {processes}")
-    elif log is not None and processes < workers:
-        log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {processes}")
-    if processes <= 1:  # a pool of one process would only add a fork and a pickle
-        partials = (state.run_range(lo, hi) for _, lo, hi in tasks)
-    else:
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        ctx = multiprocessing.get_context(method)
-        with ctx.Pool(processes=processes, initializer=_init_worker, initargs=(state,)) as pool:
-            done = sorted(pool.imap_unordered(_run_chunk, tasks), key=lambda item: item[0])
-        partials = (partial for _, partial in done)
-    for partial in partials:  # in chunk order
-        _merge(result, partial)
+    threads = min(workers, len(tasks))  # no more threads than chunks
+    if log is not None and workers > (cpus := os.cpu_count() or 1):
+        log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {threads}")
+    elif log is not None and threads < workers:
+        log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {threads}")
+    if state.need_counts or "change_of_vars" in checks:
+        _count_kernel()  # builds or loads the C kernels, or warns, here and not in a thread
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for partial in pool.map(state.run_chunk, tasks):  # in chunk order
+            _merge(result, partial)
+    finally:  # after a fault, chunks not yet started never start
+        pool.shutdown(cancel_futures=True)
     return result

@@ -8,9 +8,9 @@ exhaustive cases, and character magnitudes against direct complex sums.
 import dataclasses
 import itertools
 import math
-import multiprocessing.pool
 import re
 import shutil
+import time
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -576,18 +576,26 @@ class TestCountRoutes:
         assert analysis.report_route(res).startswith(
             "python (C kernels unavailable: no C compiler")
 
-    @needs_cc
-    def test_spawned_workers_match_one_worker(self, monkeypatch):
-        spec = build_spec(7, 3, 2, 2)
-        assert analysis.count_route() == "c"
-        monkeypatch.setattr(analysis.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        runs = {}
-        for workers in (1, 2):  # partials cross the process boundary as column tables
-            res = verify_extractor(
-                spec, ExhaustiveSubspaces(), checks=CHECK_ORDER, workers=workers, collect="full"
-            )
-            runs[workers] = (reports_csv_lines(res), repr(res.reports))
-        assert runs[1] == runs[2]
+    def test_no_compiler_threads_warn_once_and_match_one_worker(
+        self, fresh_c_build, monkeypatch
+    ):
+        # the kernels are resolved before the pool starts, so no two threads
+        # race on c_build or on the warning flag
+        spec = build_spec(13, 3, 2, 1)
+        src = SampledSubspaces(count=20, seed=5)  # 20 chunks
+        monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+
+        def lines(workers):
+            res = verify_extractor(spec, src, checks=CHECK_ORDER, workers=workers, collect="full")
+            assert res.chunks == 20
+            return reports_csv_lines(res) + summary_lines(res), repr(res.reports)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            threaded = lines(2)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "no C compiler" in str(caught[0].message)
+        assert lines(1) == threaded
 
 
 @st.composite
@@ -1228,37 +1236,25 @@ class TestSweepEngine:
         assert (res.runs, res.chunks, res.processed) == (6, 4, 993 * 31)
 
     def test_pool_is_capped_at_the_chunk_count(self, spec13, monkeypatch):
-        # an in-process stand-in for the pool records the size asked for
+        # the pool records the thread count asked for
         asked = []
 
-        class InlinePool:
-            def __init__(self, processes, initializer, initargs):
-                asked.append(processes)
-                initializer(*initargs)
+        class RecordingPool(analysis.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, tasks):
-                return map(fn, tasks)
-
-        class InlineContext:
-            Pool = InlinePool
-
-        monkeypatch.setattr(analysis, "_WORKER_STATE", None)
-        monkeypatch.setattr(analysis.multiprocessing, "get_context", lambda method: InlineContext)
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingPool)
         src = SampledSubspaces(count=5, seed=3)
         res = verify_extractor(spec13, src, workers=10**6, collect="full")
         assert asked == [5]
         single = verify_extractor(spec13, src, workers=1, collect="full")
+        assert asked == [5, 1]
         assert reports_csv_lines(res) == reports_csv_lines(single)
 
     def test_one_chunk_runs_in_process(self, monkeypatch, tmp_path):
         # exhaustive 13/3/k2/m1 is one chunk: 183 linear subspaces, one run of up to
-        # 1551; a pool of one process would only fork and pickle the partial back
+        # 1551; on any worker count it runs on one thread
         spec = build_spec(13, 3, 2, 1)
 
         def files(workers, log=None):
@@ -1271,13 +1267,7 @@ class TestSweepEngine:
                     for name, ext in (("report", "csv"), ("summary", "txt"))]
 
         single = files(1)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was constructed")
-
-        monkeypatch.setattr(analysis.multiprocessing, "get_context", no_pool)
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
-        monkeypatch.setattr(analysis.multiprocessing, "cpu_count", lambda: 8)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 8)
         logged = []
         assert files(2, logged.append) == single
         assert logged == ["workers = 2 > chunks = 1; pool capped at 1"]
@@ -1290,13 +1280,43 @@ class TestSweepEngine:
                 raise ValueError("injected fault")
             return real(self, lo, hi)
 
-        # forked workers inherit the patched method; chunk i covers [i, i + 1)
+        # chunk i covers [i, i + 1); one worker runs on the same pool
         monkeypatch.setattr(analysis._SweepState, "run_range", faulty)
         src = SampledSubspaces(count=5, seed=3)
-        with pytest.raises(ValueError, match=r"^chunk 3 \[3, 4\): injected fault$"):
+        for workers in (2, 1):
+            with pytest.raises(ValueError, match=r"^chunk 3 \[3, 4\): injected fault$"):
+                verify_extractor(spec13, src, workers=workers)
+
+    def test_threaded_blas_sweep_is_byte_identical(self):
+        # 17/3/k2/m2 is large enough for a threaded BLAS to split its zgemm;
+        # each chunk's matmul shapes do not depend on the worker count
+        spec = build_spec(17, 3, 2, 2)
+
+        def lines(workers):
+            res = verify_extractor(spec, ExhaustiveSubspaces(), checks=("sd", "char_max", "xor"),
+                                   workers=workers, collect="full")
+            return reports_csv_lines(res)
+
+        one = lines(1)
+        for _ in range(3):
+            assert lines(2) == one
+
+    def test_fault_cancels_the_chunks_not_started(self, spec13, monkeypatch):
+        real = analysis._SweepState.run_range
+        ran = []
+
+        def faulty(self, lo, hi):
+            ran.append(lo)
+            if lo == 0:
+                raise ValueError("injected fault")
+            time.sleep(0.02)
+            return real(self, lo, hi)
+
+        monkeypatch.setattr(analysis._SweepState, "run_range", faulty)
+        src = SampledSubspaces(count=100, seed=3)  # 100 chunks of one subspace
+        with pytest.raises(ValueError, match=r"^chunk 0 \[0, 1\): injected fault$"):
             verify_extractor(spec13, src, workers=2)
-        with pytest.raises(ValueError, match="^injected fault$"):  # no pool, no chunk
-            verify_extractor(spec13, src, workers=1)
+        assert 0 in ran and len(ran) < 20  # the chunks queued behind the fault never ran
 
     def test_fast_path_and_full_collect_agree_on_summary(self):
         spec = build_spec(5, 3, 2, 1)

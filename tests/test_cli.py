@@ -444,7 +444,7 @@ class TestVerify:
             (8, 2, "--exhaustive", "workers = 2 > chunks = 1; pool capped at 1"),  # one full run
             (1, 2, "--exhaustive", "workers = 2 > cpu_count = 1; pool capped at 1"),
         ):
-            monkeypatch.setattr(analysis.multiprocessing, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
             d = tmp_path / f"{cpus}-{workers}{source}"
             code, out, err = run(
                 capsys, "verify", "--spec-file", spec_path, source,
