@@ -44,7 +44,9 @@ Checks
   zero_coordinate    every c^T A has at most m-1 zeros on pivot coordinates
   change_of_vars     substituting s_i**(D/d_{j_i}) for t_i permutes inputs:
                      output counts along both routes agree exactly (the
-                     same primitive on the grid with t_i -> t_i**D_i)
+                     same primitive on the grid with t_i -> t_i**D_i); the
+                     quantity is the largest count gap, c_encoded the first
+                     output z attaining it
   substitution_form  after that substitution each pivot coordinate powers to
                      s_i**D, and every non-pivot term has degree below D
 """
@@ -245,11 +247,6 @@ class _Characters:
         self.digits = _lex_grid(q, m)
         self.omega = _omega_powers(q)
 
-    def _phases(self):
-        """The phase table of each block of _CHAR_CHUNK nonzero characters."""
-        for lo in range(1, len(self.digits), _CHAR_CHUNK):
-            yield (self.digits @ self.digits[lo : lo + _CHAR_CHUNK].T) % self.q
-
     def magnitudes(self, counts: np.ndarray, total: int) -> np.ndarray:
         """|E[w^<c,Z>]| along the last axis for every c != 0 (c = 1, 2, ...
         encoded); counts is (q**m,), (rows, q**m) or a run (blocks, rows,
@@ -258,34 +255,12 @@ class _Characters:
         matmul shape as a lone block and get the same bits."""
         run = counts.astype(np.float64).reshape(-1, *counts.shape[-2:])  # (blocks, rows, q**m)
         out = np.empty((*run.shape[:-1], len(self.digits) - 1))
-        at = 0
-        for phase in self._phases():
-            roots = self.omega[phase]
+        for lo in range(1, len(self.digits), _CHAR_CHUNK):
+            # the phase table <z, c> mod q of the next block of nonzero c
+            roots = self.omega[(self.digits @ self.digits[lo : lo + _CHAR_CHUNK].T) % self.q]
             for block, mags in zip(run, out):
-                mags[..., at : at + phase.shape[1]] = np.abs(block @ roots) / total
-            at += phase.shape[1]
+                mags[..., lo - 1 : lo - 1 + roots.shape[1]] = np.abs(block @ roots) / total
         return out.reshape(*counts.shape[:-1], out.shape[-1])
-
-    def gaps(self, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of diff, a difference of two count vectors, the worst
-        residue-count gap of <c, Z> over the nonzero c, and the index c - 1
-        of the first c attaining it (-1 where every gap is 0)."""
-        q = self.q
-        worst = np.zeros(len(diff), dtype=np.int64)
-        first = np.zeros(len(diff), dtype=np.int64)
-        for row in np.flatnonzero(diff.any(axis=1)):
-            gaps = []
-            for phase in self._phases():
-                # residue counts of <c, Z> for each c of the block, exact
-                keys = phase + q * np.arange(phase.shape[1], dtype=np.int64)
-                rc = np.zeros(phase.shape[1] * q, dtype=np.int64)
-                np.add.at(rc, keys, np.broadcast_to(diff[row][:, None], keys.shape))
-                gaps.append(np.abs(rc).reshape(-1, q).max(axis=1))
-            gaps = np.concatenate(gaps)
-            first[row] = gaps.argmax()  # the first c attaining the worst gap
-            worst[row] = gaps[first[row]]
-        first[worst == 0] = -1
-        return worst, first
 
 
 # ---------------------------------------------------------------------------
@@ -1098,7 +1073,7 @@ class _SweepState:
         self.sqrt_qm = q ** (m / 2)
         self.counter = _PointCounts(spec, budgets.points)
         self.chars = None  # built, and its table budget checked, only for checks that read it
-        if {"char_max", "xor", "change_of_vars"} & set(self.checks):
+        if {"char_max", "xor"} & set(self.checks):
             self.chars = _Characters(q, m, budgets.points)
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
         if "zero_coordinate" in self.checks:  # per nonzero c and coordinate j: (c^T A)_j == 0
@@ -1176,16 +1151,19 @@ class _SweepState:
             zworst, zc = pattern.zero_coordinate
             cols["zero_coordinate"] = (zworst, m - 1, zworst <= m - 1, zc, "")
         if "change_of_vars" in self.checks:
-            # direct counts minus those on the grid with t_i -> t_i**D_i; D_i
+            # |direct counts - counts on the grid with t_i -> t_i**D_i|; D_i
             # divides lcm(d), which is coprime to q - 1, so the substitution
-            # is a bijection and leaves all zeros
+            # is a bijection and leaves all zeros.  Both rows sum to T, so by
+            # Fourier inversion every residue count of <c, Z>, c != 0, agrees
+            # exactly when the rows do: the quantity is the largest gap, and
+            # a failing row names the first output z attaining it
             if counts is None:
                 counts = count(self.counter.grid(k), partner)
             u, odd = pattern.substituted
-            diff = counts - count(u, partner if odd else None)
-            gap, first = self.chars.gaps(diff)
-            c_encoded = np.where(first >= 0, first + 1, None)  # None where the gap is 0
-            cols["change_of_vars"] = (gap, 0, gap == 0, c_encoded, "")
+            gap = np.abs(counts - count(u, partner if odd else None))
+            worst = gap.max(axis=1)
+            c_encoded = np.where(worst > 0, gap.argmax(axis=1), None)  # None where the rows agree
+            cols["change_of_vars"] = (worst, 0, worst == 0, c_encoded, "")
         if "substitution_form" in self.checks:
             form = pattern.substitution_form
             cols["substitution_form"] = (form, 0, form == 0, None, f"D={pattern.degrees[0]}")
@@ -1296,10 +1274,11 @@ def verify_extractor(
     collect: "full" keeps one report row per (check, subspace), "violations"
     keeps only failed rows, "none" keeps no rows, "auto" switches from full
     to violations above 100000 subspaces.  Summary statistics (max distance,
-    max character magnitude, violation counts) are always gathered.  log, if
-    given, gets one line when the pool has fewer threads than workers: for
-    the CPU count, or else for the chunk count.  An error in a chunk names it
-    and cancels the chunks not yet started.
+    max character magnitude, violation counts) are always gathered.  The pool
+    has min(workers, chunks) threads.  log, if given, gets one line when
+    workers exceed the CPU count, naming the pool's thread count, or else
+    when the chunk count caps the pool.  An error in a chunk names it and
+    cancels the chunks not yet started.
     """
     budgets = budgets or Budgets()
     checks = normalize_checks(checks)
@@ -1350,7 +1329,7 @@ def verify_extractor(
     result.chunks = len(tasks)
     threads = min(workers, len(tasks))  # no more threads than chunks
     if log is not None and workers > (cpus := os.cpu_count() or 1):
-        log(f"workers = {workers} > cpu_count = {cpus}; pool capped at {threads}")
+        log(f"workers = {workers} > cpu_count = {cpus}; pool has {threads} threads")
     elif log is not None and threads < workers:
         log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {threads}")
     if state.need_counts or "change_of_vars" in checks:

@@ -80,6 +80,26 @@ def _spectrum(dist, budget=10**8):
     return analysis._Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total)
 
 
+def _phase_tables(chars):
+    """The phase tables <z, c> mod q of chars, _CHAR_CHUNK nonzero c at a time."""
+    for lo in range(1, len(chars.digits), analysis._CHAR_CHUNK):
+        yield (chars.digits @ chars.digits[lo : lo + analysis._CHAR_CHUNK].T) % chars.q
+
+
+def _spy_phase_tables(chars):
+    """Record the shape of each phase table chars.magnitudes() builds: it
+    reads the powers of w through each table once.  Returns the list."""
+    shapes = []
+
+    class Omega(np.ndarray):
+        def __getitem__(self, index):
+            shapes.append(np.shape(index))
+            return np.asarray(self)[index]
+
+    chars.omega = chars.omega.view(Omega)
+    return shapes
+
+
 @pytest.fixture(scope="module")
 def spec13():
     return build_spec(13, 3, 2, 1)
@@ -227,18 +247,10 @@ class TestCharacterSums:
             verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
                              budgets=Budgets(points=28391))
 
-    def test_a_run_gets_the_bits_of_lone_blocks(self, monkeypatch):
+    def test_a_run_gets_the_bits_of_lone_blocks(self):
         # magnitudes() on a run (blocks, rows, q**m) equals, bit for bit, the
         # transform of each block alone as the sweep made it one block per call,
         # and builds each phase table once per run, not once per block
-        tables = []
-        real = analysis._Characters._phases
-
-        def spy(self):
-            for phase in real(self):
-                tables.append(phase.shape)
-                yield phase
-
         def runs():
             # three consecutive blocks of an exhaustive sweep, all their offsets:
             # one phase table at 13/3/k2/m1, two at 17/3/k2/m2 (288 > 256 nonzero c)
@@ -258,10 +270,9 @@ class TestCharacterSums:
         for q, m, run, total in runs():
             chars = analysis._Characters(q, m, 10**8)
             lone = np.stack([np.concatenate([np.abs(block.astype(np.float64) @ chars.omega[phase])
-                                             / total for phase in real(chars)], axis=-1)
+                                             / total for phase in _phase_tables(chars)], axis=-1)
                              for block in run])
-            monkeypatch.setattr(analysis._Characters, "_phases", spy)
-            tables.clear()
+            tables = _spy_phase_tables(chars)
             got = chars.magnitudes(run, total)
             assert len(tables) == math.ceil((q**m - 1) / 256), (q, m)
             assert got.shape == (*run.shape[:2], q**m - 1)
@@ -269,20 +280,18 @@ class TestCharacterSums:
             for block, want in zip(run, got):  # a lone block, and a lone row, keep their shapes
                 assert (chars.magnitudes(block, total).view(np.int64) == want.view(np.int64)).all()
                 assert chars.magnitudes(block[0], total).shape == (q**m - 1,)
-            monkeypatch.undo()
 
     def test_phase_tables_stay_within_the_guard(self, monkeypatch):
         # the guard counts q**m outputs by min(256, q**m - 1) nonzero characters;
         # c = 0 is never read, so no table is wider than that
+        real = analysis._Characters.__init__
         shapes = []
-        real = analysis._Characters._phases
 
-        def spy(self):
-            for phase in real(self):
-                shapes.append(phase.shape)
-                yield phase
+        def spy(self, *args):
+            real(self, *args)
+            shapes.append(_spy_phase_tables(self))
 
-        monkeypatch.setattr(analysis._Characters, "_phases", spy)
+        monkeypatch.setattr(analysis._Characters, "__init__", spy)
         for (q, n, k, m), budget, want in [
             ((13, 3, 2, 2), 169 * 168, [(169, 168)]),
             ((7, 3, 3, 3), 343 * 256, [(343, 256), (343, 86)]),
@@ -290,7 +299,7 @@ class TestCharacterSums:
             dist = output_distribution(build_spec(q, n, k, m), random_subspace(n, k, q, seed=3))
             shapes.clear()
             mags = _spectrum(dist, budget=budget)
-            assert shapes == want and mags.shape == (q**m - 1,)
+            assert shapes == [want] and mags.shape == (q**m - 1,)
 
 
 class TestXorBound:
@@ -329,9 +338,10 @@ EDGE_SHAPES = (
 
 def _structural_oracle(spec, V):
     """change_of_vars and substitution_form of V, point by point through
-    parametrize(V).evaluate and evaluate.  With u_i = t_i**D_i: per nonzero c
-    (encoded order) the worst residue-count gap of <c, F(l(t))> against
-    <c, F(l(u))>; the pivot mismatches x_{j_i}**d_{j_i} != t_i**D at
+    parametrize(V).evaluate and evaluate.  With u_i = t_i**D_i: per output z
+    (encoded order) the count of F(l(t)) = z minus the count of F(l(u)) = z;
+    per nonzero c (encoded order) the worst residue-count gap of <c, F(l(t))>
+    against <c, F(l(u))>; the pivot mismatches x_{j_i}**d_{j_i} != t_i**D at
     x = l(u), plus the non-pivot coordinates whose substituted degree reaches
     D; and D."""
     q, m = spec.modulus, spec.m
@@ -342,6 +352,10 @@ def _structural_oracle(spec, V):
              for t in grid]
     direct = np.array([evaluate(spec, par.evaluate(t)) for t in grid]).reshape(-1, m)
     substituted = np.array([evaluate(spec, x) for x in moved]).reshape(-1, m)
+    diff = [0] * q**m
+    for zd, zs in zip(direct.tolist(), substituted.tolist()):
+        diff[encode_output(zd, q)] += 1
+        diff[encode_output(zs, q)] -= 1
     gaps = []
     for enc in range(1, q**m):
         c = np.array(decode_output(enc, q, m))
@@ -355,19 +369,22 @@ def _structural_oracle(spec, V):
         # d_j times the largest of their D_i
         left = [D_i for D_i, p in zip(D_per_pivot, V.pivots) if p < j]
         form += bool(left) and spec.d[j] * max(left) >= D
-    return gaps, int(form), D
+    return diff, gaps, int(form), D
 
 
 def _assert_structural_rows_match_the_oracle(spec, V, rows=None):
     """The sweep's change_of_vars and substitution_form rows for V, by
     default from a sweep of V alone, against _structural_oracle;
-    change_of_vars names the first worst c."""
+    change_of_vars names the first output z with the worst count gap.  The
+    character route witnesses the verdict: by Fourier inversion the count
+    rows agree exactly when no nonzero c has a residue-count gap."""
     cov, form = rows or verify_extractor(spec, ExplicitSubspaces((V,)), collect="full",
                                          checks=("change_of_vars", "substitution_form")).reports
-    gaps, bad, D = _structural_oracle(spec, V)
-    worst = max(gaps)
+    diff, gaps, bad, D = _structural_oracle(spec, V)
+    worst = max(map(abs, diff))
     assert (cov.check, cov.quantity, cov.satisfied) == ("change_of_vars", worst, worst == 0)
-    assert cov.c_encoded == (gaps.index(worst) + 1 if worst else None)
+    assert cov.c_encoded == ([abs(g) for g in diff].index(worst) if worst else None)
+    assert cov.satisfied == (max(gaps) == 0)
     assert (form.check, form.quantity, form.satisfied) == ("substitution_form", bad, bad == 0)
     assert form.detail == f"D={D}"
 
@@ -448,14 +465,16 @@ class TestChangeOfVars:
                         assert (got[0] == want).all(), (route, W.k)
 
     def test_encodes_c(self, spec13_m2, doubled_degrees):
-        # the c column is the first c with the worst gap, big-endian encoded
+        # the c column of a failing row is the first output z with the worst
+        # count gap, big-endian encoded
         V = random_subspace(3, 2, 13, seed=2)
-        gaps, _, _ = _structural_oracle(spec13_m2, V)
+        diff, _, _, _ = _structural_oracle(spec13_m2, V)
+        gap = [abs(g) for g in diff]
         res = verify_extractor(spec13_m2, ExplicitSubspaces((V,)), checks=("change_of_vars",),
                                collect="full")
         (row,) = res.reports
-        assert row.quantity == max(gaps) == 18 and gaps.index(18) + 1 == row.c_encoded
-        assert row.c_encoded == encode_output((1, 2), 13) == 1 * 13 + 2
+        assert row.quantity == max(gap) == 6 and gap.index(6) == row.c_encoded
+        assert row.c_encoded == encode_output((4, 5), 13) == 4 * 13 + 5
 
     def test_budget_guard(self, spec13):
         V = random_subspace(3, 2, 13, seed=0)
@@ -776,17 +795,19 @@ class TestStructuralChecksCanFail:
         checks = ("change_of_vars", "substitution_form")
         spec = build_spec(13, 3, 2, 2)
         V = random_subspace(3, 2, 13, seed=4)
-        gaps, _, _ = _structural_oracle(spec, V)
+        diff, gaps, _, _ = _structural_oracle(spec, V)
         assert gaps[encode_output((1, 1), 13) - 1] == 9
+        assert diff[0] == -3 and max(map(abs, diff)) == 3  # z = (0, 0)
         cov, form = verify_extractor(spec, ExplicitSubspaces((V,)), checks=checks).reports
-        assert (cov.quantity, cov.c_encoded, cov.satisfied) == (13, 17, False)
+        assert (cov.quantity, cov.c_encoded, cov.satisfied) == (3, 0, False)
         assert (form.quantity, form.detail, form.satisfied) == (286, "D=35", False)
         spec = build_spec(13, 4, 2, 1)
         V = random_subspace(4, 2, 13, seed=4)
-        gaps, _, _ = _structural_oracle(spec, V)
+        diff, gaps, _, _ = _structural_oracle(spec, V)
         assert gaps[0] == 12  # c = (1,)
+        assert abs(diff[12]) == max(map(abs, diff)) == 12  # z = (12,)
         cov, form = verify_extractor(spec, ExplicitSubspaces((V,)), checks=checks).reports
-        assert (cov.quantity, cov.c_encoded) == (12, 1)
+        assert (cov.quantity, cov.c_encoded) == (12, 12)
         assert (form.quantity, form.detail) == (287, "D=385")
 
     def test_sweep_reports_the_fault(self, doubled_degrees):
@@ -800,7 +821,7 @@ class TestStructuralChecksCanFail:
             "substitution_form": 60,
         }
         first = next(l for l in reports_csv_lines(res) if l.startswith("change_of_vars,"))
-        assert first == "change_of_vars,0,18,14,0,false"
+        assert first == "change_of_vars,0,15,6,0,false"
         for name in ("change_of_vars", "substitution_form"):
             quiet = verify_extractor(spec, src, checks=(name,), collect="none")
             assert quiet.violations == {name: 60} and quiet.processed == 60
@@ -1424,21 +1445,27 @@ class TestSweepEngine:
                                budgets=Budgets(points=2351))
         assert res.processed == 2
 
-    def test_change_of_vars_table_guard_runs_before_any_block(self, monkeypatch):
-        # change_of_vars builds the same 49 x 48 = 2352-entry table as char_max
-        spec = build_spec(7, 3, 2, 2)
-        res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("change_of_vars",),
-                               budgets=Budgets(points=2352))
-        assert res.processed == 2
+    def test_change_of_vars_sweep_builds_no_character_transform(self, monkeypatch):
+        # 7/3/k2/m2 at 2351 points, one below char_max's 49 x 48 = 2352-entry
+        # phase table: change_of_vars reads its count rows directly
+        states = []
+        real = analysis._SweepState.__init__
+
+        def spy(self, *args):
+            real(self, *args)
+            states.append(self)
 
         def unreachable(*args):
-            raise AssertionError("a block ran")
+            raise AssertionError("a character transform was built")
 
-        monkeypatch.setattr(analysis._SweepState, "analyze_block", unreachable)
+        monkeypatch.setattr(analysis._SweepState, "__init__", spy)
+        monkeypatch.setattr(analysis._Characters, "__init__", unreachable)
+        spec = build_spec(7, 3, 2, 2)
         for workers in (1, 2):
-            with pytest.raises(BudgetExceededError, match="phase table needs 2352 entries"):
-                verify_extractor(spec, SampledSubspaces(2, 0), checks=("change_of_vars",),
-                                 workers=workers, budgets=Budgets(points=2351))
+            res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("change_of_vars",),
+                                   workers=workers, budgets=Budgets(points=2351))
+            assert res.processed == 2 and res.violations == {"change_of_vars": 0}
+        assert len(states) == 2 and all(state.chars is None for state in states)
 
     def test_sd_only_sweep_builds_no_digits_table(self, monkeypatch):
         # 97/4/k3/m3: the digits of the 912,673 outputs would take 21.9 MB

@@ -435,14 +435,15 @@ class TestVerify:
     def test_workers_above_cpu_count_go_to_stderr(self, spec_path, tmp_path, capsys, monkeypatch):
         from affext import analysis
 
-        # a pool smaller than --workers is named once: for the CPU count, else the chunk count
+        # one line: --workers above the CPU count, with the pool's min(workers,
+        # chunks) threads, else a pool capped by the chunk count
         for cpus, workers, source, line in (
-            (1, 2, "--sample=3", "workers = 2 > cpu_count = 1; pool capped at 2"),
-            (1, 4, "--sample=3", "workers = 4 > cpu_count = 1; pool capped at 3"),  # 3 chunks
+            (1, 2, "--sample=3", "workers = 2 > cpu_count = 1; pool has 2 threads"),
+            (1, 4, "--sample=3", "workers = 4 > cpu_count = 1; pool has 3 threads"),  # 3 chunks
             (8, 2, "--sample=3", None),
             (8, 4, "--sample=3", "workers = 4 > chunks = 3; pool capped at 3"),
             (8, 2, "--exhaustive", "workers = 2 > chunks = 1; pool capped at 1"),  # one full run
-            (1, 2, "--exhaustive", "workers = 2 > cpu_count = 1; pool capped at 1"),
+            (1, 2, "--exhaustive", "workers = 2 > cpu_count = 1; pool has 1 threads"),
         ):
             monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
             d = tmp_path / f"{cpus}-{workers}{source}"
@@ -451,9 +452,9 @@ class TestVerify:
                 "--workers", str(workers), "--report-dir", str(d),
             )
             assert code == 0
-            assert [l for l in err.splitlines() if "pool capped" in l] == ([line] if line else [])
+            assert [l for l in err.splitlines() if "; pool " in l] == ([line] if line else [])
             files = "".join(p.read_text(encoding="ascii") for p in d.iterdir())
-            assert "cpu_count = " not in out + files and "pool capped" not in out + files
+            assert "cpu_count = " not in out + files and "; pool " not in out + files
 
     def test_worker_fault_names_its_chunk(self, spec_path, capsys, monkeypatch):
         from affext import analysis
