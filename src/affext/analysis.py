@@ -308,28 +308,13 @@ def _check_int64_sums(q: int, n: int) -> None:
         raise ValueError(f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 row sums")
 
 
-def _c_kernel(name: str, instead: str) -> tuple[object, str]:
-    """The loaded C function CBuild.<name>, or None and why not.
-
-    Looking it up builds or loads the C kernels; when that fails, the
-    fallback warning is issued once per process for all of them."""
+def count_route() -> str:
+    """The route _PointCounts.counts takes: "c" or "numpy (<why>)".  Asking
+    builds or loads the C kernels, or warns once that they did not load."""
     from . import batch
 
-    build = batch.c_build()
-    if getattr(build, name) is None:
-        batch.warn_c_fallback(instead)
-        return None, f"C kernels unavailable: {build.error}"
-    return getattr(build, name), ""
-
-
-def _count_kernel() -> tuple[object, str]:
-    return _c_kernel("count_fn", "numpy kernel")
-
-
-def count_route() -> str:
-    """The route _PointCounts.counts takes: "c" or "numpy (<why>)"."""
-    fn, why = _count_kernel()
-    return "c" if fn is not None else f"numpy ({why})"
+    why = batch.c_unavailable()
+    return f"numpy ({why})" if why else "c"
 
 
 # Reports of fewer rows go to the python writer: C saves under 1 ms on them,
@@ -337,16 +322,15 @@ def count_route() -> str:
 _C_REPORT_ROWS = 1024
 
 
-def _report_writer(rows: int) -> tuple[object, str]:
-    if rows < _C_REPORT_ROWS:
-        return None, f"{rows} rows, below {_C_REPORT_ROWS}"
-    return _c_kernel("write_fn", "python writer")
-
-
 def report_route(result: SweepResult) -> str:
-    """The route write_reports_csv takes for result: "c" or "python (<why>)"."""
-    fn, why = _report_writer(len(result.reports))
-    return "c" if fn is not None else f"python ({why})"
+    """The route write_reports_csv takes for result: "c" or "python (<why>)".
+    Below _C_REPORT_ROWS rows it looks up no C kernel."""
+    if (rows := len(result.reports)) < _C_REPORT_ROWS:
+        return f"python ({rows} rows, below {_C_REPORT_ROWS})"
+    from . import batch
+
+    why = batch.c_unavailable()
+    return f"python ({why})" if why else "c"
 
 
 def _representatives(partner: np.ndarray) -> np.ndarray:
@@ -381,15 +365,14 @@ class _PointCounts:
     encoding of -z per output z.  That needs an odd grid too: the
     lexicographic one is, and the substituted one when every D_i is odd.
 
-    counts() runs on the C count kernel (batch.py), one compiled loop per run
-    of blocks with bodies specialised for (m, n - k) in {1, 2} x {0, 1, 2},
-    when the C kernels load; otherwise on a numpy loop of one gather per
-    free coordinate and a bincount per basis.  Both sum rows in int64, so
-    counts() raises ValueError before any work unless n*(q-1)**2 < 2**63,
-    then unless every grid, basis and offset entry lies in [0, q), and then
-    unless the pivot columns are as above; past those checks both give the
-    same integers and share the tables, P and the +- fill.  The per-point
-    evaluate() of output_distribution is the oracle for both.
+    counts() runs on count_route: the C count kernel (batch.count_blocks),
+    one compiled loop per run of blocks, or else a numpy loop of one gather
+    per free coordinate and a bincount per slice of offsets.  Both sum rows
+    in int64, so counts() raises ValueError before any work unless
+    n*(q-1)**2 < 2**63, then unless every grid, basis and offset entry lies
+    in [0, q), and then unless the pivot columns are as above; past those
+    checks both give the same integers and share the tables, P and the +-
+    fill.  The per-point evaluate() of output_distribution is their oracle.
 
     The point budget counts grid points, and a sweep admits a subspace of up
     to that many; the grid and the work rows (P, then the free coordinates)
@@ -459,15 +442,10 @@ class _PointCounts:
         tabs = self.tables
         work[:, :m] = sum((tabs[:, j, grid[:, i]] for i, j in enumerate(pivots)),
                           np.zeros((m, T), dtype=np.int64)).T % q
-        fn, _ = _count_kernel()
-        if fn is not None:
-            status = fn(tabs.ctypes.data, 2 * q - 1, n, m, free.ctypes.data, len(free),
-                        grid.ctypes.data, T, k, bases.ctypes.data, nb, offsets.ctypes.data,
-                        rows.ctypes.data, len(rows), O, q, qm, work.ctypes.data,
-                        counts.ctypes.data)
-            if status != 0:
-                raise MemoryError(f"C count kernel could not allocate {m * len(free)} "
-                                  f"table pointers")
+        if count_route() == "c":
+            from . import batch
+
+            batch.count_blocks(q, tabs, free, grid, bases, offsets, rows, work, counts)
         else:
             slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
             for b, basis in enumerate(bases):
@@ -716,21 +694,19 @@ SubspaceSource = ExhaustiveSubspaces | SampledSubspaces | ExplicitSubspaces
 # sweep result
 
 
-_REPORT_BUFFER = 1 << 20  # bytes of the C report writer's buffer, for any report size
-_CELL_EMPTY, _CELL_INT, _CELL_BOOL, _CELL_TABLE = range(4)  # cell kinds of affext_write_rows
-
-
 def _csv_cells(col: np.ndarray) -> tuple[list[str], np.ndarray | None]:
     """A report column as CSV cells: floats by repr, bools as true/false, None
-    empty, else str.  A float64 column gives each bit pattern's cell once
-    (sweeps repeat values) and each row's index into them; any other column
-    one cell per row, and None."""
+    empty, else str.  A float64, bool or all-None column gives each distinct
+    cell once (sweeps repeat values) and each row's index into them; any
+    other column one cell per row, and None."""
     if col.dtype == np.float64:
         bits, at = np.unique(col.view(np.int64), return_inverse=True)
         return list(map(repr, bits.view(np.float64).tolist())), at
+    if col.dtype == bool:
+        return ["false", "true"], col.astype(np.int64)
     values = col.tolist()
     if values.count(None) == len(values):
-        return [""], np.zeros(len(values), np.int64)
+        return [""], np.broadcast_to(np.int64(0), len(values))  # no per-row memory
     return ["" if v is None else str(v).lower() if isinstance(v, bool)
             else repr(v) if isinstance(v, float) else str(v) for v in values], None
 
@@ -738,23 +714,6 @@ def _csv_cells(col: np.ndarray) -> tuple[list[str], np.ndarray | None]:
 def _csv_column(col: np.ndarray) -> list[str]:
     cells, at = _csv_cells(col)
     return cells if at is None else np.array(cells, dtype=object)[at].tolist()
-
-
-def _c_cell(col: np.ndarray, hold: list) -> tuple[list[int], int]:
-    """A report column as affext_write_rows reads it: (kind, a, b, c), and
-    its widest cell.  hold keeps the arrays the fields point into alive."""
-    if col.dtype.kind in "ib":
-        ints = col.dtype.kind == "i"
-        hold.append(col := np.ascontiguousarray(col, np.int64 if ints else bool))
-        return [_CELL_INT if ints else _CELL_BOOL, col.ctypes.data, 0, 0], 20 if ints else 5
-    cells, at = _csv_cells(col)
-    if cells == [""]:
-        return [_CELL_EMPTY, 0, 0, 0], 0
-    lens = list(map(len, cells))
-    at = np.asarray(np.arange(len(col)) if at is None else at, np.int64)
-    pool = np.frombuffer("".join(cells).encode("ascii"), np.uint8)
-    hold += [at, pool, off := np.cumsum([0, *lens], dtype=np.int64)]
-    return [_CELL_TABLE, at.ctypes.data, pool.ctypes.data, off.ctypes.data], max(lens, default=0)
 
 
 class _Reports:
@@ -773,12 +732,12 @@ class _Reports:
         self.tables.append((np.array([r.subspace_id]), cols, None))
         self._rows = None
 
-    def _columns(self, detail: bool) -> list[tuple[str, np.ndarray, list]]:
+    def _columns(self, detail: bool, cells) -> list[tuple[str, np.ndarray, list]]:
         """Per check: its name, its rows' sort keys, ascending (row position *
-        len(CHECK_ORDER) + the check's slot in its table), and its columns in
-        CSV order (ids, c_encoded, quantity, bound, satisfied and, with
-        detail, detail), each the kept rows of every table joined once.  A
-        column two checks share, as xor shares sd's quantity, is one array."""
+        len(CHECK_ORDER) + the check's slot in its table), and cells(c) per
+        column c in CSV order (ids, c_encoded, quantity, bound, satisfied and,
+        with detail, detail), c the kept rows of every table joined once.  A
+        column two checks share, as xor shares sd's quantity, is one cells(c)."""
         checks: dict[str, tuple[list, list[list]]] = {}
         pos = 0
         for ids, cols, keep in self.tables:
@@ -794,24 +753,20 @@ class _Reports:
                     c = c if isinstance(c, np.ndarray) else np.array([c]).repeat(len(ids))
                     part.append(c if keep is None else c[at])
             pos += len(ids)
-        joined: dict[tuple, np.ndarray] = {}  # by the arrays joined; checks hold them alive
+        joined: dict[tuple, object] = {}  # by the arrays joined; checks hold them alive
         for p in (p for _, parts in checks.values() for p in parts):
             if (key := tuple(map(id, p))) not in joined:  # each value keeps its Python type
                 same = len({a.dtype for a in p}) < 2
-                joined[key] = np.concatenate(p if same else [a.astype(object) for a in p])
+                joined[key] = cells(np.concatenate(p if same else [a.astype(object) for a in p]))
         return [(name, np.concatenate(keys).astype(np.int64, copy=False),
                  [joined[tuple(map(id, p))] for p in parts]) for name, (keys, parts) in checks.items()]
 
     def _in_order(self, detail: bool, cells, rows_of) -> list:
         """rows_of(name, *cells(column)) per check, merged into sweep order;
         cells runs once per column."""
-        done: dict[int, list] = {}
         rows, keys = [], [np.arange(0)]
-        for name, key, cols in self._columns(detail):
-            for c in cols:
-                if id(c) not in done:
-                    done[id(c)] = cells(c)
-            rows += rows_of(name, *(done[id(c)] for c in cols))
+        for name, key, cols in self._columns(detail, cells):
+            rows += rows_of(name, *cols)
             keys.append(key)
         order = np.argsort(np.concatenate(keys), kind="stable")
         return list(map(rows.__getitem__, order.tolist()))
@@ -903,31 +858,14 @@ def summary_lines(result: SweepResult) -> list[str]:
 REPORT_COLUMNS = ("check_name", "subspace_id", "c_encoded", "quantity", "bound", "satisfied")
 
 
-def _write_rows_c(reports: _Reports, fh, fn) -> None:
-    """The report rows through affext_write_rows, one fixed buffer at a time."""
-    hold, desc, cells = [], [], {}
-    for name, keys, cols in reports._columns(False):
-        for c in cols:
-            if id(c) not in cells:
-                cells[id(c)] = _c_cell(c, hold)
-        hold += [keys, label := np.frombuffer(name.encode("ascii"), np.uint8)]
-        width = len(label) + sum(cells[id(c)][1] for c in cols) + 6  # 5 commas and a newline
-        desc.append([keys.ctypes.data, len(keys), label.ctypes.data, len(label), width,
-                     *(f for c in cols for f in cells[id(c)][0])])
-    desc = np.array(desc, dtype=np.int64).reshape(len(desc), 25)
-    at = np.zeros(len(desc), dtype=np.int64)
-    buf = np.empty(max(_REPORT_BUFFER, desc[:, 4].max(initial=0)), dtype=np.uint8)  # a line fits
-    while n := fn(desc.ctypes.data, len(desc), at.ctypes.data, buf.ctypes.data, len(buf)):
-        fh.write(buf[:n])
-
-
 def _write_reports(result: SweepResult, fh) -> None:
-    """The header, the report rows (by the C writer if it loads, else in
+    """The header, the report rows (on report_route: by the C writer, or in
     Python, with the same bytes) and the summary, as ASCII to a binary fh."""
     fh.write(",".join(REPORT_COLUMNS).encode("ascii") + b"\n")
-    fn, _ = _report_writer(len(result.reports))
-    if fn is not None:
-        _write_rows_c(result.reports, fh, fn)
+    if report_route(result) == "c":
+        from . import batch
+
+        batch.write_rows(result.reports._columns(False, lambda c: c), _csv_cells, fh)
     else:
         rows = result.reports._in_order(False, _csv_column, lambda name, *cells: map(
             ",".join, zip(repeat(name), *cells)))
@@ -1333,7 +1271,7 @@ def verify_extractor(
     elif log is not None and threads < workers:
         log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {threads}")
     if state.need_counts or "change_of_vars" in checks:
-        _count_kernel()  # builds or loads the C kernels, or warns, here and not in a thread
+        count_route()  # builds or loads the C kernels, or warns, here and not in a thread
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         for partial in pool.map(state.run_chunk, tasks):  # in chunk order

@@ -32,29 +32,28 @@ Three interchangeable kernels, all bit-identical, registered fastest first:
   * "python" - plain loops over Python ints, any supported modulus; the oracle.
 
 `pick_impl(q, "auto")` takes the first registered kernel that handles q.
-When that would be "c" but the C kernel cannot be built or loaded, it says
-why in one RuntimeWarning per process and falls back to numpy.  Callers can
-pin a kernel by name for testing.  `batch_route(q)` names what "auto" runs,
-with the reduction of the C kernel: "c (mersenne)", "c (montgomery)",
-"numpy" or "python".
+Callers can pin a kernel by name for testing.  `batch_route(q)` names what
+"auto" runs, with the reduction of the C kernel: "c (mersenne)",
+"c (montgomery)", "numpy" or "python".
 
-The same C source also holds the count kernel, `affext_count_blocks`: one
-compiled loop over the parameter grid and a run of direction bases of one
-pivot pattern.  Per basis it forms only the n - k free coordinates of
-t.B mod q, and per point it looks up only those in the A-weighted power
-tables of `analysis._PointCounts`; the pivot terms come from the caller,
-summed once per grid row.  Its loop body is specialised for (m, n - k) in
-{1, 2} x {0, 1, 2}, with one generic body for every other shape.  It is
-built, cached and loaded with the batch kernel (one `c_build()`, one shared
-object).  `_PointCounts.counts` calls it when it loads, and otherwise runs
-its numpy loop, which gives the same counts; counts() checks every
-precondition of both before either runs.
+The same C source holds the count kernel, `affext_count_blocks`, which
+`count_blocks` runs for `analysis._PointCounts`: one compiled loop over the
+parameter grid and a run of direction bases of one pivot pattern.  Per basis
+it forms only the n - k free coordinates of t.B mod q, and per point it looks
+up only those in the A-weighted power tables; the pivot terms come from the
+caller, summed once per grid row.  Its loop body is specialised for (m, n - k)
+in {1, 2} x {0, 1, 2}, with one generic body for every other shape.  The
+third function, `affext_write_rows`, which `write_rows` runs for
+`analysis.write_reports_csv`, writes int64 cells in decimal, copies every
+other cell from a string table, and merges each check's rows into sweep
+order, one buffer of fixed size at a time.
 
-The third function of that source, `affext_write_rows`, writes report rows
-for `analysis.write_reports_csv`: it formats int and bool cells, copies
-cells from string tables, and merges each check's rows into sweep order,
-into a buffer of fixed size.  Without it the python writer runs, with the
-same bytes.  A failed build warns once per process for all three.
+This is the only module that calls into the shared object.  The three
+functions load or fail together (one `c_build()`), and `c_unavailable()` is
+the one lookup of whether they loaded: `pick_impl`, `analysis.count_route`
+and `analysis.report_route` all ask it.  A failed build warns once per
+process, in one text for all three, and the numpy kernels and the python
+writer run instead, with the same results.
 """
 
 from __future__ import annotations
@@ -381,18 +380,17 @@ affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
    the name's length; a bound on the width of its lines; then per CSV cell
    (subspace_id, c_encoded, quantity, bound, satisfied) a kind and three
    fields a, b, c:
-     CELL_EMPTY  nothing is written;
      CELL_INT    a: int64 values, written in decimal as Python's str(int);
-     CELL_BOOL   a: one byte per row, written true or false;
-     CELL_TABLE  a: an int64 index per row into a table of strings, b: the
-                 table's bytes, c: int64 offsets, string s is [c[s], c[s+1]).
+     CELL_TABLE  a: an int64 index per row into a table of strings, or 0 for
+                 a table of one string, b: the table's bytes, c: int64
+                 offsets, string s is [c[s], c[s+1]).
    at[i] is check i's next row.  Each line is the next row of the check with
    the smallest next key, so the checks' rows come out merged in key order.
    Before each line the writer checks that the check's width bound still
    fits in the cap bytes of buf, and stops when it does not.  It returns the
    bytes written; with cap at least every check's width bound, 0 means every
    row is written. */
-enum { CELL_EMPTY, CELL_INT, CELL_BOOL, CELL_TABLE };
+enum { CELL_INT, CELL_TABLE };
 #define DESC 25 /* 5 fields per check, then 4 per cell */
 #define PTR(T, v) ((const T *)(intptr_t)(v))
 
@@ -432,15 +430,10 @@ int64_t affext_write_rows(const int64_t *desc, int64_t nc, int64_t *at, char *bu
             *p++ = ',';
             if (f[0] == CELL_INT) {
                 p = put_int64(p, PTR(int64_t, f[1])[r]);
-            } else if (f[0] == CELL_BOOL) {
-                int t = PTR(uint8_t, f[1])[r] != 0;
-                memcpy(p, t ? "true" : "false", 5 - (size_t)t);
-                p += 5 - t;
-            } else if (f[0] == CELL_TABLE) {
-                const int64_t *off = PTR(int64_t, f[3]);
-                int64_t s = PTR(int64_t, f[1])[r];
-                memcpy(p, PTR(char, f[2]) + off[s], (size_t)(off[s + 1] - off[s]));
-                p += off[s + 1] - off[s];
+            } else {
+                const int64_t *off = PTR(int64_t, f[3]) + (f[1] ? PTR(int64_t, f[1])[r] : 0);
+                for (int64_t i = off[0]; i < off[1]; i++) /* short: a loop beats memcpy */
+                    *p++ = PTR(char, f[2])[i];
             }
         }
         *p++ = '\n';
@@ -460,7 +453,6 @@ class CBuild:
     count_fn: object = None  # the loaded count kernel, or None
     write_fn: object = None  # the loaded report writer, or None
     flags: tuple[str, ...] = ()
-    compiler: str = ""  # first line of `cc --version`
     path: str = ""  # the cached shared object
     error: str = ""  # why fn, count_fn and write_fn are None
 
@@ -520,9 +512,18 @@ def _compile(cc: str, flags: tuple[str, ...], path: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def c_build() -> CBuild:
-    """Build the C kernel (at most once per machine) and load it (once per
-    process).  The shared object is keyed on the source, the flags, the
-    compiler version and the machine, plus the CPU flags for -march=native."""
+    """Build the C functions (at most once per machine) and load them (once
+    per process).  A failed build warns once per process, for all three."""
+    build = _build()
+    if build.error:
+        warnings.warn(f"C kernels unavailable ({build.error}); using the numpy batch and "
+                      f"count kernels and the python report writer instead", RuntimeWarning)
+    return build
+
+
+def _build() -> CBuild:
+    """The shared object is keyed on the source, the flags, the compiler
+    version and the machine, plus the CPU flags for -march=native."""
     import ctypes
 
     cc = _find_compiler()
@@ -560,13 +561,13 @@ def c_build() -> CBuild:
         i64, u32, ptr = ctypes.c_int64, ctypes.c_uint32, ctypes.c_void_p
         fn.restype = ctypes.c_int
         fn.argtypes = [ptr, i64, i64, ptr, ptr, i64, u32, u32, u32, u32, ptr]
+        arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")  # checked per call
         count_fn.restype = ctypes.c_int
-        count_fn.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr, i64, i64, ptr, i64, ptr,
-                             ptr, i64, i64, i64, i64, ptr, ptr]
+        count_fn.argtypes = [arr, i64, i64, i64, arr, i64, arr, i64, i64, arr, i64, arr,
+                             arr, i64, i64, i64, i64, arr, arr]
         write_fn.restype = i64
         write_fn.argtypes = [ptr, i64, ptr, ptr, i64]
-        return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, flags=flags,
-                      compiler=version, path=path)
+        return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, flags=flags, path=path)
     return CBuild(error="; ".join(errors))
 
 
@@ -647,19 +648,13 @@ KERNELS = {
     "python": Kernel(lambda q: True, "any modulus", _eval_python),
 }
 
-_fallback_warned = False
 
-
-def warn_c_fallback(instead: str) -> None:
-    """Say why the C kernels could not be built or loaded, once per process
-    for the batch and count kernels and the report writer together."""
-    global _fallback_warned
-    if not _fallback_warned:
-        _fallback_warned = True
-        warnings.warn(
-            f"C kernels unavailable ({c_build().error}); using the {instead} instead",
-            RuntimeWarning, stacklevel=3,
-        )
+def c_unavailable() -> str:
+    """Why the C functions cannot run in this process, or "" when they load:
+    the one lookup for the batch kernel, the count kernel and the report
+    writer, which load or fail together (and warn once if they fail)."""
+    error = c_build().error
+    return error and f"C kernels unavailable: {error}"
 
 
 def kernels_for(q: int) -> list[str]:
@@ -667,22 +662,19 @@ def kernels_for(q: int) -> list[str]:
 
     Asking about a modulus the C kernel handles builds or loads it."""
     return [name for name, kernel in KERNELS.items()
-            if kernel.handles(q) and (name != "c" or c_build().fn is not None)]
+            if kernel.handles(q) and (name != "c" or not c_unavailable())]
 
 
 def pick_impl(q: int, impl: str = "auto") -> str:
     """Resolve a kernel name for modulus q."""
     if impl == "auto":
-        chosen = kernels_for(q)[0]
-        if chosen != "c" and KERNELS["c"].handles(q):
-            warn_c_fallback(f"{chosen} kernel")
-        return chosen
+        return kernels_for(q)[0]
     if impl not in KERNELS:
         raise ValueError(f"unknown implementation {impl!r}")
     if not KERNELS[impl].handles(q):
         raise ValueError(f"{impl} kernel requires {KERNELS[impl].needs}, got {q}")
-    if impl == "c" and c_build().fn is None:
-        raise RuntimeError(f"C batch kernel unavailable: {c_build().error}")
+    if impl == "c" and (why := c_unavailable()):
+        raise RuntimeError(why)
     return impl
 
 
@@ -710,3 +702,61 @@ def batch_apply(xs, exps, rows, q: int, impl: str = "auto") -> np.ndarray:
     if len(exps) != n or any(len(row) != n for row in rows):
         raise ValueError(f"exponents and matrix rows must have length {n}")
     return KERNELS[chosen].run(xs, exps, rows, q)
+
+
+def count_blocks(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:
+    """affext_count_blocks on the arrays of analysis._PointCounts.counts, each
+    C-contiguous int64 (ctypes refuses any other): it tallies into counts,
+    (nb, O, q**m) and zeroed.  The caller checks every other precondition."""
+    m, n, tablen = tables.shape
+    (nb, k, _), T, (O, qm) = bases.shape, len(grid), counts.shape[1:]
+    status = c_build().count_fn(tables, tablen, n, m, free, len(free), grid, T, k, bases, nb,
+                                offsets, rows, len(rows), O, q, qm, work, counts)
+    if status != 0:
+        raise MemoryError(f"C count kernel could not allocate {m * len(free)} table pointers")
+
+
+_REPORT_BUFFER = 1 << 20  # bytes of the report writer's buffer, for any report size
+_CELL_INT, _CELL_TABLE = range(2)  # the cell kinds of affext_write_rows
+
+
+def _c_cell(col: np.ndarray, cells, hold: list) -> tuple[list[int], int]:
+    """A column as affext_write_rows reads it, (kind, a, b, c), and the width
+    of its widest text: an int column as it is, any other as a table of
+    strings, cells(col).  hold keeps the arrays the fields point into alive."""
+    if col.dtype.kind == "i":
+        hold.append(ints := np.ascontiguousarray(col, np.int64))
+        return [_CELL_INT, ints.ctypes.data, 0, 0], 20  # len(str(-2**63))
+    strings, at = cells(col)
+    lens = np.fromiter(map(len, strings), np.int64, len(strings))
+    one = len(strings) == 1  # every row takes the one string: no index to allocate or read
+    at = None if one else np.ascontiguousarray(np.arange(len(lens)) if at is None else at, np.int64)
+    pool = np.frombuffer("".join(strings).encode("ascii"), np.uint8)
+    hold += [at, pool, off := np.concatenate(([0], np.cumsum(lens)))]
+    index = 0 if one else at.ctypes.data
+    return [_CELL_TABLE, index, pool.ctypes.data, off.ctypes.data], int(lens.max(initial=0))
+
+
+def write_rows(checks, cells, fh) -> None:
+    """Write report rows to the binary fh by affext_write_rows, one fixed
+    buffer at a time, merged by their keys.  checks holds per check its name,
+    its rows' ascending int64 sort keys, and its five columns after the name.
+    cells(column) gives the strings of a column that is not int and each
+    row's index into them (None: row i takes string i).  A column two checks
+    share is read once."""
+    hold, desc, done = [], [], {}
+    for name, keys, cols in checks:
+        for c in cols:
+            if id(c) not in done:
+                done[id(c)] = _c_cell(c, cells, hold)
+        hold += [keys := np.ascontiguousarray(keys, np.int64),
+                 label := np.frombuffer(name.encode("ascii"), np.uint8)]
+        width = len(label) + sum(done[id(c)][1] for c in cols) + 6  # 5 commas and a newline
+        desc.append([keys.ctypes.data, len(keys), label.ctypes.data, len(label), width,
+                     *(f for c in cols for f in done[id(c)][0])])
+    desc = np.array(desc, dtype=np.int64).reshape(-1, 25)  # 5 fields per check, 4 per cell
+    at = np.zeros(len(desc), dtype=np.int64)
+    buf = np.empty(max(_REPORT_BUFFER, desc[:, 4].max(initial=0)), dtype=np.uint8)  # a line fits
+    write = c_build().write_fn
+    while n := write(desc.ctypes.data, len(desc), at.ctypes.data, buf.ctypes.data, len(buf)):
+        fh.write(buf[:n])

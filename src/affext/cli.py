@@ -27,6 +27,7 @@ from .config import (
     DEFAULT_TOLERANCE,
     Budgets,
     BudgetExceededError,
+    check_budget,
     parse_ints,
 )
 
@@ -142,7 +143,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     from . import batch  # imported here, as evaluate_batch does, so other commands skip it
 
     spec = extractor.load_spec(args.spec_file)
-    fh_in = sys.stdin if args.input_file == "-" else open(args.input_file, "r", encoding="ascii")
+    # stdin is read as a file is: ASCII, any other byte kept for parse_ints to refuse by line
+    fh_in = open(sys.stdin.fileno() if args.input_file == "-" else args.input_file,
+                 encoding="ascii", errors="surrogateescape", closefd=args.input_file != "-")
     fh_out = None
     try:
         lineno, routed = 1, False
@@ -163,8 +166,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             if len(chunk) < _EXTRACT_CHUNK:
                 return EXIT_OK
     finally:
-        if fh_in is not sys.stdin:
-            fh_in.close()
+        fh_in.close()  # not stdin's file descriptor
         if fh_out is not None and fh_out is not sys.stdout:
             fh_out.close()
 
@@ -217,6 +219,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    limits = args.prachar_limits or (1000,)
+    top = max(limits)  # prachar_average(top) sieves top + 1 integers, checked before any work
+    check_budget(top, args.points_budget, f"prime statistics up to {top} sieve {top} integers")
     battery = analysis.deligne_battery()
     result = analysis.SweepResult(
         spec_q=0, spec_n=0, spec_k=0, spec_m=0,
@@ -239,7 +244,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             f"<= {report.bound:.6f} {'ok' if report.satisfied else 'FAIL'}"
         )
     result.violations["deligne"] = failed
-    for limit in args.prachar_limits or (1000,):
+    for limit in limits:
         total, norm, atypical = numtheory.prachar_average(limit)
         print(f"prachar_sum[{limit}] = {total}")
         print(f"prachar_normalized[{limit}] = {norm!r}")

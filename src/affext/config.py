@@ -53,12 +53,14 @@ def check_budget(needed: int, budget: int, what: str) -> None:
 def parse_ints(
     text: str, where: str, n: int | None = None, q: int | None = None
 ) -> tuple[int, ...]:
-    """The integers of a comma-separated line, n of them if n is given and
-    each in [0, q) if q is given; every error starts with where."""
+    """The integers of a comma-separated ASCII line, n of them if n is given
+    and each in [0, q) if q is given; every error starts with where."""
     try:
+        if not text.isascii():  # int() also reads other scripts' digits, as U+0663 or U+FF13
+            raise ValueError
         values = tuple(map(int, text.split(",")))
     except ValueError:
-        raise ValueError(f"{where}: not a comma-separated integer list: {text!r}") from None
+        raise ValueError(f"{where}: not a comma-separated integer list: {text!a}") from None
     if n is not None and len(values) != n:
         raise ValueError(f"{where}: expected {n} entries, got {len(values)}")
     if q is not None:

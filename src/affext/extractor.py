@@ -354,6 +354,10 @@ def spec_from_text(text: str) -> ExtractorSpec:
 
     qv, n, k, m, lcm, D_master = map(number, ("q", "n", "k", "m", "lcm", "D_master"))
     beta, epsilon = number("beta", float), number("epsilon", float)
+    if not math.isfinite(beta):
+        raise ValueError(f"{where('beta')}: {beta!r} is not finite")
+    if epsilon != (want := max(0.25 - beta / 2, 0.0)):  # as build_spec and plan_parameters store it
+        raise ValueError(f"{where('epsilon')}: {epsilon!r} is not max(1/4 - beta/2, 0) = {want!r}")
     if n < 1:  # before n sizes d and seed_points
         raise ValueError(f"{where('n')}: {n} is below 1")
     d = parse_ints(values["d"][1], where("d"), n)
@@ -372,5 +376,5 @@ def save_spec(spec: ExtractorSpec, path) -> None:
 
 
 def load_spec(path) -> ExtractorSpec:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:  # refused by line
         return spec_from_text(fh.read())

@@ -408,5 +408,5 @@ def save_subspaces(subspaces: Sequence[AffineSubspace], path) -> None:
 
 
 def load_subspaces(path) -> list[AffineSubspace]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:  # refused by line
         return subspaces_from_text(fh.read())

@@ -17,10 +17,9 @@ settings.load_profile("affext")
 
 
 @pytest.fixture
-def fresh_c_build(monkeypatch):
-    """Forget this process's C kernel outcome and fallback warning, before and after."""
+def fresh_c_build():
+    """Forget this process's C kernel outcome, and so its fallback warning, before and after."""
     batch.c_build.cache_clear()
-    monkeypatch.setattr(batch, "_fallback_warned", False)
     yield
     batch.c_build.cache_clear()
 

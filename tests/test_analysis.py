@@ -67,10 +67,10 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
 
 
 def _count_routes():
-    """Each count route as the _count_kernel to patch in: the C kernel where a
+    """Each count route as the count_route to patch in: the C kernel where a
     compiler exists, then numpy."""
-    routes = {"c": analysis._count_kernel} if HAVE_CC else {}
-    routes["numpy"] = lambda: (None, "forced")
+    routes = {"c": analysis.count_route} if HAVE_CC else {}
+    routes["numpy"] = lambda: "numpy (forced)"
     return routes
 
 
@@ -422,7 +422,7 @@ class TestChangeOfVars:
         # every count route: the C kernel where a compiler exists, then numpy
         for route in ["c"] * HAVE_CC + ["numpy"]:
             if route == "numpy":
-                monkeypatch.setattr(analysis, "_count_kernel", lambda: (None, "forced"))
+                monkeypatch.setattr(analysis, "count_route", lambda: "numpy (forced)")
             assert analysis.count_route().startswith(route)
             runs = 0
             for spec, pivots, bases, offsets, partner, subspaces in _count_blocks():
@@ -458,7 +458,7 @@ class TestChangeOfVars:
             want = output_distribution(spec, W).counts
             grids = (state.counter.grid(W.k), state.pattern(W.pivots).substituted[0])
             for route, kernel in _count_routes().items():
-                with mock.patch.object(analysis, "_count_kernel", kernel):
+                with mock.patch.object(analysis, "count_route", kernel):
                     for grid in grids:
                         got = state.counter.counts(W.pivots, W.basis_array(),
                                                    W.offset_array()[None], grid)
@@ -508,8 +508,8 @@ class TestCountRoutes:
 
         monkeypatch.setattr(analysis, "_check_int64_sums", guard)
         # on both routes, and before the point checks would reject the offset
-        for kernel in (analysis._count_kernel, lambda: (None, "forced")):
-            monkeypatch.setattr(analysis, "_count_kernel", kernel)
+        for route in (analysis.count_route, lambda: "numpy (forced)"):
+            monkeypatch.setattr(analysis, "count_route", route)
             with pytest.raises(ValueError, match="guard"):
                 counter.counts(V.pivots, V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
         assert seen == [(13, 3), (13, 3)]
@@ -522,8 +522,8 @@ class TestCountRoutes:
         big, negative = basis.copy(), grid.copy()
         big[1, 2], negative[5, 1] = 13, -1
         # a precondition of both routes: the C kernel reads these unchecked
-        for kernel in (analysis._count_kernel, lambda: (None, "forced")):
-            monkeypatch.setattr(analysis, "_count_kernel", kernel)
+        for route in (analysis.count_route, lambda: "numpy (forced)"):
+            monkeypatch.setattr(analysis, "count_route", route)
             for offset in ((13, 12, 12), (-1, 0, 0)):
                 with pytest.raises(ValueError, match="outside"):
                     counter.counts(V.pivots, basis, np.array([offset]), grid)
@@ -555,8 +555,9 @@ class TestCountRoutes:
             ran.append(args)
             return 0
 
-        for kernel in (lambda: (spy, ""), lambda: (None, "forced")):
-            monkeypatch.setattr(analysis, "_count_kernel", kernel)
+        monkeypatch.setattr(batch, "count_blocks", spy)
+        for route in (lambda: "c", lambda: "numpy (forced)"):
+            monkeypatch.setattr(analysis, "count_route", route)
             for bases, offsets in ((scaled, offset), (swapped, offset), (basis, moved),
                                    (np.stack([basis, scaled]), offset)):
                 with pytest.raises(ValueError, match=re.escape(
@@ -567,6 +568,24 @@ class TestCountRoutes:
                 with pytest.raises(ValueError, match="are not 2 distinct columns below 3"):
                     counter.counts(pivots, basis, offset, grid)
         assert ran == []
+
+    def test_numpy_route_over_several_slices(self, monkeypatch):
+        # at two offset rows per slice (n * T = 3 * 49 elements each), each basis of
+        # a 7/3/k2/m2 run takes 4 slices of its 7 offsets, or 2 of its 4 representatives
+        monkeypatch.setattr(analysis, "_ELEM_SLICE", 2 * 3 * 49)
+        real, slices = np.bincount, []
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: slices.append(1) or real(*a, **kw))
+        for spec, pivots, bases, offsets, partner, subspaces in list(_count_blocks())[-6:]:
+            counter = _PointCounts(spec, 10**8)
+            want = np.array([output_distribution(spec, V).counts for V in subspaces])
+            assert offsets.shape == (7, 3) and len(bases) in (1, 2, 3)
+            for pair in (None, partner):
+                for route, kernel in _count_routes().items():
+                    slices.clear()
+                    with mock.patch.object(analysis, "count_route", kernel):
+                        got = counter.counts(pivots, bases, offsets, counter.grid(2), pair)
+                    assert (got == want).all(), (route, pair is None)
+                    assert len(slices) == (route == "numpy") * len(bases) * (4 if pair is None else 2)
 
     def test_no_compiler_gives_identical_reports_and_one_warning(
         self, fresh_c_build, monkeypatch, tmp_path
@@ -646,7 +665,7 @@ class TestTransformProperties:
         counter = _PointCounts(spec, 10**6)
         substituted = _exhaustive_state(spec).pattern(V.pivots).substituted[0]
         for route, kernel in _count_routes().items():
-            with mock.patch.object(analysis, "_count_kernel", kernel):
+            with mock.patch.object(analysis, "count_route", kernel):
                 assert analysis.count_route().startswith(route)
                 for grid in (counter.grid(k), substituted):  # the substitution permutes the grid
                     counts = counter.counts(V.pivots, V.basis_array(),
@@ -691,7 +710,7 @@ class TestNegationPairs:
         want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
                          for o in offsets.tolist()])
         for route, kernel in _count_routes().items():
-            with mock.patch.object(analysis, "_count_kernel", kernel):
+            with mock.patch.object(analysis, "count_route", kernel):
                 assert analysis.count_route().startswith(route)
                 for grid in (counter.grid(k), substituted):
                     full = counter.counts(block.pattern, basis, offsets, grid)
@@ -1785,13 +1804,13 @@ class TestColumnWriter:
         rows += [BoundReport("budget_error", 169, 100, None, subspace_id=7)]  # a skipped subspace
         for r in rows:
             res.reports.append(r)
-        kinds = {name: [analysis._c_cell(c, [])[0][0] for c in cols]
-                 for name, _, cols in res.reports._columns(False)}
-        INT, BOOL, EMPTY, TABLE = (analysis._CELL_INT, analysis._CELL_BOOL,
-                                   analysis._CELL_EMPTY, analysis._CELL_TABLE)
-        assert kinds["ints"] == [INT, INT, INT, INT, BOOL]  # id, c, quantity, bound, satisfied
-        assert kinds["floats"] == [INT, EMPTY, TABLE, TABLE, EMPTY]
-        assert kinds["mixed"] == [EMPTY, TABLE, TABLE, EMPTY, TABLE]
+        # the C writer formats ints; bools, None and every other cell come from a table
+        kinds = {name: [batch._c_cell(c, analysis._csv_cells, [])[0][0] for c in cols]
+                 for name, _, cols in res.reports._columns(False, lambda c: c)}
+        INT, TABLE = batch._CELL_INT, batch._CELL_TABLE
+        assert kinds["ints"] == [INT, INT, INT, INT, TABLE]  # id, c, quantity, bound, satisfied
+        assert kinds["floats"] == [INT, TABLE, TABLE, TABLE, TABLE]
+        assert kinds["mixed"] == [TABLE, TABLE, TABLE, TABLE, TABLE]
         _assert_written_like_the_oracle(res, tmp_path / "edges.csv")
         lines = reports_csv_lines(res)
         assert "ints,3,-9223372036854775808,-9223372036854775808,-9223372036854775808,true" in lines
@@ -1805,27 +1824,28 @@ class TestColumnWriter:
             dataclasses.replace(empty, reports=analysis._Reports()), tmp_path / "none.csv")
 
     def test_a_report_longer_than_the_buffer(self, monkeypatch, tmp_path):
-        fn, _ = analysis._report_writer(0)
+        build = batch.c_build()
         fills, caps = [], set()
 
         def spy(*args):  # one fill of the buffer, never past its cap
-            fills.append(fn(*args))
+            fills.append(build.write_fn(*args))
             caps.add(args[4])
             assert 0 <= fills[-1] <= args[4]
             return fills[-1]
 
-        if fn is not None:
-            monkeypatch.setattr(analysis, "_report_writer", lambda rows: (spy, ""))
+        spied = dataclasses.replace(build, write_fn=spy)
+        monkeypatch.setattr(batch, "c_build", lambda: spied)
         for workers in (1, 2):
             res = verify_extractor(build_spec(13, 3, 2, 1), ExhaustiveSubspaces(),
                                    checks=CHECK_ORDER, workers=workers, collect="full")
             rows = _oracle_csv_lines(res)[1 : len(res.reports) + 1]
+            on_c = analysis.report_route(res) == "c"
             for buffer in (1, 4096):  # the widest line, or 4096 bytes, per fill
-                monkeypatch.setattr(analysis, "_REPORT_BUFFER", buffer)
+                monkeypatch.setattr(batch, "_REPORT_BUFFER", buffer)
                 fills.clear()
                 caps.clear()
                 _assert_written_like_the_oracle(res, tmp_path / f"r{workers}.csv")
-                if fn is not None:  # the file, then memory: every row in many fills
+                if on_c:  # the file, then memory: every row in many fills
                     assert sum(fills) == 2 * sum(len(r) + 1 for r in rows) > 8 * max(caps)
                     assert fills.count(0) == 2 and len(caps) == 1  # the buffer fits every line
                     assert max(buffer, 1 + max(map(len, rows))) <= max(caps) <= max(buffer, 128)
@@ -1837,7 +1857,7 @@ class TestColumnWriterPythonRoute(TestColumnWriter):
 
     @pytest.fixture(autouse=True)
     def _writer(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_report_writer", lambda rows: (None, "forced"))
+        monkeypatch.setattr(analysis, "report_route", lambda result: "python (forced)")
 
 
 def _assert_written_like_the_oracle(res, path):

@@ -6,11 +6,14 @@ bytes of written files can be asserted.
 
 import hashlib
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from affext import analysis, batch, cli
+from affext import analysis, batch, cli, numtheory
+from affext.config import parse_ints
 from affext.extractor import build_spec, evaluate_batch, load_spec, save_spec
 from affext.numtheory import factorize, is_prime, typicality_threshold
 from affext.subspace import random_subspace, save_subspaces
@@ -178,6 +181,33 @@ class TestExtract:
             code, out, err = run(capsys, "extract", "--spec-file", spec_path, "--input", str(inp))
             assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("digit", ("\u0663", "\uff13"))  # Arabic-Indic and fullwidth 3
+    def test_stdin_and_a_file_take_one_ascii_grammar(self, digit, spec_path, tmp_path, capsys):
+        # int() reads the digits of other scripts; a non-ASCII byte is refused
+        # with its line, from stdin as from a file, as are such digits in text
+        data = f"1,2,3\n1,2,{digit}\n".encode("utf-8")
+        line = data.decode("ascii", "surrogateescape").splitlines()[1]
+        want = f"error: input line 2: not a comma-separated integer list: {line!a}\n"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        extract = [sys.executable, "-m", "affext.cli", "extract", "--spec-file", spec_path]
+        done = subprocess.run(extract, input=data, capture_output=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr.decode("ascii")) == (1, b"", want)
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(data)
+        assert run(capsys, "extract", "--spec-file", spec_path, "--input", str(inp)) == (1, "", want)
+        with pytest.raises(ValueError, match=r"^x: not a comma-separated integer list: '1,\\u"):
+            parse_ints(f"1,{digit}", "x")
+        done = subprocess.run(extract, input=b"2,1,1\n", capture_output=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (0, b"9\n")  # stdin is read
+
+    def test_non_ascii_spec_file_names_the_line(self, spec_path, tmp_path, capsys):
+        spec_file = tmp_path / "bad_spec.txt"
+        spec_file.write_bytes(open(spec_path, "rb").read().replace(b"d = ", b"d = \xd9"))
+        code, out, err = run(capsys, "extract", "--spec-file", str(spec_file))
+        assert (code, out) == (1, "")
+        assert err == ("error: spec line 7: malformed d value: not a comma-separated integer "
+                       "list: '\\udcd935,7,5'\n")
+
     def test_noncanonical_residue_rejected(self, spec_path, tmp_path, capsys):
         inp = tmp_path / "in.txt"
         inp.write_text("1,1,13\n", encoding="ascii")
@@ -329,14 +359,13 @@ class TestVerify:
         for hide in (False, True):
             if hide:
                 monkeypatch.setattr(batch, "_find_compiler", lambda: None)
-                monkeypatch.setattr(batch, "_fallback_warned", False)
                 batch.c_build.cache_clear()
-            routes = {verify: "report_route = c" if batch.c_build().write_fn is not None else
-                      "report_route = python (C kernels unavailable: no C compiler",
-                      ("bounds",): "report_route = python (24 rows, below 1024)"}
             d = tmp_path / str(hide)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
+                routes = {verify: "report_route = c" if batch.c_build().write_fn is not None else
+                          "report_route = python (C kernels unavailable: no C compiler",
+                          ("bounds",): "report_route = python (24 rows, below 1024)"}
                 for argv, route in routes.items():
                     code, out, err = run(capsys, *argv, "--report-dir", str(d))
                     assert code == 0
@@ -347,11 +376,42 @@ class TestVerify:
                     assert "report_route =" not in err
             if hide:  # the one fallback warning, shared with the count kernel
                 assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
-                    "C kernels unavailable (no C compiler found (tried cc, gcc)); "
-                    "using the numpy kernel instead"]
+                    "C kernels unavailable (no C compiler found (tried cc, gcc)); using the "
+                    "numpy batch and count kernels and the python report writer instead"]
             files.append({name: (d / name).read_bytes() for name in sorted(os.listdir(d))})
         assert files[0] == files[1] and len(files[0]) == 3
         assert all(b"report_route =" not in b for b in files[0].values())
+
+    def test_one_fallback_warning_in_one_text(
+        self, spec_path, tmp_path, capsys, monkeypatch, fresh_c_build
+    ):
+        # without a compiler each command warns once, in the same words from the
+        # same line: verify with the default checks (counts, then 9,516 report
+        # rows), with zero_coordinate alone (no counts, 2,379 rows, enough for the
+        # C writer), and extract (the batch kernel); the route lines stay as they were
+        monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+        inp = tmp_path / "in.txt"
+        inp.write_text("2,1,1\n", encoding="ascii")
+        verify = ("verify", "--spec-file", spec_path, "--exhaustive",
+                  "--report-dir", str(tmp_path / "r"))
+        seen, routes = [], []
+        for argv in (verify, (*verify, "--checks", "zero_coordinate"),
+                     ("extract", "--spec-file", spec_path, "--input", str(inp))):
+            batch.c_build.cache_clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run(capsys, *argv)
+            assert code == 0
+            seen += [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            routes += [line for line in err.splitlines()
+                       if line.startswith(("count_route", "report_route", "batch_route"))]
+        assert len(seen) == 3 and len(set(seen)) == 1 and seen[0][0] is RuntimeWarning
+        assert seen[0][1] == ("C kernels unavailable (no C compiler found (tried cc, gcc)); using "
+                              "the numpy batch and count kernels and the python report writer instead")
+        why = "C kernels unavailable: no C compiler found (tried cc, gcc)"
+        assert routes == [f"count_route = numpy ({why})", f"report_route = python ({why})",
+                          "count_route = none (no check counted points)",
+                          f"report_route = python ({why})", "batch_route = numpy"]
 
     def test_bounds_looks_up_no_c_kernel(self, tmp_path, capsys, monkeypatch):
         def unbuilt():
@@ -387,9 +447,10 @@ class TestVerify:
 
     def test_subspace_file_errors_name_the_line(self, spec_path, tmp_path, capsys):
         for text, message in (("3,2,13\n0,0,x\n1,0,0\n0,1,0\n", "line 2: not a comma-separated"),
+                              ("3,2,13\n0,0,\uff13\n1,0,0\n0,1,0\n", "line 2: not a comma-separated"),
                               ("3,1,4\n0,0,0\n2,0,0\n", "line 1: q = 4 is not a prime")):
             sub_file = tmp_path / "subs.txt"
-            sub_file.write_text(text, encoding="ascii")
+            sub_file.write_text(text, encoding="utf-8")  # a fullwidth 3 was an ascii codec error
             code, out, err = run(
                 capsys, "verify", "--spec-file", spec_path, "--subspace-file", str(sub_file),
             )
@@ -602,6 +663,17 @@ class TestBounds:
         rows = [line for line in out.splitlines() if line.startswith("deligne[")]
         assert code == 0 and len(rows) == len(analysis.deligne_battery())
         assert all(line.endswith(" ok") for line in rows)
+
+    def test_prachar_limit_is_held_to_the_points_budget(self, capsys, monkeypatch):
+        # the battery fits a budget of 20,000; the prime statistics up to L sieve
+        # L integers, and a largest limit over the budget is refused before any work
+        code, out, _ = run(capsys, "bounds", "--prachar-limit", "20000", "--points-budget", "20000")
+        assert code == 0 and "prachar_sum[20000] = " in out
+        monkeypatch.setattr(numtheory, "primes_up_to", lambda limit: pytest.fail("sieved"))
+        code, out, err = run(capsys, "bounds", "--prachar-limit", "100", "--prachar-limit",
+                             "20001", "--points-budget", "20000")
+        assert (code, out, err) == (
+            1, "", "error: prime statistics up to 20001 sieve 20001 integers, budget is 20000\n")
 
     def test_default_prachar_limit(self, capsys):
         code, out, _ = run(capsys, "bounds")

@@ -364,7 +364,7 @@ needs_cc = pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
 class TestCKernel:
     def test_no_compiler_falls_back_to_numpy_with_one_warning(self, fresh_c_build, monkeypatch):
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
-        with pytest.warns(RuntimeWarning, match="no C compiler.*numpy kernel instead"):
+        with pytest.warns(RuntimeWarning, match="no C compiler.*using the numpy batch and count kernels"):
             assert batch.pick_impl(2**31 - 1) == "numpy"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -376,7 +376,7 @@ class TestCKernel:
     def test_failed_compile_falls_back(self, fresh_c_build, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(batch, "_C_SOURCE", "this is not C")
-        with pytest.warns(RuntimeWarning, match="failed.*numpy kernel instead"):
+        with pytest.warns(RuntimeWarning, match="failed.*using the numpy batch and count kernels"):
             assert batch.pick_impl(13) == "numpy"
         assert os.listdir(tmp_path / "affext") == []  # no partial files left
 
@@ -542,7 +542,7 @@ class TestMersenneBody:
         monkeypatch.setattr(analysis, "_C_REPORT_ROWS", 0)
         assert analysis.report_route(res) == "c"
         lines = analysis.reports_csv_lines(res)
-        monkeypatch.setattr(analysis, "_report_writer", lambda rows: (None, "forced"))
+        monkeypatch.setattr(analysis, "report_route", lambda result: "python (forced)")
         assert lines == analysis.reports_csv_lines(res), flags
 
     def test_batch_route_names_the_kernel_and_its_reduction(self, fresh_c_build, monkeypatch):
@@ -594,6 +594,15 @@ class TestSpecSerialization:
         for old, new, message in (
             ("q = 13", "q = thirteen", "spec line 2: malformed q value: 'thirteen'"),
             ("beta = 0.5", "beta = half", "spec line 6: malformed beta value: 'half'"),
+            # beta and epsilon were read unchecked: beta = nan with epsilon = inf
+            # loaded, and lcm_bound_satisfied read True
+            ("beta = 0.5\nepsilon = 0.0", "beta = nan\nepsilon = inf",
+             "spec line 6: malformed beta value: nan is not finite"),
+            ("beta = 0.5", "beta = -inf", "spec line 6: malformed beta value: -inf is not finite"),
+            ("epsilon = 0.0", "epsilon = inf",
+             "spec line 7: malformed epsilon value: inf is not max(1/4 - beta/2, 0) = 0.0"),
+            ("beta = 0.5", "beta = 0.25",
+             "spec line 7: malformed epsilon value: 0.0 is not max(1/4 - beta/2, 0) = 0.125"),
             ("n = 3", "n = 0", "spec line 3: malformed n value: 0 is below 1"),  # not d's fault
             ("n = 3", "n = -2", "spec line 3: malformed n value: -2 is below 1"),
             (d, "d = 35,x,5",
