@@ -363,7 +363,8 @@ class _PointCounts:
     counts() tallies only the representative rows and fills each partner
     row as a column permutation of its representative through negenc, the
     encoding of -z per output z.  That needs an odd grid too: the
-    lexicographic one is, and the substituted one when every D_i is odd.
+    lexicographic one is, and so is the substituted one, since each D_i =
+    D / d_j divides the odd D = lcm of the pivot exponents.
 
     counts() runs on count_route: the C count kernel (batch.count_blocks),
     one compiled loop per run of blocks, or else a numpy loop of one gather
@@ -957,13 +958,13 @@ class _Pattern:
         return _pivot_degrees(self.state.spec, self.pivots)
 
     @cached_property
-    def substituted(self) -> tuple[np.ndarray, bool]:
-        """The grid with t_i -> t_i**D_i, and whether it is odd (every D_i odd)."""
-        D_per_pivot = self.degrees[1]
+    def substituted(self) -> np.ndarray:
+        """The grid with t_i -> t_i**D_i, odd as _PointCounts.counts needs:
+        every D_i divides the odd D (see _PointCounts)."""
         grid = self.state.counter.grid(len(self.pivots)).copy()
-        for i, Di in enumerate(D_per_pivot):
+        for i, Di in enumerate(self.degrees[1]):
             grid[:, i] = _pow_column(Di, self.state.q)[grid[:, i]]
-        return grid, all(Di % 2 for Di in D_per_pivot)
+        return grid
 
     @cached_property
     def substitution_form(self) -> int:
@@ -973,7 +974,7 @@ class _Pattern:
         subspace of the pattern, and the count is one number."""
         spec, counter = self.state.spec, self.state.counter
         D, D_per_pivot = self.degrees
-        s, u = counter.grid(len(self.pivots)), self.substituted[0]
+        s, u = counter.grid(len(self.pivots)), self.substituted
         top = _pow_column(D, self.state.q)[s]
         # (a) pivot coordinate j_i, raised to d_{j_i}, is s_i**D at every grid point s
         bad = sum(int((_pow_column(spec.d[j], self.state.q)[u[:, i]] != top[:, i]).sum())
@@ -1097,8 +1098,7 @@ class _SweepState:
             # a failing row names the first output z attaining it
             if counts is None:
                 counts = count(self.counter.grid(k), partner)
-            u, odd = pattern.substituted
-            gap = np.abs(counts - count(u, partner if odd else None))
+            gap = np.abs(counts - count(pattern.substituted, partner))
             worst = gap.max(axis=1)
             c_encoded = np.where(worst > 0, gap.argmax(axis=1), None)  # None where the rows agree
             cols["change_of_vars"] = (worst, 0, worst == 0, c_encoded, "")

@@ -1,6 +1,6 @@
 """Vectorised batch evaluation of x -> A * x^d.
 
-Three interchangeable kernels, all bit-identical, registered fastest first:
+Three kernels, bit-identical on canonical residues:
 
   * "c"      - modular-arithmetic kernel in C, odd moduli below 2**31.
     Rows are processed in chunks of 2,048 so the exponent-bit loop sits
@@ -29,12 +29,15 @@ Three interchangeable kernels, all bit-identical, registered fastest first:
   * "numpy"  - column-wise square-and-multiply in uint64, moduli below 2**32.
     The fast path for 2**31 <= q < 2**32, and the fallback when the C kernel
     cannot be built or loaded.
-  * "python" - plain loops over Python ints, any supported modulus; the oracle.
+  * "python" - plain loops over Python ints, any supported modulus: the route
+    for q >= 2**32, and the oracle the other two are tested against.
 
-`pick_impl(q, "auto")` takes the first registered kernel that handles q.
-Callers can pin a kernel by name for testing.  `batch_route(q)` names what
-"auto" runs, with the reduction of the C kernel: "c (mersenne)",
-"c (montgomery)", "numpy" or "python".
+`batch_route(q)` is the one choice of kernel: the fastest that handles q
+and loads, named with the reduction of the C kernel: "c (mersenne)",
+"c (montgomery)", "numpy" or "python".  `batch_apply` checks every input
+once, the batch's shape, the lengths of the exponents and rows and the range
+of every entry, and then runs that kernel; the kernels check no input
+themselves.
 
 The same C source holds the count kernel, `affext_count_blocks`, which
 `count_blocks` runs for `analysis._PointCounts`: one compiled loop over the
@@ -50,7 +53,7 @@ order, one buffer of fixed size at a time.
 
 This is the only module that calls into the shared object.  The three
 functions load or fail together (one `c_build()`), and `c_unavailable()` is
-the one lookup of whether they loaded: `pick_impl`, `analysis.count_route`
+the one lookup of whether they loaded: `batch_route`, `analysis.count_route`
 and `analysis.report_route` all ask it.  A failed build warns once per
 process, in one text for all three, and the numpy kernels and the python
 writer run instead, with the same results.
@@ -67,7 +70,6 @@ import subprocess
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -635,20 +637,6 @@ def _eval_python(xs, exps, rows, q: int) -> np.ndarray:
     return out
 
 
-class Kernel(NamedTuple):
-    handles: Callable[[int], bool]  # the moduli it evaluates exactly
-    needs: str  # that range, in words
-    run: Callable[..., np.ndarray]
-
-
-# fastest first
-KERNELS = {
-    "c": Kernel(lambda q: q % 2 == 1 and q < _C_MAX_Q, "an odd modulus below 2**31", _eval_c),
-    "numpy": Kernel(lambda q: q < _NUMPY_MAX_Q, "a modulus below 2**32", _eval_numpy),
-    "python": Kernel(lambda q: True, "any modulus", _eval_python),
-}
-
-
 def c_unavailable() -> str:
     """Why the C functions cannot run in this process, or "" when they load:
     the one lookup for the batch kernel, the count kernel and the report
@@ -657,51 +645,37 @@ def c_unavailable() -> str:
     return error and f"C kernels unavailable: {error}"
 
 
-def kernels_for(q: int) -> list[str]:
-    """The kernels that can evaluate modulus q in this process, fastest first.
-
-    Asking about a modulus the C kernel handles builds or loads it."""
-    return [name for name, kernel in KERNELS.items()
-            if kernel.handles(q) and (name != "c" or not c_unavailable())]
-
-
-def pick_impl(q: int, impl: str = "auto") -> str:
-    """Resolve a kernel name for modulus q."""
-    if impl == "auto":
-        return kernels_for(q)[0]
-    if impl not in KERNELS:
-        raise ValueError(f"unknown implementation {impl!r}")
-    if not KERNELS[impl].handles(q):
-        raise ValueError(f"{impl} kernel requires {KERNELS[impl].needs}, got {q}")
-    if impl == "c" and (why := c_unavailable()):
-        raise RuntimeError(why)
-    return impl
-
-
 def batch_route(q: int) -> str:
-    """What batch_apply(..., impl="auto") runs for modulus q: "c (mersenne)"
-    or "c (montgomery)", by the reduction the C kernel picks from q, else
-    "numpy" or "python"."""
-    chosen = pick_impl(q)
-    if chosen != "c":
-        return chosen
-    return "c (mersenne)" if q == _MERSENNE31 else "c (montgomery)"
+    """The kernel batch_apply runs for modulus q: "c (mersenne)" or
+    "c (montgomery)", by the reduction the C kernel picks from q, for odd
+    q < 2**31 when the C kernels load, else "numpy" below 2**32, else
+    "python".  Asking about a modulus the C kernel handles builds or loads it."""
+    if q % 2 == 1 and q < _C_MAX_Q and not c_unavailable():
+        return "c (mersenne)" if q == _MERSENNE31 else "c (montgomery)"
+    return "numpy" if q < _NUMPY_MAX_Q else "python"
 
 
-def batch_apply(xs, exps, rows, q: int, impl: str = "auto") -> np.ndarray:
+def batch_apply(xs, exps, rows, q: int) -> np.ndarray:
     """Apply x -> A * x^d to a batch; returns an int64 array of shape (B, m).
 
     xs is an array-like of shape (B, n) of canonical residues, exps the n
-    exponents, rows the m rows of A, each of length n.
+    nonnegative exponents, rows the m rows of A, each of n canonical
+    residues.  All of that is checked here, before the kernel
+    batch_route(q) names runs: the kernels agree on no other input.
     """
-    chosen = pick_impl(q, impl)
     xs = np.asarray(xs)
     if xs.ndim != 2:
         raise ValueError(f"batch must be two-dimensional, got shape {xs.shape}")
     n = xs.shape[1]
     if len(exps) != n or any(len(row) != n for row in rows):
         raise ValueError(f"exponents and matrix rows must have length {n}")
-    return KERNELS[chosen].run(xs, exps, rows, q)
+    if xs.size and (xs.min() < 0 or xs.max() >= q):
+        raise ValueError("batch contains non-canonical residues")
+    if any(e < 0 for e in exps) or any(not 0 <= a < q for row in rows for a in row):
+        raise ValueError("exponents must be nonnegative and matrix entries canonical residues")
+    route = batch_route(q)
+    run = _eval_c if route.startswith("c") else _eval_numpy if route == "numpy" else _eval_python
+    return run(xs, exps, rows, q)
 
 
 def count_blocks(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:

@@ -285,13 +285,12 @@ def evaluate(spec: ExtractorSpec, x: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def evaluate_batch(spec: ExtractorSpec, xs, impl: str = "auto") -> np.ndarray:
+def evaluate_batch(spec: ExtractorSpec, xs) -> np.ndarray:
     """F applied to a whole batch; returns an int64 array of shape (B, m).
 
-    Inputs must be canonical residues; they are checked here, so the C
-    kernel reads the int64 array in place.  `impl` pins one of the kernels
-    in batch.KERNELS ("c", "numpy", "python"); the default "auto" takes the
-    fastest kernel that handles the modulus (see batch.pick_impl).
+    The batch must have shape (B, n), checked here, and hold canonical
+    residues, which batch.batch_apply checks before the kernel that
+    batch.batch_route(q) names reads the int64 array in place.
     """
     from . import batch
 
@@ -300,9 +299,7 @@ def evaluate_batch(spec: ExtractorSpec, xs, impl: str = "auto") -> np.ndarray:
         arr = arr.reshape(0, spec.n)
     if arr.ndim != 2 or arr.shape[1] != spec.n:
         raise ValueError(f"batch must have shape (B, {spec.n}), got {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= spec.modulus):
-        raise ValueError("batch contains non-canonical residues")
-    return batch.batch_apply(arr, spec.d.d, spec.A.rows, spec.modulus, impl=impl)
+    return batch.batch_apply(arr, spec.d.d, spec.A.rows, spec.modulus)
 
 
 # Spec files are flat "key = value" text with a fixed key order, so a
@@ -336,6 +333,8 @@ def spec_from_text(text: str) -> ExtractorSpec:
             raise ValueError(f"spec line {lineno} is not 'key = value': {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
+        if key not in SPEC_KEYS:
+            raise ValueError(f"spec line {lineno} has unknown key {key!a}")
         if key in values:
             raise ValueError(f"spec line {lineno} repeats key {key!r} of line {values[key][0]}")
         values[key] = lineno, val.strip()

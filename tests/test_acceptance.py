@@ -29,7 +29,7 @@ from affext.analysis import (
     verify_extractor,
     zero_coordinate_bound,
 )
-from affext.batch import pick_impl
+from affext.batch import batch_route
 from affext.extractor import (
     build_matrix,
     build_spec,
@@ -282,8 +282,8 @@ def test_criterion_09_subspace_machinery():
 
 
 def test_criterion_10_performance_and_worker_equivalence():
-    kernel = pick_impl(2**31 - 1)
-    desc = f"10**6-vector batch below 5 s ({kernel} kernel); worker counts give identical reports"
+    route = batch_route(2**31 - 1)
+    desc = f"10**6-vector batch below 5 s (batch_route = {route}); worker counts give identical reports"
     with criterion(10, desc):
         spec = build_spec(2**31 - 1, 64, 64, 2)
         rng = np.random.default_rng(SEED)
@@ -291,7 +291,7 @@ def test_criterion_10_performance_and_worker_equivalence():
         evaluate_batch(spec, xs[:64])  # warm the kernel
         (out, elapsed) = _timed(lambda: evaluate_batch(spec, xs))
         assert out.shape == (10**6, 2)
-        assert elapsed < 5.0, f"batch took {elapsed:.2f}s on the {kernel!r} kernel"
+        assert elapsed < 5.0, f"batch took {elapsed:.2f}s on the {route!r} kernel"
         # spot-check the kernel against the scalar path
         from affext.extractor import evaluate
 

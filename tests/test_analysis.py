@@ -456,7 +456,7 @@ class TestChangeOfVars:
         state = _exhaustive_state(spec)
         for W in (V, point):
             want = output_distribution(spec, W).counts
-            grids = (state.counter.grid(W.k), state.pattern(W.pivots).substituted[0])
+            grids = (state.counter.grid(W.k), state.pattern(W.pivots).substituted)
             for route, kernel in _count_routes().items():
                 with mock.patch.object(analysis, "count_route", kernel):
                     for grid in grids:
@@ -663,7 +663,7 @@ class TestTransformProperties:
         spec, V = build_spec(q, n, k, m), random_subspace(n, k, q, seed=seed)
         want = output_distribution(spec, V)
         counter = _PointCounts(spec, 10**6)
-        substituted = _exhaustive_state(spec).pattern(V.pivots).substituted[0]
+        substituted = _exhaustive_state(spec).pattern(V.pivots).substituted
         for route, kernel in _count_routes().items():
             with mock.patch.object(analysis, "count_route", kernel):
                 assert analysis.count_route().startswith(route)
@@ -705,8 +705,7 @@ class TestNegationPairs:
         assert partner[0] == 0 and len(reps) == (O + 1) // 2  # 0 and one of each pair
         assert sorted([*reps, *partner[reps]]) == [0, *range(O)]
         counter = state.counter
-        substituted, odd = record.substituted
-        assert odd
+        substituted = record.substituted
         want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
                          for o in offsets.tolist()])
         for route, kernel in _count_routes().items():
@@ -718,6 +717,25 @@ class TestNegationPairs:
                     assert (counter.counts(block.pattern, basis, offsets, grid, partner)
                             == full).all(), route
                     assert (full == want).all(), route  # the substitution permutes the grid
+
+    @pytest.mark.parametrize("q", (2, 3, 5, 7, 11, 13, 17, 31, 101, 2**31 - 1))
+    def test_every_pivot_pattern_has_odd_degrees(self, q):
+        # for odd q every d_j is coprime to the even q - 1, so D = lcm of the
+        # pivot exponents and each D_i = D / d_j are odd, and t -> t**D_i
+        # commutes with negation: the substituted grid is odd, and
+        # change_of_vars may fill partner rows on it.  q = 2 admits only
+        # n = 1, so D_i = 1 (while D = d_0 = 2)
+        for n in range(1, min(q - 1, 6) + 1):
+            for k in range(1, n + 1):
+                spec = build_spec(q, n, k, 1)
+                state = _exhaustive_state(spec) if q**k <= 10**4 else None
+                for pivots in itertools.combinations(range(n), k):
+                    D, D_per_pivot = analysis._pivot_degrees(spec, pivots)
+                    assert all(Di % 2 for Di in D_per_pivot) and (D % 2 or q == 2), (n, pivots)
+                    if state is not None:
+                        grid, u = state.counter.grid(k), state.pattern(pivots).substituted
+                        negated = (-grid % q) @ q ** np.arange(k - 1, -1, -1)  # the row of -t
+                        assert (u[negated] == -u % q).all(), (n, pivots)
 
 
 class TestSubstitutionForm:
@@ -794,17 +812,30 @@ class TestSubstitutionForm:
                     assert spec.d[j] * (D // spec.d[pivots[i - 1]]) < D
 
 
+def _scale_degrees(monkeypatch, factor):
+    """D_i -> factor * D_i in every pivot pattern."""
+    real = analysis._pivot_degrees
+
+    def scaled(spec, pivots):
+        D, D_per_pivot = real(spec, pivots)
+        return D, [factor * Di for Di in D_per_pivot]
+
+    monkeypatch.setattr(analysis, "_pivot_degrees", scaled)
+
+
 @pytest.fixture
 def doubled_degrees(monkeypatch):
     """D_i -> 2 D_i: s -> s**(2 D_i) is two-to-one on F_q for odd q, so both
     structural checks must fail."""
-    real = analysis._pivot_degrees
+    _scale_degrees(monkeypatch, 2)
 
-    def doubled(spec, pivots):
-        D, D_per_pivot = real(spec, pivots)
-        return D, [2 * Di for Di in D_per_pivot]
 
-    monkeypatch.setattr(analysis, "_pivot_degrees", doubled)
+@pytest.fixture
+def tripled_degrees(monkeypatch):
+    """D_i -> 3 D_i: three-to-one on F_q when 3 divides q - 1, so both
+    structural checks must fail; and each D_i stays odd, as every real one
+    is, so an exhaustive sweep's +- fill of the substituted counts holds."""
+    _scale_degrees(monkeypatch, 3)
 
 
 class TestStructuralChecksCanFail:
@@ -875,8 +906,8 @@ class TestStructuralChecksCanFail:
     def test_exhaustive_rows_match_the_point_oracle(self, fault, request):
         # substitution_form is one value per pivot pattern; every subspace's
         # own parametrization, on each basis and offset, must give that value
-        if fault:
-            request.getfixturevalue("doubled_degrees")
+        if fault:  # 3 divides q - 1 = 6
+            request.getfixturevalue("tripled_degrees")
         spec = build_spec(7, 3, 2, 2)
         res = verify_extractor(spec, ExhaustiveSubspaces(), collect="full",
                                checks=("change_of_vars", "substitution_form"))

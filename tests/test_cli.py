@@ -9,12 +9,13 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from affext import analysis, batch, cli, numtheory
 from affext.config import parse_ints
-from affext.extractor import build_spec, evaluate_batch, load_spec, save_spec
+from affext.extractor import build_spec, evaluate, evaluate_batch, load_spec, save_spec
 from affext.numtheory import factorize, is_prime, typicality_threshold
 from affext.subspace import random_subspace, save_subspaces
 
@@ -202,7 +203,7 @@ class TestExtract:
 
     def test_non_ascii_spec_file_names_the_line(self, spec_path, tmp_path, capsys):
         spec_file = tmp_path / "bad_spec.txt"
-        spec_file.write_bytes(open(spec_path, "rb").read().replace(b"d = ", b"d = \xd9"))
+        spec_file.write_bytes(Path(spec_path).read_bytes().replace(b"d = ", b"d = \xd9"))
         code, out, err = run(capsys, "extract", "--spec-file", str(spec_file))
         assert (code, out) == (1, "")
         assert err == ("error: spec line 7: malformed d value: not a comma-separated integer "
@@ -252,7 +253,8 @@ class TestExtract:
             code, stdout, err = run(capsys, "extract", "--spec-file", str(spec_file),
                                     "--input", str(inp), "--output", str(out))
             assert (code, stdout, err) == (0, "", f"batch_route = {route}\n"), q
-            want = evaluate_batch(load_spec(spec_file), rows, impl="python").tolist()
+            spec = load_spec(spec_file)
+            want = [evaluate(spec, row) for row in rows]
             assert out.read_bytes() == "".join(f"{z}\n" for (z,) in want).encode("ascii"), q
             code, stdout, err = run(capsys, "extract", "--spec-file", str(spec_file),
                                     "--input", str(inp))

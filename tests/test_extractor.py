@@ -216,8 +216,8 @@ class TestPlanParameters:
             plan_parameters(n=4, k=2, beta=0.3, q=13)
 
     def test_atypical_modulus_warns(self):
-        # q - 1 = 2310 has five distinct prime factors
-        with pytest.warns(PlanWarning, match="atypical"):
+        # q - 1 = 2310 has five distinct prime factors; the lcm bound fails too
+        with pytest.warns(PlanWarning, match="atypical"), pytest.warns(PlanWarning, match="lcm"):
             plan_parameters(n=3, k=3, beta=0.4, q=2311)
 
     def test_typical_modulus_does_not_warn_atypical(self):
@@ -232,14 +232,18 @@ class TestPlanParameters:
         # m >= 1 forces beta >= 1/k, so epsilon <= 1/4 - 1/(2k), and the
         # master product for n >= k coordinates always exceeds q**epsilon
         # for q below the modulus cap; the planner must flag every such
-        # call rather than stay quiet
-        for q, n, k, beta in [
-            (31, 3, 3, 0.4),
-            (2**31 - 1, 8, 8, 0.2),
-            (2**61 - 1, 4, 4, 0.3),
+        # call rather than stay quiet.  q - 1 has 3, 7 and 12 distinct prime
+        # factors, so the last two moduli are also atypical
+        for q, n, k, beta, atypical in [
+            (31, 3, 3, 0.4, False),
+            (2**31 - 1, 8, 8, 0.2, True),
+            (2**61 - 1, 4, 4, 0.3, True),
         ]:
-            with pytest.warns(PlanWarning, match="lcm"):
+            with pytest.warns(PlanWarning) as caught:
                 spec = plan_parameters(n=n, k=k, beta=beta, q=q)
+            kinds = ["atypical" if "atypical" in str(w.message) else str(w.message).split("=")[0]
+                     for w in caught]
+            assert kinds == ["atypical"] * atypical + ["lcm(d)"]
             assert not spec.lcm_bound_satisfied
             assert spec.d.lcm > spec.modulus**spec.epsilon
 
@@ -316,31 +320,46 @@ class TestEvaluateBatch:
             assert tuple(out[i]) == evaluate(spec, tuple(int(v) for v in xs[i]))
 
     def test_all_impls_agree(self):
+        # each kernel against the python oracle wherever it applies, on edge
+        # inputs either side of one 2,048-row chunk of the C kernel
         have_cc = shutil.which("cc") or shutil.which("gcc")
-        for q in (13, 2**31 - 1, 2**31 + 11, 2**32 - 5, 2**32 + 15, 2**61 - 1):
+        if have_cc:
+            assert batch.c_build().fn is not None, batch.c_build().error
+        for q in (13, 2**31 - 19, Q31, 2**31 + 11, 2**32 - 5):
+            xs, exps, A = _edge_batch(q, 4)
+            want = batch._eval_python(xs, exps, A, q)
+            kernels = [batch._eval_numpy] + [batch._eval_c] * bool(have_cc and q < 2**31)
+            for kernel in kernels:
+                for rows in (0, 1, 2047, 2048, 2049):
+                    got = kernel(xs[:rows], exps, A, q)
+                    assert got.dtype == np.int64, (q, kernel.__name__)
+                    assert np.array_equal(got, want[:rows]), (q, kernel.__name__, rows)
+        for q in (2**32 + 15, 2**61 - 1):  # the python route, against the scalar path
             spec = build_spec(q, 4, 2, 2)
-            rng = np.random.default_rng(5)
-            # one full 2,048-row chunk of the C kernel plus a tail
-            xs = rng.integers(0, min(q, 2**31), size=(2049, 4))
-            xs[0], xs[1], xs[2] = 0, q - 1, (0, q - 1, q - 1, 0)
-            impls = batch.kernels_for(q)
-            assert batch.pick_impl(q) == impls[0]
-            assert "python" in impls and ("numpy" in impls) == (q < 2**32)
-            if have_cc and q < 2**31:
-                assert "c" in impls, batch.c_build().error
-            outs = {impl: evaluate_batch(spec, xs, impl=impl) for impl in impls}
-            base = outs["python"]
-            for impl, arr in outs.items():
-                assert np.array_equal(arr, base), (q, impl)
+            xs = _edge_batch(q, 4, rows=200)[0]
+            want = [list(evaluate(spec, tuple(int(v) for v in x))) for x in xs]
+            assert batch._eval_python(xs, spec.d.d, spec.A.rows, q).tolist() == want, q
 
-    def test_every_kernel_validates_its_input(self):
-        # one validation runs before every kernel, python included
-        for q in (13, 2**31 - 1, 2**32 + 15):
-            for impl in batch.kernels_for(q):
-                with pytest.raises(ValueError, match="matrix rows must have length 3"):
-                    batch.batch_apply([[1, 2, 3]], (3, 5), ((1, 1),), q, impl=impl)
-                with pytest.raises(ValueError, match="batch must be two-dimensional"):
-                    batch.batch_apply([1, 2, 3], (3, 5, 7), ((1, 1, 1),), q, impl=impl)
+    def test_every_kernel_validates_its_input(self, monkeypatch):
+        # one check runs before every route, python included, and no kernel
+        # runs on a batch it refuses.  The kernels disagree off the canonical
+        # range (at 2**31 - 1, numpy and C differ on -3; at 2**31 + 11, numpy
+        # and python on an entry 2**40 + 1 of A) and on negative exponents,
+        # so those are refused too
+        for name in ("_eval_c", "_eval_numpy", "_eval_python"):
+            monkeypatch.setattr(batch, name, lambda *a: pytest.fail("a kernel ran"))
+        for q in (13, 2**31 + 11, 2**61 - 1):  # c (or numpy), numpy, python
+            with pytest.raises(ValueError, match="matrix rows must have length 3"):
+                batch.batch_apply([[1, 2, 3]], (3, 5), ((1, 1),), q)
+            with pytest.raises(ValueError, match="batch must be two-dimensional"):
+                batch.batch_apply([1, 2, 3], (3, 5, 7), ((1, 1, 1),), q)
+            for bad in ([[-1, 7]], [[q, 1]], [[2**62, 1]], [[1, 2], [-3, 7]]):
+                with pytest.raises(ValueError, match="batch contains non-canonical residues"):
+                    batch.batch_apply(bad, (3, 5), ((1, 1), (1, 2)), q)
+            for exps, rows in (((-1, 5), ((1, 1),)), ((3, 5), ((1, -1),)),
+                               ((3, 5), ((1, q),)), ((3, 5), ((1, 1), (2**62, 1)))):
+                with pytest.raises(ValueError, match="nonnegative and matrix entries canonical"):
+                    batch.batch_apply([[q - 1, 3]], exps, rows, q)
 
     def test_empty_batch(self):
         spec = build_spec(13, 3, 2, 1)
@@ -365,19 +384,19 @@ class TestCKernel:
     def test_no_compiler_falls_back_to_numpy_with_one_warning(self, fresh_c_build, monkeypatch):
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
         with pytest.warns(RuntimeWarning, match="no C compiler.*using the numpy batch and count kernels"):
-            assert batch.pick_impl(2**31 - 1) == "numpy"
+            assert batch.batch_route(2**31 - 1) == "numpy"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert batch.pick_impl(13) == "numpy"  # once per process
-        assert batch.kernels_for(13) == ["numpy", "python"]
-        with pytest.raises(RuntimeError, match="no C compiler"):
-            batch.pick_impl(13, "c")
+            assert batch.batch_route(13) == "numpy"  # once per process
+            # 2**3 + 3**5 = 251 = 4 mod 13, on the numpy kernel
+            assert batch.batch_apply([[2, 3]], (3, 5), ((1, 1),), 13).tolist() == [[4]]
 
+    @needs_cc
     def test_failed_compile_falls_back(self, fresh_c_build, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(batch, "_C_SOURCE", "this is not C")
         with pytest.warns(RuntimeWarning, match="failed.*using the numpy batch and count kernels"):
-            assert batch.pick_impl(13) == "numpy"
+            assert batch.batch_route(13) == "numpy"
         assert os.listdir(tmp_path / "affext") == []  # no partial files left
 
     @needs_cc
@@ -395,7 +414,7 @@ class TestCKernel:
     def test_concurrent_builds_leave_one_whole_library(self, tmp_path):
         # 2**3 + 3**5 = 251 = 4 mod 13
         code = ("import numpy as np; from affext import batch; "
-                "assert batch.pick_impl(13) == 'c'; "
+                "assert batch.batch_route(13) == 'c (montgomery)'; "
                 "print(batch.batch_apply(np.array([[2, 3]]), (3, 5), ((1, 1),), 13)[0, 0])")
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(sys.path))
         procs = [subprocess.Popen([sys.executable, "-W", "error", "-c", code], env=env,
@@ -417,7 +436,7 @@ class TestCKernel:
         assert fn(None, 0, 1 << 62, None, None, 1, 13, 0, 0, 0, None) == -1
         monkeypatch.setattr(batch, "c_build", lambda: batch.CBuild(fn=lambda *a: -1))
         with pytest.raises(MemoryError):
-            evaluate_batch(build_spec(13, 3, 2, 1), np.zeros((4, 3), dtype=np.int64), impl="c")
+            evaluate_batch(build_spec(13, 3, 2, 1), np.zeros((4, 3), dtype=np.int64))
 
 
 Q31 = 2**31 - 1  # the Mersenne prime the C kernel reduces by folding
@@ -425,11 +444,11 @@ Q31 = 2**31 - 1  # the Mersenne prime the C kernel reduces by folding
 
 def _edge_batch(q, n, rows=2049):
     """rows residues, the first 49 of them edge inputs 0, 1, 2, 2**16, 2**30,
-    q - 2 and q - 1: each in every column, and each pair of them in
-    neighbouring columns; exponents from 2 to q - 2; and three rows of A, the
-    first and the last column all q - 1."""
+    q - 2 and q - 1, each mod q: each in every column, and each pair of them
+    in neighbouring columns; exponents from 2 to q - 2; and three rows of A,
+    the first and the last column all q - 1."""
     rng = np.random.default_rng(n)
-    edge = np.array([0, 1, 2, 2**16, 2**30, q - 2, q - 1], dtype=np.int64)
+    edge = np.array([0, 1, 2, 2**16, 2**30, q - 2, q - 1], dtype=np.int64) % q
     xs = rng.integers(0, q, size=(rows, n), dtype=np.int64)
     cols = np.arange(n)
     for i in range(len(edge) ** 2):
@@ -473,10 +492,10 @@ class TestMersenneBody:
     def test_matches_the_oracle_at_the_edges(self, q, route, n):
         assert batch.batch_route(q) == route
         xs, exps, A = _edge_batch(q, n)
-        want = batch.batch_apply(xs, exps, A, q, impl="python")
+        want = batch._eval_python(xs, exps, A, q)
         for m in (1, 2, 3):  # the first m rows of A give the first m outputs
             for rows in (0, 1, 2047, 2048, 2049):  # either side of one 2,048-row chunk
-                got = batch.batch_apply(xs[:rows], exps, A[:m], q, impl="c")
+                got = batch._eval_c(xs[:rows], exps, A[:m], q)
                 assert got.shape == (rows, m), (m, rows)
                 assert np.array_equal(got, want[:rows, :m]), (m, rows)
 
@@ -507,9 +526,9 @@ class TestMersenneBody:
         xs = rng.integers(0, q, size=(2049, len(exps)), dtype=np.int64)
         xs[:3] = np.array([0, 1, q - 1])[:, None]
         A = rng.integers(1, q, size=(2, len(exps))).tolist()
-        want = batch.batch_apply(xs, exps, A, q, impl="python")
+        want = batch._eval_python(xs, exps, A, q)
         for rows in (0, 1, 2047, 2048, 2049):
-            got = batch.batch_apply(xs[:rows], exps, A, q, impl="c")
+            got = batch._eval_c(xs[:rows], exps, A, q)
             assert np.array_equal(got, want[:rows]), rows
 
     @needs_cc
@@ -534,8 +553,8 @@ class TestMersenneBody:
         assert build.flags == strict
         for q in (Q31, 2**31 - 19):
             xs, exps, A = _edge_batch(q, 8)
-            assert np.array_equal(batch.batch_apply(xs, exps, A, q, impl="c"),
-                                  batch.batch_apply(xs, exps, A, q, impl="python")), (flags, q)
+            assert np.array_equal(batch._eval_c(xs, exps, A, q),
+                                  batch._eval_python(xs, exps, A, q)), (flags, q)
         # one report through this build's writer, against the python writer
         res = analysis.verify_extractor(build_spec(7, 3, 2, 1), analysis.SampledSubspaces(5, 1),
                                         checks=analysis.CHECK_ORDER, collect="full")
@@ -549,8 +568,8 @@ class TestMersenneBody:
         if batch.c_build().fn is not None:
             assert [batch.batch_route(q) for q in (Q31, 2**31 - 19, 13)] == [
                 "c (mersenne)", "c (montgomery)", "c (montgomery)"]
-        assert batch.batch_route(2**31 + 11) == "numpy"
-        assert batch.batch_route(2**61 - 1) == "python"
+        assert [batch.batch_route(q) for q in (2, 2**31 + 11, 2**32 - 5)] == ["numpy"] * 3
+        assert [batch.batch_route(q) for q in (2**32 + 15, 2**61 - 1)] == ["python"] * 2
         batch.c_build.cache_clear()
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
         with pytest.warns(RuntimeWarning, match="no C compiler"):
@@ -583,6 +602,18 @@ class TestSpecSerialization:
         )
         with pytest.raises(ValueError, match="missing keys: d"):
             spec_from_text(broken)
+
+    def test_unknown_key_names_its_line(self, tmp_path):
+        text = spec_to_text(build_spec(13, 3, 2, 1))  # q on line 1
+        with pytest.raises(ValueError) as exc:
+            spec_from_text(text + "kk = 5\n")
+        assert str(exc.value) == "spec line 11 has unknown key 'kk'"
+        # a non-ASCII key was dropped, and the load then missed q without naming a line
+        path = tmp_path / "spec.txt"
+        path.write_bytes(text.replace("q = 13", "q\xd9 = 13").encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            load_spec(path)
+        assert str(exc.value) == "spec line 1 has unknown key 'q\\udcd9'"
 
     def test_malformed_value_reported(self):
         text = spec_to_text(build_spec(13, 3, 2, 1)).replace("q = 13", "q = thirteen")
