@@ -34,8 +34,8 @@ chunk's partial result is a SweepResult, merged by the same first-maximum
 rule that runs per run of blocks.  Per run,
 each check yields one column per report field (a per-subspace array or one
 shared value); violation counts read those columns, and report rows stay in
-them until read, so the CSV writer formats whole columns and leaves the
-per-row work, and the merge into sweep order, to the C source.
+them until read, so the CSV writer formats whole columns, sorts the rows
+into sweep order once, and leaves the per-row work to the C source.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -733,12 +733,14 @@ class _Reports:
         self.tables.append((np.array([r.subspace_id]), cols, None))
         self._rows = None
 
-    def _columns(self, detail: bool, cells) -> list[tuple[str, np.ndarray, list]]:
-        """Per check: its name, its rows' sort keys, ascending (row position *
-        len(CHECK_ORDER) + the check's slot in its table), and cells(c) per
-        column c in CSV order (ids, c_encoded, quantity, bound, satisfied and,
-        with detail, detail), c the kept rows of every table joined once.  A
-        column two checks share, as xor shares sd's quantity, is one cells(c)."""
+    def _columns(self, detail: bool, cells) -> tuple[np.ndarray, list[tuple[str, list]]]:
+        """The sweep order and, per check, its name and cells(c) per column c
+        in CSV order (ids, c_encoded, quantity, bound, satisfied and, with
+        detail, detail), c the kept rows of every table joined once.  A column
+        two checks share, as xor shares sd's quantity, is one cells(c).  The
+        order lists the rows of the checks, taken one check after another, by
+        one stable argsort of their keys: row position * len(CHECK_ORDER) +
+        the check's slot in its table."""
         checks: dict[str, tuple[list, list[list]]] = {}
         pos = 0
         for ids, cols, keep in self.tables:
@@ -754,22 +756,21 @@ class _Reports:
                     c = c if isinstance(c, np.ndarray) else np.array([c]).repeat(len(ids))
                     part.append(c if keep is None else c[at])
             pos += len(ids)
+        order = np.argsort(np.concatenate(
+            [np.arange(0), *(k for keys, _ in checks.values() for k in keys)]), kind="stable")
         joined: dict[tuple, object] = {}  # by the arrays joined; checks hold them alive
         for p in (p for _, parts in checks.values() for p in parts):
             if (key := tuple(map(id, p))) not in joined:  # each value keeps its Python type
                 same = len({a.dtype for a in p}) < 2
                 joined[key] = cells(np.concatenate(p if same else [a.astype(object) for a in p]))
-        return [(name, np.concatenate(keys).astype(np.int64, copy=False),
-                 [joined[tuple(map(id, p))] for p in parts]) for name, (keys, parts) in checks.items()]
+        return order, [(name, [joined[tuple(map(id, p))] for p in parts])
+                       for name, (_, parts) in checks.items()]
 
     def _in_order(self, detail: bool, cells, rows_of) -> list:
-        """rows_of(name, *cells(column)) per check, merged into sweep order;
-        cells runs once per column."""
-        rows, keys = [], [np.arange(0)]
-        for name, key, cols in self._columns(detail, cells):
-            rows += rows_of(name, *cols)
-            keys.append(key)
-        order = np.argsort(np.concatenate(keys), kind="stable")
+        """rows_of(name, *cells(column)) per check, in sweep order; cells runs
+        once per column."""
+        order, checks = self._columns(detail, cells)
+        rows = [row for name, cols in checks for row in rows_of(name, *cols)]
         return list(map(rows.__getitem__, order.tolist()))
 
     def rows(self) -> list[BoundReport]:
@@ -866,7 +867,7 @@ def _write_reports(result: SweepResult, fh) -> None:
     if report_route(result) == "c":
         from . import batch
 
-        batch.write_rows(result.reports._columns(False, lambda c: c), _csv_cells, fh)
+        batch.write_rows(*result.reports._columns(False, lambda c: c), _csv_cells, fh)
     else:
         rows = result.reports._in_order(False, _csv_column, lambda name, *cells: map(
             ",".join, zip(repeat(name), *cells)))
@@ -988,7 +989,8 @@ class _Pattern:
 
 class _SweepState:
     """Everything a sweep needs, built once by the caller and shared by the
-    pool's threads; every chunk tallies into a blank copy of header.
+    pool's threads; header is never tallied into: the sweep's result and
+    every chunk's partial result are blank copies of it.
     patterns keeps the first record of each pattern (dict.setdefault is
     atomic).  counter.grids and the _Pattern cached properties are built on
     first use with no lock (cached_property has none since Python 3.12), so
@@ -1003,7 +1005,7 @@ class _SweepState:
         header: SweepResult,
     ) -> None:
         self.spec, self.source, self.budgets = spec, source, budgets
-        self.header = replace(header, violations={}, reports=_Reports())
+        self.header = header
         self.checks, self.collect, self.tolerance = header.checks, header.collect, header.tolerance
         q, m = spec.modulus, spec.m
         self.q, self.m = q, m
@@ -1029,6 +1031,10 @@ class _SweepState:
             self.per_unit = q ** (spec.n - spec.k)
             self.run_units = max(1, min(_RUN_CELLS // (self.per_unit * self.qm),
                                         _RUN_POINTS // (self.per_unit * q**spec.k)))
+
+    def blank(self) -> SweepResult:
+        """A new SweepResult with the header's fields and nothing tallied."""
+        return replace(self.header, violations=dict(self.header.violations), reports=_Reports())
 
     def pattern(self, pivots: tuple[int, ...]) -> _Pattern:
         """The record of a pivot pattern, one per pattern and sweep."""
@@ -1130,19 +1136,16 @@ class _SweepState:
         """Tally chunk units [lo, hi) into a new partial SweepResult.  An
         exhaustive chunk goes to analyze_block in runs of consecutive linear
         subspaces that share a pivot pattern, at most run_units each."""
-        partial = replace(self.header, violations={}, reports=_Reports())
+        partial = self.blank()
         spec, q = self.spec, self.q
         if isinstance(self.source, ExhaustiveSubspaces):
-            linear = lo
-            while linear < hi:
-                block, basis = basis_at(self.blocks, linear, q, spec.n)
-                offsets, partner = self.pattern(block.pattern).offsets
-                stop = min(hi, block.start + block.count, linear + self.run_units)
-                bases = np.stack([basis, *(basis_at(self.blocks, i, q, spec.n)[1]
-                                           for i in range(linear + 1, stop))])
-                ids = linear * self.per_unit + np.arange(bases.shape[0] * len(offsets))
-                self.analyze_block(bases, block.pattern, offsets, ids, partial, partner)
-                linear = stop
+            for block in self.blocks:  # each run: one basis_at call, one analyze_block
+                end = min(hi, block.start + block.count)
+                for start in range(max(lo, block.start), end, self.run_units):
+                    bases = basis_at(block, start, min(start + self.run_units, end), q, spec.n)
+                    offsets, partner = self.pattern(block.pattern).offsets
+                    ids = start * self.per_unit + np.arange(len(bases) * len(offsets))
+                    self.analyze_block(bases, block.pattern, offsets, ids, partial, partner)
             return partial
         for i in range(lo, hi):
             if isinstance(self.source, SampledSubspaces):
@@ -1250,7 +1253,7 @@ def verify_extractor(
     if collect not in ("full", "violations", "none"):
         raise ValueError(f"unknown collect mode {collect!r}")
 
-    result = SweepResult(
+    header = SweepResult(
         spec_q=q,
         spec_n=spec.n,
         spec_k=spec.k,
@@ -1262,7 +1265,8 @@ def verify_extractor(
         total_subspaces=total,
         violations={name: 0 for name in checks if name in THEOREM_CHECKS},
     )
-    state = _SweepState(spec, source, budgets, result)  # raises on the table budgets
+    state = _SweepState(spec, source, budgets, header)  # raises on the table budgets
+    result = state.blank()
     tasks = _chunk_plan(total // state.per_unit, state.run_units)
     result.chunks = len(tasks)
     threads = min(workers, len(tasks))  # no more threads than chunks

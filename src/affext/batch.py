@@ -47,9 +47,10 @@ up only those in the A-weighted power tables; the pivot terms come from the
 caller, summed once per grid row.  Its loop body is specialised for (m, n - k)
 in {1, 2} x {0, 1, 2}, with one generic body for every other shape.  The
 third function, `affext_write_rows`, which `write_rows` runs for
-`analysis.write_reports_csv`, writes int64 cells in decimal, copies every
-other cell from a string table, and merges each check's rows into sweep
-order, one buffer of fixed size at a time.
+`analysis.write_reports_csv`, writes int64 cells in decimal and copies every
+other cell from a string table, one buffer of fixed size at a time.  It is
+handed the check of each line in sweep order, sorted once by the caller, and
+takes each check's rows in turn with one cursor per check.
 
 This is the only module that calls into the shared object.  The three
 functions load or fail together (one `c_build()`), and `c_unavailable()` is
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import os
 import platform
 import shutil
@@ -378,22 +380,22 @@ affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
 }
 
 /* The report writer.  desc holds DESC int64 fields per check, pointers as
-   integers: its rows' sort keys, ascending, and their count; its name and
-   the name's length; a bound on the width of its lines; then per CSV cell
-   (subspace_id, c_encoded, quantity, bound, satisfied) a kind and three
-   fields a, b, c:
+   integers: its name and the name's length; a bound on the width of its
+   lines; then per CSV cell (subspace_id, c_encoded, quantity, bound,
+   satisfied) a kind and three fields a, b, c:
      CELL_INT    a: int64 values, written in decimal as Python's str(int);
      CELL_TABLE  a: an int64 index per row into a table of strings, or 0 for
                  a table of one string, b: the table's bytes, c: int64
                  offsets, string s is [c[s], c[s+1]).
-   at[i] is check i's next row.  Each line is the next row of the check with
-   the smallest next key, so the checks' rows come out merged in key order.
+   seq holds the check of each of the nseq lines, in sweep order, and each
+   check's rows come in that order, so line i is the next row of check
+   seq[i]: at[0] is the next line, and at[1 + c] check c's next row.
    Before each line the writer checks that the check's width bound still
    fits in the cap bytes of buf, and stops when it does not.  It returns the
    bytes written; with cap at least every check's width bound, 0 means every
-   row is written. */
+   line is written. */
 enum { CELL_INT, CELL_TABLE };
-#define DESC 25 /* 5 fields per check, then 4 per cell */
+#define DESC 23 /* 3 fields per check, then 4 per cell */
 #define PTR(T, v) ((const T *)(intptr_t)(v))
 
 static char *put_int64(char *p, int64_t v)
@@ -411,24 +413,18 @@ static char *put_int64(char *p, int64_t v)
     return p;
 }
 
-int64_t affext_write_rows(const int64_t *desc, int64_t nc, int64_t *at, char *buf,
-                          int64_t cap)
+int64_t affext_write_rows(const int64_t *desc, const int64_t *seq, int64_t nseq,
+                          int64_t *at, char *buf, int64_t cap)
 {
     char *p = buf;
-    for (;;) {
-        int64_t c = -1, key = 0;
-        for (int64_t i = 0; i < nc; i++) {
-            const int64_t *d = desc + i * DESC;
-            if (at[i] < d[1] && (c < 0 || PTR(int64_t, d[0])[at[i]] < key))
-                c = i, key = PTR(int64_t, d[0])[at[i]];
-        }
-        if (c < 0 || buf + cap - p < desc[c * DESC + 4])
-            return p - buf;
-        const int64_t *d = desc + c * DESC;
-        int64_t r = at[c]++;
-        memcpy(p, PTR(char, d[2]), (size_t)d[3]);
-        p += d[3];
-        for (const int64_t *f = d + 5; f < d + DESC; f += 4) {
+    for (; at[0] < nseq; at[0]++) {
+        const int64_t *d = desc + seq[at[0]] * DESC;
+        if (buf + cap - p < d[2])
+            break;
+        int64_t r = at[1 + seq[at[0]]]++;
+        memcpy(p, PTR(char, d[0]), (size_t)d[1]);
+        p += d[1];
+        for (const int64_t *f = d + 3; f < d + DESC; f += 4) {
             *p++ = ',';
             if (f[0] == CELL_INT) {
                 p = put_int64(p, PTR(int64_t, f[1])[r]);
@@ -440,6 +436,7 @@ int64_t affext_write_rows(const int64_t *desc, int64_t nc, int64_t *at, char *bu
         }
         *p++ = '\n';
     }
+    return p - buf;
 }
 """
 
@@ -568,7 +565,7 @@ def _build() -> CBuild:
         count_fn.argtypes = [arr, i64, i64, i64, arr, i64, arr, i64, i64, arr, i64, arr,
                              arr, i64, i64, i64, i64, arr, arr]
         write_fn.restype = i64
-        write_fn.argtypes = [ptr, i64, ptr, ptr, i64]
+        write_fn.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
         return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, flags=flags, path=path)
     return CBuild(error="; ".join(errors))
 
@@ -660,8 +657,8 @@ def batch_apply(xs, exps, rows, q: int) -> np.ndarray:
 
     xs is an array-like of shape (B, n) of canonical residues, exps the n
     nonnegative exponents, rows the m rows of A, each of n canonical
-    residues.  All of that is checked here, before the kernel
-    batch_route(q) names runs: the kernels agree on no other input.
+    residues, all of them integers.  All of that is checked here, before the
+    kernel batch_route(q) names runs: the kernels agree on no other input.
     """
     xs = np.asarray(xs)
     if xs.ndim != 2:
@@ -669,8 +666,14 @@ def batch_apply(xs, exps, rows, q: int) -> np.ndarray:
     n = xs.shape[1]
     if len(exps) != n or any(len(row) != n for row in rows):
         raise ValueError(f"exponents and matrix rows must have length {n}")
+    if xs.size and xs.dtype.kind not in "iu":  # a kernel would truncate, or fail its own way
+        raise ValueError(f"batch must hold integers, got dtype {xs.dtype}")
     if xs.size and (xs.min() < 0 or xs.max() >= q):
         raise ValueError("batch contains non-canonical residues")
+    try:
+        exps, rows = list(map(operator.index, exps)), [list(map(operator.index, r)) for r in rows]
+    except TypeError:
+        raise ValueError("exponents and matrix entries must be integers") from None
     if any(e < 0 for e in exps) or any(not 0 <= a < q for row in rows for a in row):
         raise ValueError("exponents must be nonnegative and matrix entries canonical residues")
     route = batch_route(q)
@@ -711,26 +714,28 @@ def _c_cell(col: np.ndarray, cells, hold: list) -> tuple[list[int], int]:
     return [_CELL_TABLE, index, pool.ctypes.data, off.ctypes.data], int(lens.max(initial=0))
 
 
-def write_rows(checks, cells, fh) -> None:
+def write_rows(order, checks, cells, fh) -> None:
     """Write report rows to the binary fh by affext_write_rows, one fixed
-    buffer at a time, merged by their keys.  checks holds per check its name,
-    its rows' ascending int64 sort keys, and its five columns after the name.
-    cells(column) gives the strings of a column that is not int and each
-    row's index into them (None: row i takes string i).  A column two checks
-    share is read once."""
+    buffer at a time.  checks holds per check its name and its five columns
+    after the name; order lists the rows of the checks, taken one check after
+    another, in sweep order.  cells(column) gives the strings of a column
+    that is not int and each row's index into them (None: row i takes string
+    i).  A column two checks share is read once."""
     hold, desc, done = [], [], {}
-    for name, keys, cols in checks:
+    for name, cols in checks:
         for c in cols:
             if id(c) not in done:
                 done[id(c)] = _c_cell(c, cells, hold)
-        hold += [keys := np.ascontiguousarray(keys, np.int64),
-                 label := np.frombuffer(name.encode("ascii"), np.uint8)]
+        hold.append(label := np.frombuffer(name.encode("ascii"), np.uint8))
         width = len(label) + sum(done[id(c)][1] for c in cols) + 6  # 5 commas and a newline
-        desc.append([keys.ctypes.data, len(keys), label.ctypes.data, len(label), width,
+        desc.append([label.ctypes.data, len(label), width,
                      *(f for c in cols for f in done[id(c)][0])])
-    desc = np.array(desc, dtype=np.int64).reshape(-1, 25)  # 5 fields per check, 4 per cell
-    at = np.zeros(len(desc), dtype=np.int64)
-    buf = np.empty(max(_REPORT_BUFFER, desc[:, 4].max(initial=0)), dtype=np.uint8)  # a line fits
+    desc = np.array(desc, dtype=np.int64).reshape(-1, 23)  # 3 fields per check, 4 per cell
+    rows = [len(cols[0]) for _, cols in checks]  # per check, the length of its ids column
+    seq = np.repeat(np.arange(len(checks), dtype=np.int64), rows)[order]  # each line's check
+    at = np.zeros(1 + len(desc), dtype=np.int64)  # the next line, then each check's next row
+    buf = np.empty(max(_REPORT_BUFFER, desc[:, 2].max(initial=0)), dtype=np.uint8)  # a line fits
     write = c_build().write_fn
-    while n := write(desc.ctypes.data, len(desc), at.ctypes.data, buf.ctypes.data, len(buf)):
+    while n := write(desc.ctypes.data, seq.ctypes.data, len(seq), at.ctypes.data,
+                     buf.ctypes.data, len(buf)):
         fh.write(buf[:n])

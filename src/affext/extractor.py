@@ -288,13 +288,13 @@ def evaluate(spec: ExtractorSpec, x: Sequence[int]) -> tuple[int, ...]:
 def evaluate_batch(spec: ExtractorSpec, xs) -> np.ndarray:
     """F applied to a whole batch; returns an int64 array of shape (B, m).
 
-    The batch must have shape (B, n), checked here, and hold canonical
-    residues, which batch.batch_apply checks before the kernel that
-    batch.batch_route(q) names reads the int64 array in place.
+    The batch must have shape (B, n), checked here, and hold integers that
+    are canonical residues, which batch.batch_apply checks before the kernel
+    that batch.batch_route(q) names reads the array in place.
     """
     from . import batch
 
-    arr = np.asarray(xs, dtype=np.int64)
+    arr = np.asarray(xs)
     if arr.ndim == 1 and arr.size == 0:
         arr = arr.reshape(0, spec.n)
     if arr.ndim != 2 or arr.shape[1] != spec.n:
@@ -355,6 +355,8 @@ def spec_from_text(text: str) -> ExtractorSpec:
     beta, epsilon = number("beta", float), number("epsilon", float)
     if not math.isfinite(beta):
         raise ValueError(f"{where('beta')}: {beta!r} is not finite")
+    if not (0 < beta < 0.5 or k and beta == m / k):  # as plan_parameters, or build_spec, stores it
+        raise ValueError(f"{where('beta')}: {beta!r} is neither in (0, 1/2) nor m/k")
     if epsilon != (want := max(0.25 - beta / 2, 0.0)):  # as build_spec and plan_parameters store it
         raise ValueError(f"{where('epsilon')}: {epsilon!r} is not max(1/4 - beta/2, 0) = {want!r}")
     if n < 1:  # before n sizes d and seed_points
@@ -362,9 +364,11 @@ def spec_from_text(text: str) -> ExtractorSpec:
     d = parse_ints(values["d"][1], where("d"), n)
     seeds = parse_ints(values["seed_points"][1], where("seed_points"), n)
     qm = prime_modulus(qv)
+    if lcm != math.lcm(*d):  # the one lcm that comes from outside the program
+        raise ValueError(f"{where('lcm')}: stored lcm {lcm} is not lcm{d}")
+    if D_master != lcm:  # as gen_exponents makes it
+        raise ValueError(f"{where('D_master')}: {D_master} is not lcm{d} = {lcm}")
     ev = ExponentVector(d=d, D_master=D_master)
-    if lcm != ev.lcm:  # the one lcm that comes from outside the program
-        raise ValueError(f"stored lcm {lcm} is not lcm{d}")
     A = build_matrix(m, n, qm, seeds)
     return ExtractorSpec(q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=ev, A=A)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -230,25 +229,6 @@ def pattern_free_cells(pattern: Sequence[int], n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _basis_from_digits(
-    pattern: Sequence[int],
-    n: int,
-    cells: Sequence[tuple[int, int]],
-    index: int,
-    q: int,
-) -> np.ndarray:
-    """Decode basis rows from the free-cell index (first cell most significant)."""
-    k = len(pattern)
-    basis = np.zeros((k, n), dtype=np.int64)
-    for i, piv in enumerate(pattern):
-        basis[i, piv] = 1
-    for cell in range(len(cells) - 1, -1, -1):
-        i, j = cells[cell]
-        basis[i, j] = index % q
-        index //= q
-    return basis
-
-
 def _lex_grid(q: int, k: int) -> np.ndarray:
     """All q**k vectors of F_q^k as rows, in lexicographic order."""
     if k == 0:
@@ -287,18 +267,23 @@ def pattern_blocks(n: int, k: int, q: int) -> list[PatternBlock]:
     return blocks
 
 
-def basis_at(blocks: Sequence[PatternBlock], linear_index: int, q: int, n: int) -> tuple[PatternBlock, np.ndarray]:
-    """Basis rows for one position in the linear-subspace order."""
-    if linear_index < 0:
-        raise IndexError(f"linear index {linear_index} out of range")
-    starts = [b.start for b in blocks]
-    pos = bisect_right(starts, linear_index) - 1
-    block = blocks[pos]
-    if not block.start <= linear_index < block.start + block.count:
-        raise IndexError(f"linear index {linear_index} out of range")
-    return block, _basis_from_digits(
-        block.pattern, n, block.cells, linear_index - block.start, q
-    )
+def basis_at(block: PatternBlock, lo: int, hi: int, q: int, n: int) -> np.ndarray:
+    """The bases of linear indices [lo, hi) of one pattern block, shape
+    (hi - lo, k, n): the identity on the pivot columns, and each index's
+    base-q digits in the free cells (first cell most significant)."""
+    if not block.start <= lo <= hi <= block.start + block.count:
+        raise IndexError(f"linear indices [{lo}, {hi}) are not in block "
+                         f"[{block.start}, {block.start + block.count})")
+    k = len(block.pattern)
+    bases = np.zeros((hi - lo, k, n), dtype=np.int64)
+    bases[:, range(k), block.pattern] = 1
+    if block.cells:
+        # exact weights: int64 refuses a weight of 2**63 or more, where q**e would wrap
+        weights = np.array([q**e for e in range(len(block.cells) - 1, -1, -1)], dtype=np.int64)
+        index = np.arange(lo - block.start, hi - block.start, dtype=np.int64)
+        rows, cols = zip(*block.cells)
+        bases[:, rows, cols] = index[:, None] // weights % q
+    return bases
 
 
 def enumerate_subspaces(
@@ -314,19 +299,11 @@ def enumerate_subspaces(
     total = count_affine_subspaces(n, k, q)
     check_budget(total, budget, f"enumeration would visit {total} subspaces")
     for block in pattern_blocks(n, k, q):
-        offsets = offsets_for_pattern(block.pattern, n, q)
-        for idx in range(block.count):
-            basis = _basis_from_digits(block.pattern, n, block.cells, idx, q)
-            basis_t = tuple(tuple(int(v) for v in row) for row in basis)
+        offsets = list(map(tuple, offsets_for_pattern(block.pattern, n, q).tolist()))
+        for i in range(block.start, block.start + block.count):
+            basis = tuple(map(tuple, basis_at(block, i, i + 1, q, n)[0].tolist()))
             for off in offsets:
-                yield AffineSubspace(
-                    q=q,
-                    n=n,
-                    k=k,
-                    offset=tuple(int(v) for v in off),
-                    basis=basis_t,
-                    pivots=block.pattern,
-                )
+                yield AffineSubspace(q=q, n=n, k=k, offset=off, basis=basis, pivots=block.pattern)
 
 
 def random_subspace(n: int, k: int, q: int, seed: int) -> AffineSubspace:

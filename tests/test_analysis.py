@@ -257,7 +257,7 @@ class TestCharacterSums:
             for q, n, k, m in ((13, 3, 2, 1), (17, 3, 2, 2)):
                 state = _exhaustive_state(build_spec(q, n, k, m))
                 block = pattern_blocks(n, k, q)[0]
-                bases = np.stack([basis_at([block], i, q, n)[1] for i in range(3)])
+                bases = basis_at(block, 0, 3, q, n)
                 offsets, partner = state.pattern(block.pattern).offsets
                 counts = state.counter.counts(block.pattern, bases, offsets,
                                               state.counter.grid(k), partner)
@@ -408,9 +408,8 @@ def _count_blocks():
     spec, blocks = build_spec(7, 3, 2, 2), pattern_blocks(3, 2, 7)
     state = _exhaustive_state(spec)
     for linear in range(0, count_affine_subspaces(3, 2, 7) // 7, 8):
-        block = basis_at(blocks, linear, 7, 3)[0]
-        stop = min(linear + 3, block.start + block.count)
-        bases = np.stack([basis_at(blocks, i, 7, 3)[1] for i in range(linear, stop)])
+        block = next(b for b in blocks if linear < b.start + b.count)
+        bases = basis_at(block, linear, min(linear + 3, block.start + block.count), 7, 3)
         offsets, partner = state.pattern(block.pattern).offsets
         subspaces = [canonicalize(tuple(o), basis.tolist(), 7)
                      for basis in bases for o in offsets.tolist()]
@@ -696,7 +695,8 @@ class TestNegationPairs:
         q, n, k, m, seed = shape
         spec, blocks = build_spec(q, n, k, m), pattern_blocks(n, k, q)
         linear = int(np.random.default_rng(seed).integers(sum(b.count for b in blocks)))
-        block, basis = basis_at(blocks, linear, q, n)
+        block = next(b for b in blocks if linear < b.start + b.count)
+        basis = basis_at(block, linear, linear + 1, q, n)[0]
         state = _exhaustive_state(spec)
         record = state.pattern(block.pattern)
         offsets, partner = record.offsets
@@ -1837,7 +1837,7 @@ class TestColumnWriter:
             res.reports.append(r)
         # the C writer formats ints; bools, None and every other cell come from a table
         kinds = {name: [batch._c_cell(c, analysis._csv_cells, [])[0][0] for c in cols]
-                 for name, _, cols in res.reports._columns(False, lambda c: c)}
+                 for name, cols in res.reports._columns(False, lambda c: c)[1]}
         INT, TABLE = batch._CELL_INT, batch._CELL_TABLE
         assert kinds["ints"] == [INT, INT, INT, INT, TABLE]  # id, c, quantity, bound, satisfied
         assert kinds["floats"] == [INT, TABLE, TABLE, TABLE, TABLE]
@@ -1860,8 +1860,8 @@ class TestColumnWriter:
 
         def spy(*args):  # one fill of the buffer, never past its cap
             fills.append(build.write_fn(*args))
-            caps.add(args[4])
-            assert 0 <= fills[-1] <= args[4]
+            caps.add(args[5])  # cap, after desc, seq, nseq, at and buf
+            assert 0 <= fills[-1] <= args[5]
             return fills[-1]
 
         spied = dataclasses.replace(build, write_fn=spy)

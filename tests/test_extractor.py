@@ -360,6 +360,16 @@ class TestEvaluateBatch:
                                ((3, 5), ((1, q),)), ((3, 5), ((1, 1), (2**62, 1)))):
                 with pytest.raises(ValueError, match="nonnegative and matrix entries canonical"):
                     batch.batch_apply([[q - 1, 3]], exps, rows, q)
+            # non-integers, which a kernel would truncate (0.5 -> 0) or refuse its own way
+            for bad in ([[0.5, 1.9]], [[1.0, 2.0]], [["1", "2"]], [[1, None]]):
+                with pytest.raises(ValueError, match="batch must hold integers"):
+                    batch.batch_apply(bad, (3, 5), ((1, 1),), q)
+            for exps, rows in (((1.5, 5), ((1, 1),)), ((3, "5"), ((1, 1),)),
+                               ((3, 5), ((1.5, 1),)), ((3, 5), ((1, 1), (1, np.float64(2))))):
+                with pytest.raises(ValueError, match="exponents and matrix entries must be integers"):
+                    batch.batch_apply([[q - 1, 3]], exps, rows, q)
+        with pytest.raises(ValueError, match="batch must hold integers, got dtype float64"):
+            evaluate_batch(build_spec(13, 3, 2, 1), [[0.5, 1.9, 2.2]])  # was F(0, 1, 2)
 
     def test_empty_batch(self):
         spec = build_spec(13, 3, 2, 1)
@@ -390,6 +400,17 @@ class TestCKernel:
             assert batch.batch_route(13) == "numpy"  # once per process
             # 2**3 + 3**5 = 251 = 4 mod 13, on the numpy kernel
             assert batch.batch_apply([[2, 3]], (3, 5), ((1, 1),), 13).tolist() == [[4]]
+
+    def test_c_source_compiles_without_warnings(self, tmp_path):
+        # every later edit of the one C source stays free of warnings
+        cc = batch._find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler found (tried cc, gcc)")
+        done = subprocess.run(
+            [cc, *batch._C_FLAGS[-1], "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+             "-x", "c", "-", "-o", str(tmp_path / "affext.so")],
+            input=batch._C_SOURCE, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @needs_cc
     def test_failed_compile_falls_back(self, fresh_c_build, monkeypatch, tmp_path):
@@ -648,6 +669,38 @@ class TestSpecSerialization:
             with pytest.raises(ValueError) as exc:
                 spec_from_text(text.replace(old, new))
             assert str(exc.value) == message
+
+    def test_beta_and_D_master_are_the_ones_plan_writes(self, tmp_path):
+        # these loaded: D_master = 0 or 70 (0 and 70 are multiples of every d_i),
+        # and beta = -5.0 with epsilon = 2.75, after which lcm_bound_satisfied
+        # read true, or beta = 1e308; each is now refused, naming its line
+        text = spec_to_text(build_spec(13, 3, 2, 1))  # beta = m/k = 0.5 on line 5
+        for old, new, message in (
+            ("D_master = 35", "D_master = 0",
+             "spec line 10: malformed D_master value: 0 is not lcm(35, 7, 5) = 35"),
+            ("D_master = 35", "D_master = 70",
+             "spec line 10: malformed D_master value: 70 is not lcm(35, 7, 5) = 35"),
+            ("lcm = 35", "lcm = 70", "spec line 9: malformed lcm value: stored lcm 70 is not "
+             "lcm(35, 7, 5)"),
+            ("beta = 0.5\nepsilon = 0.0", "beta = -5.0\nepsilon = 2.75",
+             "spec line 5: malformed beta value: -5.0 is neither in (0, 1/2) nor m/k"),
+            ("beta = 0.5", "beta = 1e308",
+             "spec line 5: malformed beta value: 1e+308 is neither in (0, 1/2) nor m/k"),
+            ("beta = 0.5\nepsilon = 0.0", "beta = 0.0\nepsilon = 0.25",
+             "spec line 5: malformed beta value: 0.0 is neither in (0, 1/2) nor m/k"),
+        ):
+            assert old in text
+            with pytest.raises(ValueError) as exc:
+                spec_from_text(text.replace(old, new))
+            assert str(exc.value) == message
+        # every beta that plan writes loads: planned in (0, 1/2), or m/k up to m = k
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PlanWarning)  # the lcm bound fails at q = 13
+            planned = plan_parameters(5, 4, 0.3, 13)
+        for spec in (planned, build_spec(13, 3, 2, 1),
+                     build_spec(13, 3, 3, 3), build_spec(31, 4, 3, 2)):
+            save_spec(spec, tmp_path / "spec.txt")
+            assert load_spec(tmp_path / "spec.txt") == spec
 
     def test_repeated_key_names_both_lines(self):
         text = spec_to_text(build_spec(13, 3, 2, 1))

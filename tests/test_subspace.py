@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,24 +266,42 @@ class TestPatternMachinery:
             assert blocks[-1].start + blocks[-1].count == gaussian_binomial(n, k, q)
 
     def test_basis_at_matches_enumeration(self):
-        n, k, q = 3, 2, 5
-        blocks = pattern_blocks(n, k, q)
-        per_linear = q ** (n - k)
-        for idx, V in enumerate(enumerate_subspaces(n, k, q)):
-            if idx % per_linear:
-                continue
-            block, basis = basis_at(blocks, idx // per_linear, q, n)
-            assert block.pattern == V.pivots
-            assert tuple(tuple(int(v) for v in row) for row in basis) == V.basis
+        # against a digit oracle: itertools.product counts the free cells in
+        # base q, first cell most significant.  basis_at decodes every block
+        # whole and in runs of 2; enumerate_subspaces yields those bases in
+        # that order, each once per offset
+        for n, k, q in [(3, 2, 5), (4, 2, 3), (3, 1, 3), (3, 3, 3), (3, 0, 3)]:
+            want = []
+            for block in pattern_blocks(n, k, q):
+                oracle = []
+                for digits in itertools.product(range(q), repeat=len(block.cells)):
+                    basis = [[int(j == piv) for j in range(n)] for piv in block.pattern]
+                    for (i, j), v in zip(block.cells, digits):
+                        basis[i][j] = v
+                    oracle.append(basis)
+                end = block.start + block.count
+                assert basis_at(block, block.start, end, q, n).tolist() == oracle
+                runs = [basis_at(block, lo, min(lo + 2, end), q, n) for lo in range(block.start, end, 2)]
+                assert np.concatenate(runs).tolist() == oracle
+                want += [(block.pattern, basis) for basis in oracle]
+            got = [(V.pivots, [list(row) for row in V.basis])
+                   for V in itertools.islice(enumerate_subspaces(n, k, q), 0, None, q ** (n - k))]
+            assert got == want, (n, k, q)
 
     def test_basis_at_range_checks(self):
-        blocks = pattern_blocks(3, 2, 5)
-        with pytest.raises(IndexError):
-            basis_at(blocks, -1, 5, 3)
-        with pytest.raises(IndexError):
-            basis_at(blocks, gaussian_binomial(3, 2, 5), 5, 3)
-        # the last index is in range
-        basis_at(blocks, gaussian_binomial(3, 2, 5) - 1, 5, 3)
+        first, second = pattern_blocks(3, 2, 5)[:2]
+        for lo, hi in ((-1, 0), (2, 1), (0, first.count + 1), (second.start, second.start + 1)):
+            with pytest.raises(IndexError):
+                basis_at(first, lo, hi, 5, 3)
+        # the last index is in range, and an empty run has no bases
+        assert basis_at(first, first.count - 1, first.count, 5, 3).tolist() == [[[1, 0, 4], [0, 1, 4]]]
+        assert basis_at(second, second.start, second.start, 5, 3).shape == (0, 2, 3)
+        # the digit weights are exact: q**3 > 2**63 raises rather than wrap
+        q = 2**31 - 1
+        with pytest.raises(OverflowError):
+            basis_at(pattern_blocks(5, 1, q)[0], 0, 1, q, 5)
+        top = pattern_blocks(4, 1, q)[0]  # top weight q**2 < 2**63
+        assert basis_at(top, q**2 + 5, q**2 + 6, q, 4).tolist() == [[[1, 1, 0, 5]]]
 
     def test_offsets_zero_on_pivots(self):
         offs = offsets_for_pattern((0, 2), 4, 3)
