@@ -35,7 +35,9 @@ rule that runs per run of blocks.  Per run,
 each check yields one column per report field (a per-subspace array or one
 shared value); violation counts read those columns, and report rows stay in
 them until read, so the CSV writer formats whole columns, sorts the rows
-into sweep order once, and leaves the per-row work to the C source.
+into sweep order once, and leaves the per-row work to batch.write_rows.  The
+counts and the rows go through batch, which alone picks each C function or
+its fallback.
 
 Checks
   sd                 statistical distance to uniform (informational)
@@ -97,7 +99,6 @@ THEOREM_CHECKS = ("xor", "zero_coordinate", "change_of_vars", "substitution_form
 DEFAULT_CHECKS = ("sd", "char_max", "xor", "zero_coordinate")
 
 _CHAR_CHUNK = 256  # character columns per matmul; fixed so results never vary
-_ELEM_SLICE = 1 << 24  # max elements in one offsets-by-points buffer
 _RUN_CELLS = 1 << 18  # max count cells (rows x q**m) in one run of blocks
 _RUN_POINTS = 1 << 23  # max points in one run; more only starves the pool
 _CHUNK_TARGET = 192  # sweep chunks; fixed so chunking is worker-independent
@@ -308,31 +309,6 @@ def _check_int64_sums(q: int, n: int) -> None:
         raise ValueError(f"n*(q-1)**2 = {n * (q - 1) ** 2} overflows the int64 row sums")
 
 
-def count_route() -> str:
-    """The route _PointCounts.counts takes: "c" or "numpy (<why>)".  Asking
-    builds or loads the C kernels, or warns once that they did not load."""
-    from . import batch
-
-    why = batch.c_unavailable()
-    return f"numpy ({why})" if why else "c"
-
-
-# Reports of fewer rows go to the python writer: C saves under 1 ms on them,
-# and loading the C kernels where no count has (affext bounds) takes ~20 ms.
-_C_REPORT_ROWS = 1024
-
-
-def report_route(result: SweepResult) -> str:
-    """The route write_reports_csv takes for result: "c" or "python (<why>)".
-    Below _C_REPORT_ROWS rows it looks up no C kernel."""
-    if (rows := len(result.reports)) < _C_REPORT_ROWS:
-        return f"python ({rows} rows, below {_C_REPORT_ROWS})"
-    from . import batch
-
-    why = batch.c_unavailable()
-    return f"python ({why})" if why else "c"
-
-
 def _representatives(partner: np.ndarray) -> np.ndarray:
     """The rows o <= partner[o]: o = 0, and each offset whose first nonzero
     free digit is at most (q - 1)/2; one row of every +- pair."""
@@ -366,14 +342,14 @@ class _PointCounts:
     lexicographic one is, and so is the substituted one, since each D_i =
     D / d_j divides the odd D = lcm of the pivot exponents.
 
-    counts() runs on count_route: the C count kernel (batch.count_blocks),
-    one compiled loop per run of blocks, or else a numpy loop of one gather
-    per free coordinate and a bincount per slice of offsets.  Both sum rows
-    in int64, so counts() raises ValueError before any work unless
-    n*(q-1)**2 < 2**63, then unless every grid, basis and offset entry lies
-    in [0, q), and then unless the pivot columns are as above; past those
-    checks both give the same integers and share the tables, P and the +-
-    fill.  The per-point evaluate() of output_distribution is their oracle.
+    counts() makes one call, batch.count_blocks, on batch.count_route(): the
+    C count kernel, one compiled loop per run of blocks, or else a numpy
+    loop.  Both sum rows in int64, so counts() raises ValueError before any
+    work unless n*(q-1)**2 < 2**63, then unless every grid, basis and offset
+    entry lies in [0, q), and then unless the pivot columns are as above;
+    past those checks both give the same integers and share the tables, P
+    and the +- fill.  The per-point evaluate() of output_distribution is
+    their oracle.
 
     The point budget counts grid points, and a sweep admits a subspace of up
     to that many; the grid and the work rows (P, then the free coordinates)
@@ -443,24 +419,9 @@ class _PointCounts:
         tabs = self.tables
         work[:, :m] = sum((tabs[:, j, grid[:, i]] for i, j in enumerate(pivots)),
                           np.zeros((m, T), dtype=np.int64)).T % q
-        if count_route() == "c":
-            from . import batch
+        from . import batch
 
-            batch.count_blocks(q, tabs, free, grid, bases, offsets, rows, work, counts)
-        else:
-            slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
-            for b, basis in enumerate(bases):
-                work[:, m:] = (grid @ basis[:, free]) % q
-                for lo in range(0, len(rows), slice_rows):
-                    at = rows[lo : lo + slice_rows]
-                    enc = np.zeros((len(at), T), dtype=np.int64)
-                    for i in range(m):
-                        acc = np.broadcast_to(work[:, i], (len(at), T)).copy()
-                        for f, j in enumerate(free):
-                            acc += tabs[i, j][offsets[at, j][:, None] + work[:, m + f]]
-                        enc = enc * q + acc % q
-                    flat = (np.arange(len(at), dtype=np.int64)[:, None] * qm + enc).ravel()
-                    counts[b, at] = np.bincount(flat, minlength=len(at) * qm).reshape(-1, qm)
+        batch.count_blocks(q, tabs, free, grid, bases, offsets, rows, work, counts)
         if partner is not None:  # the counts of -o are those of o under z -> -z
             fill = np.flatnonzero(np.arange(O) > partner)
             counts[:, fill] = counts[:, partner[fill][:, None], self.negenc]
@@ -712,11 +673,6 @@ def _csv_cells(col: np.ndarray) -> tuple[list[str], np.ndarray | None]:
             else repr(v) if isinstance(v, float) else str(v) for v in values], None
 
 
-def _csv_column(col: np.ndarray) -> list[str]:
-    cells, at = _csv_cells(col)
-    return cells if at is None else np.array(cells, dtype=object)[at].tolist()
-
-
 class _Reports:
     """SweepResult.reports: its BoundReport rows in sweep order, kept as one
     column table (ids, cols, keep) per sweep block.  cols maps each check, in
@@ -766,17 +722,12 @@ class _Reports:
         return order, [(name, [joined[tuple(map(id, p))] for p in parts])
                        for name, (_, parts) in checks.items()]
 
-    def _in_order(self, detail: bool, cells, rows_of) -> list:
-        """rows_of(name, *cells(column)) per check, in sweep order; cells runs
-        once per column."""
-        order, checks = self._columns(detail, cells)
-        rows = [row for name, cols in checks for row in rows_of(name, *cols)]
-        return list(map(rows.__getitem__, order.tolist()))
-
     def rows(self) -> list[BoundReport]:
         if self._rows is None:
-            self._rows = self._in_order(True, np.ndarray.tolist, lambda name, i, c, q, b, s, d: map(
-                BoundReport, repeat(name), q, b, s, i, c, d))
+            order, checks = self._columns(True, np.ndarray.tolist)
+            rows = [row for name, (i, c, q, b, s, d) in checks
+                    for row in map(BoundReport, repeat(name), q, b, s, i, c, d)]
+            self._rows = list(map(rows.__getitem__, order.tolist()))
         return self._rows
 
     def __len__(self) -> int:  # from the tables, without building the rows
@@ -861,17 +812,12 @@ REPORT_COLUMNS = ("check_name", "subspace_id", "c_encoded", "quantity", "bound",
 
 
 def _write_reports(result: SweepResult, fh) -> None:
-    """The header, the report rows (on report_route: by the C writer, or in
-    Python, with the same bytes) and the summary, as ASCII to a binary fh."""
-    fh.write(",".join(REPORT_COLUMNS).encode("ascii") + b"\n")
-    if report_route(result) == "c":
-        from . import batch
+    """The header, the report rows (by batch.write_rows) and the summary, as
+    ASCII to a binary fh."""
+    from . import batch
 
-        batch.write_rows(*result.reports._columns(False, lambda c: c), _csv_cells, fh)
-    else:
-        rows = result.reports._in_order(False, _csv_column, lambda name, *cells: map(
-            ",".join, zip(repeat(name), *cells)))
-        fh.write("".join(f"{row}\n" for row in rows).encode("ascii"))
+    fh.write(",".join(REPORT_COLUMNS).encode("ascii") + b"\n")
+    batch.write_rows(*result.reports._columns(False, lambda c: c), _csv_cells, fh)
     fh.write("".join(f"# {line}\n" for line in summary_lines(result)).encode("ascii"))
 
 
@@ -1275,7 +1221,9 @@ def verify_extractor(
     elif log is not None and threads < workers:
         log(f"workers = {workers} > chunks = {len(tasks)}; pool capped at {threads}")
     if state.need_counts or "change_of_vars" in checks:
-        count_route()  # builds or loads the C kernels, or warns, here and not in a thread
+        from . import batch
+
+        batch.count_route()  # builds or loads the C kernels, or warns, here and not in a thread
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         for partial in pool.map(state.run_chunk, tasks):  # in chunk order

@@ -39,25 +39,24 @@ once, the batch's shape, the lengths of the exponents and rows and the range
 of every entry, and then runs that kernel; the kernels check no input
 themselves.
 
-The same C source holds the count kernel, `affext_count_blocks`, which
-`count_blocks` runs for `analysis._PointCounts`: one compiled loop over the
-parameter grid and a run of direction bases of one pivot pattern.  Per basis
-it forms only the n - k free coordinates of t.B mod q, and per point it looks
-up only those in the A-weighted power tables; the pivot terms come from the
-caller, summed once per grid row.  Its loop body is specialised for (m, n - k)
-in {1, 2} x {0, 1, 2}, with one generic body for every other shape.  The
-third function, `affext_write_rows`, which `write_rows` runs for
-`analysis.write_reports_csv`, writes int64 cells in decimal and copies every
-other cell from a string table, one buffer of fixed size at a time.  It is
-handed the check of each line in sweep order, sorted once by the caller, and
-takes each check's rows in turn with one cursor per check.
+The same C source holds the count kernel, `affext_count_blocks`: one
+compiled loop over the parameter grid and a run of direction bases of one
+pivot pattern.  Per basis it forms only the n - k free coordinates of t.B
+mod q, and per point it looks up only those in the A-weighted power tables;
+the pivot terms come from the caller, summed once per grid row.  Its loop
+body is specialised for (m, n - k) in {1, 2} x {0, 1, 2}, with one generic
+body for every other shape.  The third function, `affext_write_rows`, writes
+int64 cells in decimal and copies every other cell from a string table, one
+buffer of fixed size at a time, taking each check's rows in turn with one
+cursor per check, in the sweep order the caller sorted once.
 
-This is the only module that calls into the shared object.  The three
-functions load or fail together (one `c_build()`), and `c_unavailable()` is
-the one lookup of whether they loaded: `batch_route`, `analysis.count_route`
-and `analysis.report_route` all ask it.  A failed build warns once per
-process, in one text for all three, and the numpy kernels and the python
-writer run instead, with the same results.
+This is the only module that calls into the shared object, and it makes
+every choice between a C function and its fallback.  The three functions
+load or fail together (one `c_build()`), and `c_unavailable()` alone decides
+each route: `batch_route(q)`, `count_route()` for `count_blocks` (else a
+numpy loop) and `report_route()` for `write_rows` (else a Python join).  A
+failed build warns once per process, in one text for all three, and the
+fallbacks run instead, with the same results and the same bytes.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ import subprocess
 import tempfile
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -642,6 +642,18 @@ def c_unavailable() -> str:
     return error and f"C kernels unavailable: {error}"
 
 
+def count_route() -> str:
+    """The route count_blocks takes: "c" or "numpy (<why>)"."""
+    why = c_unavailable()
+    return f"numpy ({why})" if why else "c"
+
+
+def report_route() -> str:
+    """The route write_rows takes: "c" or "python (<why>)"."""
+    why = c_unavailable()
+    return f"python ({why})" if why else "c"
+
+
 def batch_route(q: int) -> str:
     """The kernel batch_apply runs for modulus q: "c (mersenne)" or
     "c (montgomery)", by the reduction the C kernel picks from q, for odd
@@ -681,16 +693,40 @@ def batch_apply(xs, exps, rows, q: int) -> np.ndarray:
     return run(xs, exps, rows, q)
 
 
+_ELEM_SLICE = 1 << 24  # max elements in one offsets-by-points buffer of _count_numpy
+
+
 def count_blocks(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:
-    """affext_count_blocks on the arrays of analysis._PointCounts.counts, each
-    C-contiguous int64 (ctypes refuses any other): it tallies into counts,
-    (nb, O, q**m) and zeroed.  The caller checks every other precondition."""
+    """Tally the arrays of analysis._PointCounts.counts into counts, (nb, O,
+    q**m) and zeroed, on count_route().  Each is C-contiguous int64 (ctypes
+    refuses any other); the caller checks every other precondition."""
+    if count_route() != "c":
+        return _count_numpy(q, tables, free, grid, bases, offsets, rows, work, counts)
     m, n, tablen = tables.shape
     (nb, k, _), T, (O, qm) = bases.shape, len(grid), counts.shape[1:]
     status = c_build().count_fn(tables, tablen, n, m, free, len(free), grid, T, k, bases, nb,
                                 offsets, rows, len(rows), O, q, qm, work, counts)
     if status != 0:
         raise MemoryError(f"C count kernel could not allocate {m * len(free)} table pointers")
+
+
+def _count_numpy(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:
+    """One gather per free coordinate and a bincount per slice of offsets."""
+    m, n, _ = tables.shape
+    T, qm = len(grid), counts.shape[2]
+    slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
+    for b, basis in enumerate(bases):
+        work[:, m:] = (grid @ basis[:, free]) % q
+        for lo in range(0, len(rows), slice_rows):
+            at = rows[lo : lo + slice_rows]
+            enc = np.zeros((len(at), T), dtype=np.int64)
+            for i in range(m):
+                acc = np.broadcast_to(work[:, i], (len(at), T)).copy()
+                for f, j in enumerate(free):
+                    acc += tables[i, j][offsets[at, j][:, None] + work[:, m + f]]
+                enc = enc * q + acc % q
+            flat = (np.arange(len(at), dtype=np.int64)[:, None] * qm + enc).ravel()
+            counts[b, at] = np.bincount(flat, minlength=len(at) * qm).reshape(-1, qm)
 
 
 _REPORT_BUFFER = 1 << 20  # bytes of the report writer's buffer, for any report size
@@ -715,12 +751,15 @@ def _c_cell(col: np.ndarray, cells, hold: list) -> tuple[list[int], int]:
 
 
 def write_rows(order, checks, cells, fh) -> None:
-    """Write report rows to the binary fh by affext_write_rows, one fixed
-    buffer at a time.  checks holds per check its name and its five columns
+    """Write report rows to the binary fh on report_route(): by
+    affext_write_rows, one fixed buffer at a time, or by _write_python, with
+    the same bytes.  checks holds per check its name and its five columns
     after the name; order lists the rows of the checks, taken one check after
-    another, in sweep order.  cells(column) gives the strings of a column
-    that is not int and each row's index into them (None: row i takes string
-    i).  A column two checks share is read once."""
+    another, in sweep order.  cells(column) gives the strings of a column and
+    each row's index into them (None: row i takes string i); the C writer
+    writes an int column itself.  A column two checks share is read once."""
+    if report_route() != "c":
+        return _write_python(order, checks, cells, fh)
     hold, desc, done = [], [], {}
     for name, cols in checks:
         for c in cols:
@@ -739,3 +778,14 @@ def write_rows(order, checks, cells, fh) -> None:
     while n := write(desc.ctypes.data, seq.ctypes.data, len(seq), at.ctypes.data,
                      buf.ctypes.data, len(buf)):
         fh.write(buf[:n])
+
+
+def _write_python(order, checks, cells, fh) -> None:
+    done, rows = {}, []
+    for name, cols in checks:
+        for c in cols:
+            if id(c) not in done:
+                strings, at = cells(c)
+                done[id(c)] = strings if at is None else np.array(strings, dtype=object)[at].tolist()
+        rows += map(",".join, zip(repeat(name), *(done[id(c)] for c in cols)))
+    fh.write("".join(f"{rows[i]}\n" for i in order.tolist()).encode("ascii"))

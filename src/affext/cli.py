@@ -197,11 +197,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     # analyze_block calls, and the chunks they ran in; stderr, like the lines below
     print(f"sweep_runs = {result.runs} in {result.chunks} chunks", file=sys.stderr)
+    if result.points_covered or args.report_dir is not None:
+        from . import batch  # for the route lines; a run that uses no C function skips it
     # how the counts were built; stderr, so stdout and the reports stay byte-identical
-    route = analysis.count_route() if result.points_covered else "none (no check counted points)"
+    route = batch.count_route() if result.points_covered else "none (no check counted points)"
     print(f"count_route = {route}", file=sys.stderr)
     if args.report_dir is not None:  # how the report rows are written
-        print(f"report_route = {analysis.report_route(result)}", file=sys.stderr)
+        print(f"report_route = {batch.report_route()}", file=sys.stderr)
     # points the count kernel visited, of those its counts covered (+- pairs are counted once)
     print(f"count_points = {result.points_visited} of {result.points_covered}", file=sys.stderr)
     for line in analysis.summary_lines(result):
@@ -252,7 +254,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.report_dir is not None:
         os.makedirs(args.report_dir, exist_ok=True)
         path = os.path.join(args.report_dir, "deligne_battery.csv")
-        print(f"report_route = {analysis.report_route(result)}", file=sys.stderr)
+        from . import batch  # imported here, as the report writer does, so other commands skip it
+
+        print(f"report_route = {batch.report_route()}", file=sys.stderr)
         analysis.write_reports_csv(result, path)
         print(f"battery rows written to {path}")
     return EXIT_OK if failed == 0 else EXIT_CHECK

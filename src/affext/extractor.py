@@ -38,10 +38,10 @@ class LcmBoundViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ExponentVector:
-    """Strictly decreasing exponents d_1 > ... > d_n > 1, all dividing D_master."""
+    """Strictly decreasing exponents d_1 > ... > d_n > 1; their lcm is the
+    one master exponent."""
 
     d: tuple[int, ...]
-    D_master: int
 
     def __post_init__(self) -> None:
         if not self.d:
@@ -52,8 +52,6 @@ class ExponentVector:
                 raise ValueError(f"exponents must exceed 1, got {di}")
             if prev is not None and di >= prev:
                 raise ValueError("exponents must be strictly decreasing")
-            if self.D_master % di != 0:
-                raise ValueError(f"exponent {di} does not divide D_master={self.D_master}")
             prev = di
 
     @property
@@ -87,7 +85,7 @@ def gen_exponents(n: int, q: PrimeModulus | int) -> ExponentVector:
     divs = numtheory.divisors(numtheory.Factorization(D, tuple((p, 1) for p in primes)))
     # 2**count >= n + 1 divisors, so the n largest exclude the trailing 1
     d = tuple(divs[:n])
-    return ExponentVector(d=d, D_master=D)
+    return ExponentVector(d=d)
 
 
 def validate_exponents(ev: ExponentVector, q: int) -> None:
@@ -318,7 +316,7 @@ def spec_to_text(spec: ExtractorSpec) -> str:
         "d": ",".join(str(v) for v in spec.d),
         "seed_points": ",".join(str(v) for v in spec.A.seed_points),
         "lcm": str(spec.d.lcm),
-        "D_master": str(spec.d.D_master),
+        "D_master": str(spec.d.lcm),  # the key stays, so every spec file still loads
     }
     return "".join(f"{key} = {values[key]}\n" for key in SPEC_KEYS)
 
@@ -363,13 +361,26 @@ def spec_from_text(text: str) -> ExtractorSpec:
         raise ValueError(f"{where('n')}: {n} is below 1")
     d = parse_ints(values["d"][1], where("d"), n)
     seeds = parse_ints(values["seed_points"][1], where("seed_points"), n)
-    qm = prime_modulus(qv)
     if lcm != math.lcm(*d):  # the one lcm that comes from outside the program
         raise ValueError(f"{where('lcm')}: stored lcm {lcm} is not lcm{d}")
     if D_master != lcm:  # as gen_exponents makes it
         raise ValueError(f"{where('D_master')}: {D_master} is not lcm{d} = {lcm}")
-    ev = ExponentVector(d=d, D_master=D_master)
-    A = build_matrix(m, n, qm, seeds)
+
+    def made(key: str, make, *args):  # make(*args), a refusal named on key's line
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ValueError(f"{where(key)}: {exc}") from None
+
+    # a rule across keys names the later key's line: n < q on n's, m <= k <= n on m's
+    qm = made("q", prime_modulus, qv)
+    if n >= qv:
+        raise ValueError(f"{where('n')}: need n < q, got n={n}, q={qv}")
+    if not 1 <= m <= k <= n:
+        raise ValueError(f"{where('m')}: need 1 <= m <= k <= n, got m={m}, k={k}, n={n}")
+    ev = made("d", ExponentVector, d)
+    made("d", validate_exponents, ev, qv)
+    A = made("seed_points", build_matrix, m, n, qm, seeds)
     return ExtractorSpec(q=qm, n=n, k=k, m=m, beta=beta, epsilon=epsilon, d=ev, A=A)
 
 

@@ -1,5 +1,6 @@
 """Shared pytest configuration for the affext test suite."""
 
+import shutil
 import sys
 
 import pytest
@@ -14,6 +15,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("affext")
+
+HAVE_CC = bool(shutil.which("cc") or shutil.which("gcc"))
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
 
 
 @pytest.fixture

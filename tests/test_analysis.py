@@ -9,7 +9,6 @@ import dataclasses
 import itertools
 import math
 import re
-import shutil
 import time
 import warnings
 from fractions import Fraction
@@ -61,15 +60,13 @@ from affext.subspace import (
     pattern_blocks,
     random_subspace,
 )
-
-HAVE_CC = bool(shutil.which("cc") or shutil.which("gcc"))
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
+from conftest import HAVE_CC
 
 
 def _count_routes():
     """Each count route as the count_route to patch in: the C kernel where a
     compiler exists, then numpy."""
-    routes = {"c": analysis.count_route} if HAVE_CC else {}
+    routes = {"c": batch.count_route} if HAVE_CC else {}
     routes["numpy"] = lambda: "numpy (forced)"
     return routes
 
@@ -421,8 +418,8 @@ class TestChangeOfVars:
         # every count route: the C kernel where a compiler exists, then numpy
         for route in ["c"] * HAVE_CC + ["numpy"]:
             if route == "numpy":
-                monkeypatch.setattr(analysis, "count_route", lambda: "numpy (forced)")
-            assert analysis.count_route().startswith(route)
+                monkeypatch.setattr(batch, "count_route", lambda: "numpy (forced)")
+            assert batch.count_route().startswith(route)
             runs = 0
             for spec, pivots, bases, offsets, partner, subspaces in _count_blocks():
                 counter = _PointCounts(spec, 10**8)
@@ -457,7 +454,7 @@ class TestChangeOfVars:
             want = output_distribution(spec, W).counts
             grids = (state.counter.grid(W.k), state.pattern(W.pivots).substituted)
             for route, kernel in _count_routes().items():
-                with mock.patch.object(analysis, "count_route", kernel):
+                with mock.patch.object(batch, "count_route", kernel):
                     for grid in grids:
                         got = state.counter.counts(W.pivots, W.basis_array(),
                                                    W.offset_array()[None], grid)
@@ -507,8 +504,8 @@ class TestCountRoutes:
 
         monkeypatch.setattr(analysis, "_check_int64_sums", guard)
         # on both routes, and before the point checks would reject the offset
-        for route in (analysis.count_route, lambda: "numpy (forced)"):
-            monkeypatch.setattr(analysis, "count_route", route)
+        for route in (batch.count_route, lambda: "numpy (forced)"):
+            monkeypatch.setattr(batch, "count_route", route)
             with pytest.raises(ValueError, match="guard"):
                 counter.counts(V.pivots, V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
         assert seen == [(13, 3), (13, 3)]
@@ -521,8 +518,8 @@ class TestCountRoutes:
         big, negative = basis.copy(), grid.copy()
         big[1, 2], negative[5, 1] = 13, -1
         # a precondition of both routes: the C kernel reads these unchecked
-        for route in (analysis.count_route, lambda: "numpy (forced)"):
-            monkeypatch.setattr(analysis, "count_route", route)
+        for route in (batch.count_route, lambda: "numpy (forced)"):
+            monkeypatch.setattr(batch, "count_route", route)
             for offset in ((13, 12, 12), (-1, 0, 0)):
                 with pytest.raises(ValueError, match="outside"):
                     counter.counts(V.pivots, basis, np.array([offset]), grid)
@@ -554,9 +551,9 @@ class TestCountRoutes:
             ran.append(args)
             return 0
 
-        monkeypatch.setattr(batch, "count_blocks", spy)
+        monkeypatch.setattr(batch, "count_blocks", spy)  # both routes run inside it
         for route in (lambda: "c", lambda: "numpy (forced)"):
-            monkeypatch.setattr(analysis, "count_route", route)
+            monkeypatch.setattr(batch, "count_route", route)
             for bases, offsets in ((scaled, offset), (swapped, offset), (basis, moved),
                                    (np.stack([basis, scaled]), offset)):
                 with pytest.raises(ValueError, match=re.escape(
@@ -571,7 +568,7 @@ class TestCountRoutes:
     def test_numpy_route_over_several_slices(self, monkeypatch):
         # at two offset rows per slice (n * T = 3 * 49 elements each), each basis of
         # a 7/3/k2/m2 run takes 4 slices of its 7 offsets, or 2 of its 4 representatives
-        monkeypatch.setattr(analysis, "_ELEM_SLICE", 2 * 3 * 49)
+        monkeypatch.setattr(batch, "_ELEM_SLICE", 2 * 3 * 49)
         real, slices = np.bincount, []
         monkeypatch.setattr(np, "bincount", lambda *a, **kw: slices.append(1) or real(*a, **kw))
         for spec, pivots, bases, offsets, partner, subspaces in list(_count_blocks())[-6:]:
@@ -581,7 +578,7 @@ class TestCountRoutes:
             for pair in (None, partner):
                 for route, kernel in _count_routes().items():
                     slices.clear()
-                    with mock.patch.object(analysis, "count_route", kernel):
+                    with mock.patch.object(batch, "count_route", kernel):
                         got = counter.counts(pivots, bases, offsets, counter.grid(2), pair)
                     assert (got == want).all(), (route, pair is None)
                     assert len(slices) == (route == "numpy") * len(bases) * (4 if pair is None else 2)
@@ -598,9 +595,8 @@ class TestCountRoutes:
                          path.read_bytes())
 
         res, compiled = run(tmp_path / "compiled.csv")
-        assert len(res.reports) >= analysis._C_REPORT_ROWS
         if HAVE_CC:
-            assert analysis.report_route(res) == "c"
+            assert batch.report_route() == "c"
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
         batch.c_build.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
@@ -609,9 +605,8 @@ class TestCountRoutes:
             assert [w.category for w in caught] == [RuntimeWarning]  # from the counts
             evaluate_batch(spec, [[1, 2, 3]])  # the batch kernel shares that warning
         assert len(caught) == 1 and "no C compiler" in str(caught[0].message)
-        assert analysis.count_route().startswith("numpy (C kernels unavailable: no C compiler")
-        assert analysis.report_route(res).startswith(
-            "python (C kernels unavailable: no C compiler")
+        assert batch.count_route().startswith("numpy (C kernels unavailable: no C compiler")
+        assert batch.report_route().startswith("python (C kernels unavailable: no C compiler")
 
     def test_no_compiler_threads_warn_once_and_match_one_worker(
         self, fresh_c_build, monkeypatch
@@ -664,8 +659,8 @@ class TestTransformProperties:
         counter = _PointCounts(spec, 10**6)
         substituted = _exhaustive_state(spec).pattern(V.pivots).substituted
         for route, kernel in _count_routes().items():
-            with mock.patch.object(analysis, "count_route", kernel):
-                assert analysis.count_route().startswith(route)
+            with mock.patch.object(batch, "count_route", kernel):
+                assert batch.count_route().startswith(route)
                 for grid in (counter.grid(k), substituted):  # the substitution permutes the grid
                     counts = counter.counts(V.pivots, V.basis_array(),
                                             V.offset_array().reshape(1, -1), grid)
@@ -709,8 +704,8 @@ class TestNegationPairs:
         want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
                          for o in offsets.tolist()])
         for route, kernel in _count_routes().items():
-            with mock.patch.object(analysis, "count_route", kernel):
-                assert analysis.count_route().startswith(route)
+            with mock.patch.object(batch, "count_route", kernel):
+                assert batch.count_route().startswith(route)
                 for grid in (counter.grid(k), substituted):
                     full = counter.counts(block.pattern, basis, offsets, grid)
                     assert (full[partner] == full[:, counter.negenc]).all(), route
@@ -1717,9 +1712,7 @@ def _oracle_csv_lines(result) -> list[str]:
 
 
 class TestColumnWriter:
-    @pytest.fixture(autouse=True)
-    def _writer(self, monkeypatch):  # the C writer, when it loads, for reports of any size
-        monkeypatch.setattr(analysis, "_C_REPORT_ROWS", 0)
+    """The report writer on batch.report_route(): C, when it loads."""
 
     @pytest.mark.parametrize("fault", [False, True])
     def test_edge_shapes_match_the_row_oracle(self, fault, request):
@@ -1870,7 +1863,7 @@ class TestColumnWriter:
             res = verify_extractor(build_spec(13, 3, 2, 1), ExhaustiveSubspaces(),
                                    checks=CHECK_ORDER, workers=workers, collect="full")
             rows = _oracle_csv_lines(res)[1 : len(res.reports) + 1]
-            on_c = analysis.report_route(res) == "c"
+            on_c = batch.report_route() == "c"
             for buffer in (1, 4096):  # the widest line, or 4096 bytes, per fill
                 monkeypatch.setattr(batch, "_REPORT_BUFFER", buffer)
                 fills.clear()
@@ -1888,7 +1881,7 @@ class TestColumnWriterPythonRoute(TestColumnWriter):
 
     @pytest.fixture(autouse=True)
     def _writer(self, monkeypatch):
-        monkeypatch.setattr(analysis, "report_route", lambda result: "python (forced)")
+        monkeypatch.setattr(batch, "report_route", lambda: "python (forced)")
 
 
 def _assert_written_like_the_oracle(res, path):

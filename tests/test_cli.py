@@ -18,6 +18,7 @@ from affext.config import parse_ints
 from affext.extractor import build_spec, evaluate, evaluate_batch, load_spec, save_spec
 from affext.numtheory import factorize, is_prime, typicality_threshold
 from affext.subspace import random_subspace, save_subspaces
+from conftest import HAVE_CC
 
 
 def run(capsys, *argv):
@@ -289,21 +290,38 @@ class TestVerify:
         assert err.count("count_route = ") == 1
         assert "count_route" not in out + csv + summary
 
-    def test_count_points_go_to_stderr_and_leave_the_reports(self, tmp_path, capsys):
-        spec_file, report_dir = str(tmp_path / "spec.txt"), tmp_path / "reports"
+    def test_count_points_go_to_stderr_and_leave_the_reports(
+        self, tmp_path, capsys, monkeypatch, fresh_c_build
+    ):
+        # the published digests on both routes: C counts and C writer where a
+        # compiler exists, then the numpy count loop and the python writer
+        spec_file = str(tmp_path / "spec.txt")
         run(capsys, "plan", "--q", "31", "--n", "3", "--k", "2", "--m", "1",
             "--spec-file", spec_file)
-        code, out, err = run(capsys, "verify", "--spec-file", spec_file, "--exhaustive",
-                             "--report-dir", str(report_dir))
-        assert code == 0
-        # one offset of each +- pair: 993 blocks of 16 of the 31 offsets, 961 points each
-        assert err.splitlines()[-1] == "count_points = 15268368 of 29582463"
-        files = {name: (report_dir / name).read_bytes() for name in sorted(os.listdir(report_dir))}
-        assert "count_points =" not in out
-        assert all(b"count_points =" not in b for b in files.values())
-        digests = {name: hashlib.sha256(b).hexdigest()[:12] for name, b in files.items()}
-        assert digests == {"verify_report.csv": "2f32b6558038",
-                           "verify_summary.txt": "5870d1df15e5"}
+        why = "C kernels unavailable: no C compiler found (tried cc, gcc)"
+        routes = [("c", "c")] * HAVE_CC + [(f"numpy ({why})", f"python ({why})")]
+        for count_route, report_route in routes:
+            if count_route != "c":
+                monkeypatch.setattr(batch, "_find_compiler", lambda: None)
+                batch.c_build.cache_clear()
+            report_dir = tmp_path / count_route[:5]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "verify", "--spec-file", spec_file, "--exhaustive",
+                                     "--report-dir", str(report_dir))
+            assert code == 0
+            assert len(caught) == (count_route != "c")  # the one fallback warning
+            # one offset of each +- pair: 993 blocks of 16 of the 31 offsets, 961 points each
+            assert err.splitlines()[-3:] == [f"count_route = {count_route}",
+                                             f"report_route = {report_route}",
+                                             "count_points = 15268368 of 29582463"]
+            files = {name: (report_dir / name).read_bytes()
+                     for name in sorted(os.listdir(report_dir))}
+            assert "count_points =" not in out
+            assert all(b"count_points =" not in b for b in files.values())
+            digests = {name: hashlib.sha256(b).hexdigest()[:12] for name, b in files.items()}
+            assert digests == {"verify_report.csv": "2f32b6558038",
+                               "verify_summary.txt": "5870d1df15e5"}, count_route
 
     def test_sweep_runs_go_to_stderr_and_leave_the_reports(self, tmp_path, capsys):
         # 993 linear subspaces of 31 offsets; a chunk holds at least one full run of
@@ -354,8 +372,7 @@ class TestVerify:
     def test_report_route_goes_to_stderr_only(
         self, spec_path, tmp_path, capsys, monkeypatch, fresh_c_build
     ):
-        # verify: 9,516 rows, on the C writer when it loads; bounds: 24 rows, below
-        # analysis._C_REPORT_ROWS, so on the python writer, with no C kernel looked up
+        # verify (9,516 rows) and bounds (24 rows), each on the C writer when it loads
         verify = ("verify", "--spec-file", spec_path, "--exhaustive")
         files = []
         for hide in (False, True):
@@ -365,10 +382,9 @@ class TestVerify:
             d = tmp_path / str(hide)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                routes = {verify: "report_route = c" if batch.c_build().write_fn is not None else
-                          "report_route = python (C kernels unavailable: no C compiler",
-                          ("bounds",): "report_route = python (24 rows, below 1024)"}
-                for argv, route in routes.items():
+                route = ("report_route = c" if batch.c_build().write_fn is not None else
+                         "report_route = python (C kernels unavailable: no C compiler")
+                for argv in (verify, ("bounds",)):
                     code, out, err = run(capsys, *argv, "--report-dir", str(d))
                     assert code == 0
                     [line] = [l for l in err.splitlines() if l.startswith("report_route = ")]
@@ -389,8 +405,8 @@ class TestVerify:
     ):
         # without a compiler each command warns once, in the same words from the
         # same line: verify with the default checks (counts, then 9,516 report
-        # rows), with zero_coordinate alone (no counts, 2,379 rows, enough for the
-        # C writer), and extract (the batch kernel); the route lines stay as they were
+        # rows), with zero_coordinate alone (no counts, 2,379 report rows), and
+        # extract (the batch kernel); the route lines stay as they were
         monkeypatch.setattr(batch, "_find_compiler", lambda: None)
         inp = tmp_path / "in.txt"
         inp.write_text("2,1,1\n", encoding="ascii")
@@ -416,12 +432,16 @@ class TestVerify:
                           f"report_route = python ({why})", "batch_route = numpy"]
 
     def test_bounds_looks_up_no_c_kernel(self, tmp_path, capsys, monkeypatch):
+        # with no report to write; with --report-dir the writer's route is named
         def unbuilt():
             raise AssertionError("the C kernels were looked up")
 
-        monkeypatch.setattr(batch, "c_build", unbuilt)
+        with monkeypatch.context() as patched:
+            patched.setattr(batch, "c_build", unbuilt)
+            code, out, err = run(capsys, "bounds")
+        assert code == 0 and "report_route" not in out + err
         code, _, err = run(capsys, "bounds", "--report-dir", str(tmp_path))
-        assert code == 0 and "report_route = python (24 rows, below 1024)" in err.splitlines()
+        assert code == 0 and f"report_route = {batch.report_route()}" in err.splitlines()
 
     def test_sampled_run_deterministic_files(self, spec_path, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]

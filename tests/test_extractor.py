@@ -3,7 +3,6 @@
 import ctypes
 import math
 import os
-import shutil
 import subprocess
 import sys
 import warnings
@@ -35,6 +34,7 @@ from affext.extractor import (
     validate_exponents,
     verify_mds,
 )
+from conftest import HAVE_CC, needs_cc
 
 small_primes = st.sampled_from([3, 5, 7, 13, 31, 101, 257, 1009])
 
@@ -42,18 +42,18 @@ small_primes = st.sampled_from([3, 5, 7, 13, 31, 101, 257, 1009])
 class TestGenExponents:
     def test_frozen_examples(self):
         ev = gen_exponents(3, 13)
-        assert (ev.d, ev.D_master, ev.lcm) == ((35, 7, 5), 35, 35)
+        assert (ev.d, ev.lcm) == ((35, 7, 5), 35)
         ev = gen_exponents(3, 31)
-        assert (ev.d, ev.D_master, ev.lcm) == ((77, 11, 7), 77, 77)
+        assert (ev.d, ev.lcm) == ((77, 11, 7), 77)
         ev = gen_exponents(4, 13)
-        assert (ev.d, ev.D_master, ev.lcm) == ((385, 77, 55, 35), 385, 385)
+        assert (ev.d, ev.lcm) == ((385, 77, 55, 35), 385)
         ev = gen_exponents(1, 13)
-        assert (ev.d, ev.D_master, ev.lcm) == ((5,), 5, 5)
+        assert (ev.d, ev.lcm) == ((5,), 5)
 
     def test_prime_count_follows_bit_length(self):
         for n in (1, 2, 3, 4, 7, 8, 15, 16, 63, 64):
             ev = gen_exponents(n, 101)
-            f = numtheory.factorize(ev.D_master)
+            f = numtheory.factorize(ev.lcm)
             assert f.omega == n.bit_length()
             assert all(e == 1 for _, e in f.factors)
 
@@ -61,18 +61,16 @@ class TestGenExponents:
     def test_premises_hold(self, n, q):
         ev = gen_exponents(n, q)
         assert len(ev.d) == n
-        assert ev.d[0] == ev.D_master
-        assert ev.lcm == ev.D_master
-        assert math.lcm(*ev.d) == ev.D_master
+        assert ev.d[0] == ev.lcm == math.lcm(*ev.d)
         assert all(d > 1 for d in ev.d)
         assert all(a > b for a, b in zip(ev.d, ev.d[1:]))
-        assert all(ev.D_master % d == 0 for d in ev.d)
+        assert all(ev.lcm % d == 0 for d in ev.d)
         assert all(math.gcd(d, q - 1) == 1 for d in ev.d)
         validate_exponents(ev, q)
 
     def test_largest_divisors_chosen(self):
         ev = gen_exponents(5, 13)
-        all_divs = sorted(sympy.divisors(ev.D_master), reverse=True)
+        all_divs = sorted(sympy.divisors(ev.lcm), reverse=True)
         assert list(ev.d) == all_divs[:5]
 
     def test_each_power_map_is_a_bijection(self):
@@ -86,7 +84,7 @@ class TestGenExponents:
             gen_exponents(0, 13)
 
     def test_validate_rejects_shared_factor(self):
-        ev = ExponentVector(d=(15, 5, 3), D_master=15)
+        ev = ExponentVector(d=(15, 5, 3))
         with pytest.raises(ValueError):
             validate_exponents(ev, 31)  # gcd(15, 30) = 15
 
@@ -94,25 +92,30 @@ class TestGenExponents:
 class TestExponentVectorValidation:
     def test_rejects_nondecreasing(self):
         with pytest.raises(ValueError):
-            ExponentVector(d=(5, 7), D_master=35)
+            ExponentVector(d=(5, 7))
 
     def test_rejects_exponent_one(self):
         with pytest.raises(ValueError):
-            ExponentVector(d=(5, 1), D_master=5)
+            ExponentVector(d=(5, 1))
 
     def test_rejects_wrong_lcm(self):
         # lcm(d) is derived, so an exponent vector cannot hold a wrong one
-        assert ExponentVector(d=(35, 7, 5), D_master=35).lcm == 35
+        assert ExponentVector(d=(35, 7, 5)).lcm == 35
         with pytest.raises(TypeError):
-            ExponentVector(d=(35, 7, 5), D_master=35, lcm=7)
+            ExponentVector(d=(35, 7, 5), lcm=7)
         # the spec file's lcm line is the one stored lcm, checked on load
         text = spec_to_text(build_spec(13, 3, 2, 1)).replace("lcm = 35", "lcm = 7")
         with pytest.raises(ValueError, match="stored lcm 7 is not lcm"):
             spec_from_text(text)
 
     def test_rejects_nondivisor(self):
-        with pytest.raises(ValueError):
+        # lcm(d) is the one master exponent: an exponent vector holds no other,
+        # and a spec file's D_master line that some d_i does not divide is refused
+        with pytest.raises(TypeError):
             ExponentVector(d=(6,), D_master=35)
+        text = spec_to_text(build_spec(13, 3, 2, 1)).replace("D_master = 35", "D_master = 36")
+        with pytest.raises(ValueError, match="^spec line 10: malformed D_master value: 36 is not"):
+            spec_from_text(text)
 
     def test_sequence_protocol(self):
         ev = gen_exponents(3, 13)
@@ -322,13 +325,12 @@ class TestEvaluateBatch:
     def test_all_impls_agree(self):
         # each kernel against the python oracle wherever it applies, on edge
         # inputs either side of one 2,048-row chunk of the C kernel
-        have_cc = shutil.which("cc") or shutil.which("gcc")
-        if have_cc:
+        if HAVE_CC:
             assert batch.c_build().fn is not None, batch.c_build().error
         for q in (13, 2**31 - 19, Q31, 2**31 + 11, 2**32 - 5):
             xs, exps, A = _edge_batch(q, 4)
             want = batch._eval_python(xs, exps, A, q)
-            kernels = [batch._eval_numpy] + [batch._eval_c] * bool(have_cc and q < 2**31)
+            kernels = [batch._eval_numpy] + [batch._eval_c] * (HAVE_CC and q < 2**31)
             for kernel in kernels:
                 for rows in (0, 1, 2047, 2048, 2049):
                     got = kernel(xs[:rows], exps, A, q)
@@ -384,10 +386,6 @@ class TestEvaluateBatch:
             evaluate_batch(spec, np.full((1, 3), 13, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate_batch(spec, -np.ones((1, 3), dtype=np.int64))
-
-
-needs_cc = pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
-                              reason="needs a C compiler")
 
 
 class TestCKernel:
@@ -579,10 +577,9 @@ class TestMersenneBody:
         # one report through this build's writer, against the python writer
         res = analysis.verify_extractor(build_spec(7, 3, 2, 1), analysis.SampledSubspaces(5, 1),
                                         checks=analysis.CHECK_ORDER, collect="full")
-        monkeypatch.setattr(analysis, "_C_REPORT_ROWS", 0)
-        assert analysis.report_route(res) == "c"
+        assert batch.report_route() == "c"
         lines = analysis.reports_csv_lines(res)
-        monkeypatch.setattr(analysis, "report_route", lambda result: "python (forced)")
+        monkeypatch.setattr(batch, "report_route", lambda: "python (forced)")
         assert lines == analysis.reports_csv_lines(res), flags
 
     def test_batch_route_names_the_kernel_and_its_reduction(self, fresh_c_build, monkeypatch):
@@ -701,6 +698,29 @@ class TestSpecSerialization:
                      build_spec(13, 3, 3, 3), build_spec(31, 4, 3, 2)):
             save_spec(spec, tmp_path / "spec.txt")
             assert load_spec(tmp_path / "spec.txt") == spec
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("q = 13", "q = 4", "spec line 1: malformed q value: modulus 4 is not prime"),
+        ("seed_points = 1,2,3", "seed_points = 1,1,1",
+         "spec line 8: malformed seed_points value: seed points must be distinct modulo q"),
+        ("d = 35,7,5\nseed_points = 1,2,3\nlcm = 35\nD_master = 35",
+         "d = 6,4,2\nseed_points = 1,2,3\nlcm = 12\nD_master = 12",
+         "spec line 7: malformed d value: exponent 6 shares a factor with q-1=12"),
+        # a rule across keys names the later key's line
+        ("q = 13", "q = 3", "spec line 2: malformed n value: need n < q, got n=3, q=3"),
+        ("k = 2\nm = 1\nbeta = 0.5\nepsilon = 0.0", "k = 0\nm = 1\nbeta = 0.25\nepsilon = 0.125",
+         "spec line 4: malformed m value: need 1 <= m <= k <= n, got m=1, k=0, n=3"),
+        ("m = 1\nbeta = 0.5", "m = 4\nbeta = 2.0",
+         "spec line 4: malformed m value: need 1 <= m <= k <= n, got m=4, k=2, n=3"),
+    ], ids=["q", "seed_points", "d", "n", "k", "m"])
+    def test_constructor_refusals_name_their_line(self, old, new, message):
+        # prime_modulus, build_matrix, ExtractorSpec and validate_exponents
+        # refused these with no line
+        text = spec_to_text(build_spec(13, 3, 2, 1))
+        assert old in text
+        with pytest.raises(ValueError) as exc:
+            spec_from_text(text.replace(old, new))
+        assert str(exc.value) == message
 
     def test_repeated_key_names_both_lines(self):
         text = spec_to_text(build_spec(13, 3, 2, 1))
