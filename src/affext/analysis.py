@@ -344,8 +344,12 @@ class _PointCounts:
 
     counts() makes one call, batch.count_blocks, on batch.count_route(): the
     C count kernel, one compiled loop per run of blocks, or else a numpy
-    loop.  Both sum rows in int64, so counts() raises ValueError before any
-    work unless n*(q-1)**2 < 2**63, then unless every grid, basis and offset
+    loop.  At m = 1 the C kernel counts an exhaustive block line by line,
+    from one table per class of free coordinates (see batch.py).  It picks
+    that loop itself; counts() budgets the tables, 2q * q**(n-k) entries,
+    whenever the kernel's rule on m, k and the counted rows admits the loop.
+    Both sum rows in int64, so counts() raises ValueError before any work
+    unless n*(q-1)**2 < 2**63, then unless every grid, basis and offset
     entry lies in [0, q), and then unless the pivot columns are as above;
     past those checks both give the same integers and share the tables, P
     and the +- fill.  The per-point evaluate() of output_distribution is
@@ -353,7 +357,8 @@ class _PointCounts:
 
     The point budget counts grid points, and a sweep admits a subspace of up
     to that many; the grid and the work rows (P, then the free coordinates)
-    hold one row per grid point, so their guards count rows.
+    hold one row per grid point, so their guards count rows.  The line
+    tables' guard counts entries.
     """
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
@@ -414,6 +419,9 @@ class _PointCounts:
                              f"on the pivot columns {tuple(pivots)}")
         check_budget(T, self.budget, f"count work needs {T} rows of {m + n - k} entries")
         rows = np.arange(O, dtype=np.int64) if partner is None else _representatives(partner)
+        if m == 1 and k >= 2 and 2 * len(rows) >= q ** (n - k):  # the C line loop's rule
+            cells = 2 * q ** (n - k + 1)
+            check_budget(cells, self.budget, f"line tables need {cells} entries")
         counts = np.zeros((nb, O, qm), dtype=np.int64)
         work = np.empty((T, m + n - k), dtype=np.int64)  # per grid row: P, then free coordinates
         tabs = self.tables

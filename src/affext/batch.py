@@ -41,14 +41,23 @@ themselves.
 
 The same C source holds the count kernel, `affext_count_blocks`: one
 compiled loop over the parameter grid and a run of direction bases of one
-pivot pattern.  Per basis it forms only the n - k free coordinates of t.B
-mod q, and per point it looks up only those in the A-weighted power tables;
-the pivot terms come from the caller, summed once per grid row.  Its loop
-body is specialised for (m, n - k) in {1, 2} x {0, 1, 2}, with one generic
-body for every other shape.  The third function, `affext_write_rows`, writes
-int64 cells in decimal and copies every other cell from a string table, one
-buffer of fixed size at a time, taking each check's rows in turn with one
-cursor per check, in the sweep order the caller sorted once.
+pivot pattern, in one of two loops.  The point loop forms per basis only
+the n - k free coordinates of t.B mod q, and per point looks up only those
+in the A-weighted power tables; the pivot terms come from the caller,
+summed once per grid row.  Its body is specialised for (m, n - k) in
+{1, 2} x {0, 1, 2}, with one generic body for every other shape.  The line
+loop counts each line along parameter 0 at once, for m = 1, k >= 2 and at
+least about half the q**(n-k) offset classes counted per basis, as in every
+exhaustive block: the histogram of a line depends only on basis row 0 and
+the line's class of free coordinates, up to a cyclic shift by the pivot
+terms of the other parameters, so one table per class, rebuilt when row 0
+changes, turns q scattered increments into q contiguous adds.  The kernel
+picks the loop from its own arguments; both give the same integers.
+
+The third function, `affext_write_rows`, writes int64 cells in decimal and
+copies every other cell from a string table, one buffer of fixed size at a
+time, taking each check's rows in turn with one cursor per check, in the
+sweep order the caller sorted once.
 
 This is the only module that calls into the shared object, and it makes
 every choice between a C function and its fallback.  The three functions
@@ -62,14 +71,13 @@ fallbacks run instead, with the same results and the same bytes.
 from __future__ import annotations
 
 import functools
-import hashlib
 import operator
 import os
 import platform
 import shutil
-import subprocess
 import tempfile
 import warnings
+import zlib
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -301,9 +309,11 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
    loop does not check: grid, bases, off and the tables hold residues below
    q, the pivot columns are as above, n * (q-1)**2 < 2**63 (so the k-term
    sums of t.B fit), every rows[r] < O, and counts has nb * O zeroed rows of
-   q**m cells.  count_body is inlined once per (m, nf) in {1, 2} x {0, 1, 2}
-   with constant loop bounds, and once more with runtime bounds for every
-   other shape.  Returns -1 if scratch allocation fails. */
+   q**m cells.  count_body, the point loop, is inlined once per (m, nf) in
+   {1, 2} x {0, 1, 2} with constant loop bounds, and once more with runtime
+   bounds for every other shape.  count_lines, the line loop, counts the
+   same integers a line at a time; affext_count_blocks runs it when
+   lines_pay says so.  Returns -1 if scratch allocation fails. */
 /* The loops over f are short; vectorised into gathers they ran slower than
    scalar code, so GCC is told not to. */
 #if defined(__GNUC__) && !defined(__clang__)
@@ -358,6 +368,126 @@ count_body(const int64_t M, const int64_t NF, const int64_t *tabs, int64_t table
                    rows, R, O, q, qm, work, tp, counts);                      \
     else
 
+/* The line loop, for m = 1, on a grid that splits at parameter 0.  With
+   T1 = T / q, that is: row 0 is zero, row s*T1 + t is (grid[s*T1][0],
+   grid[t][1..k)) for s < q and t < T1, and P[s*T1 + t] = P[s*T1] + P[t]
+   mod q.  Both grids of the caller split (each is a product grid with
+   parameter 0 slowest, and every pivot table is 0 at 0); lines_pay checks
+   it.  Then, by linearity, point s*T1 + t of offset o has free coordinates
+   c + (g(s) B0 mod q), where g(s) = grid[s*T1][0], B0 is basis row 0 on
+   the free columns, and c = o + (grid[t].B mod q) mod q is the point's
+   class in F_q^nf; its output is y + P[t] mod q with
+     y = P[s*T1] + sum_f tabs[fcols[f]][c_f + (g(s) B0_f mod q)] mod q.
+   So the q points s of a line (o, t) are counted by one line table of the
+   class, L[c][y] = #{s : y as above}, kept twice over in 2q cells
+   (L[c][y + q] = L[c][y]): counts[o][v] += L[c][v - P[t] mod q], the q
+   contiguous cells of L[c] from cell q - P[t], where the point loop makes
+   q scattered increments.  L depends on B0 alone and is rebuilt only when
+   B0 changes; basis_at puts row 0's cells first, so along a run B0 changes
+   slowest.  Per basis only the free coordinates of the T1 prefix rows are
+   formed, in work.  The caller budgets L, nc * 2q cells, nc = q**nf.
+   noinline keeps it out of the no-tree-vectorize caller: its q-cell adds
+   are the loop to vectorise.  Returns -1 if L cannot be allocated. */
+static __attribute__((noinline)) int
+count_lines(const int64_t *tabs, int64_t tablen, int64_t n, const int64_t *fcols,
+            int64_t nf, const int64_t *grid, int64_t T, int64_t k,
+            const int64_t *bases, int64_t nb, const int64_t *off,
+            const int64_t *rows, int64_t R, int64_t O, int64_t q, int64_t nc,
+            int64_t *work, int64_t *counts)
+{
+    const int64_t w = 1 + nf, T1 = T / q, q2 = 2 * q;
+    if ((uint64_t)nc > (SIZE_MAX / sizeof(int64_t) - (uint64_t)nf) / (uint64_t)q2)
+        return -1;
+    int64_t *L = malloc((size_t)(nc * q2 + nf) * sizeof *L);
+    if (!L)
+        return -1;
+    int64_t *digit = L + nc * q2; /* the class digits c_f while L is built */
+    for (int64_t b = 0; b < nb; b++) {
+        const int64_t *B = bases + b * k * n;
+        int same = b > 0; /* B0 as the previous basis's */
+        for (int64_t f = 0; same && f < nf; f++)
+            same = B[fcols[f]] == B[fcols[f] - k * n];
+        if (!same)
+            for (int64_t c = 0; c < nc; c++) {
+                int64_t *Lc = L + c * q2;
+                for (int64_t f = nf - 1, rest = c; f >= 0; f--, rest /= q)
+                    digit[f] = rest % q;
+                memset(Lc, 0, (size_t)q * sizeof *Lc);
+                for (int64_t s = 0; s < q; s++) {
+                    int64_t v = work[s * T1 * w], g = grid[s * T1 * k];
+                    for (int64_t f = 0; f < nf; f++) {
+                        v += tabs[fcols[f] * tablen + digit[f] + g * B[fcols[f]] % q] - q;
+                        v += q & (v >> 63); /* from [-q, q) into [0, q) */
+                    }
+                    Lc[v]++;
+                }
+                memcpy(Lc + q, Lc, (size_t)q * sizeof *Lc);
+            }
+        for (int64_t t = 0; t < T1; t++)
+            for (int64_t f = 0; f < nf; f++) {
+                uint64_t s = 0;
+                for (int64_t i = 1; i < k; i++)
+                    s += (uint64_t)(grid[t * k + i] * B[i * n + fcols[f]]);
+                work[t * w + 1 + f] = (int64_t)(s % (uint64_t)q);
+            }
+        for (int64_t r = 0; r < R; r++) {
+            const int64_t *oo = off + rows[r] * n;
+            int64_t *row = counts + (b * O + rows[r]) * q;
+            for (int64_t t = 0; t < T1; t++) {
+                const int64_t *x = work + t * w;
+                int64_t c = 0;
+                for (int64_t f = 0; f < nf; f++) {
+                    int64_t d = oo[fcols[f]] + x[1 + f] - q;
+                    c = c * q + d + (q & (d >> 63));
+                }
+                const int64_t *src = L + c * q2 + q - x[0];
+                for (int64_t v = 0; v < q; v++)
+                    row[v] += src[v];
+            }
+        }
+    }
+    free(L);
+    return 0;
+}
+
+/* Whether the line loop runs, and then its class count q**nf in *nc.  Its
+   rule, from the call's own arguments:
+     - m = 1: at m >= 2 each shifted add would cover q**m cells, q**(m-1)
+       times the point loop's work;
+     - k >= 2: at k = 1 every basis would need its own L;
+     - 2R >= q**nf, about half the classes counted per basis or more, as in
+       every exhaustive block (its representatives are (q**nf + 1) / 2): a
+       lone sampled or explicit subspace would pay q**(nf+1) lookups for L
+       to count q**k points;
+     - the grid splits at parameter 0 (see count_lines), checked in O(T k). */
+static int lines_pay(int64_t m, int64_t nf, const int64_t *grid, int64_t T, int64_t k,
+                     int64_t R, int64_t q, const int64_t *work, int64_t *nc)
+{
+    if (m != 1 || k < 2 || T == 0 || T % q)
+        return 0;
+    *nc = 1;
+    for (int64_t f = 0; f < nf; f++) {
+        if (*nc > 2 * R / q)
+            return 0;
+        *nc *= q;
+    }
+    const int64_t w = 1 + nf, T1 = T / q;
+    for (int64_t i = 0; i < k; i++)
+        if (grid[i])
+            return 0;
+    for (int64_t s = 0; s < q; s++)
+        for (int64_t t = 0; t < T1; t++) {
+            const int64_t *g = grid + (s * T1 + t) * k;
+            int64_t p = work[s * T1 * w] + work[t * w];
+            if (g[0] != grid[s * T1 * k] || work[(s * T1 + t) * w] != (p >= q ? p - q : p))
+                return 0;
+            for (int64_t i = 1; i < k; i++)
+                if (g[i] != grid[t * k + i])
+                    return 0;
+        }
+    return 1;
+}
+
 NO_VECTORIZE int
 affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
                     const int64_t *fcols, int64_t nf, const int64_t *grid,
@@ -366,6 +496,10 @@ affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
                     int64_t O, int64_t q, int64_t qm, int64_t *work,
                     int64_t *counts)
 {
+    int64_t nc;
+    if (lines_pay(m, nf, grid, T, k, R, q, work, &nc))
+        return count_lines(tabs, tablen, n, fcols, nf, grid, T, k, bases, nb, off,
+                           rows, R, O, q, nc, work, counts);
     if ((uint64_t)(m * nf) >= SIZE_MAX / sizeof(int64_t *))
         return -1;
     const int64_t **tp = malloc((size_t)(m * nf + 1) * sizeof *tp);
@@ -490,6 +624,8 @@ def _cache_dir() -> str | None:
 
 def _compile(cc: str, flags: tuple[str, ...], path: str) -> str:
     """Compile the kernel to `path` atomically; return an error message or ''."""
+    import subprocess  # only a build starts a process; loading a cached object does not
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     os.close(fd)
     try:
@@ -520,31 +656,43 @@ def c_build() -> CBuild:
     return build
 
 
+def _compiler_id(cc: str) -> str:
+    """The compiler as the cache key names it: its resolved path, size and
+    modification time, which change when it is replaced or upgraded."""
+    path = os.path.realpath(cc)
+    st = os.stat(path)
+    return f"{path} {st.st_size} {st.st_mtime_ns}"
+
+
+def _object_name(compiler: str, flags: tuple[str, ...]) -> str:
+    """The cached object's file name: a 64-bit zlib digest (crc32, then
+    adler32) of the source, the flags, _compiler_id and the machine, plus the
+    CPU flags for -march=native.  crc32 tells apart any two keys that differ
+    in one byte."""
+    key = "\0".join((_C_SOURCE, " ".join(flags), compiler, platform.machine(),
+                     _cpu_flags() if "-march=native" in flags else "")).encode()
+    return f"mont_{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+
+
 def _build() -> CBuild:
-    """The shared object is keyed on the source, the flags, the compiler
-    version and the machine, plus the CPU flags for -march=native."""
+    """Load the cached shared object of the first flag set that builds,
+    compiling it first if it is missing.  Finding a cached object stats the
+    compiler and starts no process."""
     import ctypes
 
     cc = _find_compiler()
     if cc is None:
         return CBuild(error="no C compiler found (tried cc, gcc)")
     try:
-        done = subprocess.run([cc, "--version"], capture_output=True, text=True, timeout=30)
-        version = done.stdout.splitlines()[0] if done.returncode == 0 and done.stdout else ""
-    except (OSError, subprocess.TimeoutExpired):
-        version = ""
-    if not version:
-        return CBuild(error=f"{cc} --version failed")
+        compiler = _compiler_id(cc)
+    except OSError as exc:
+        return CBuild(error=f"cannot stat {cc}: {exc}")
     cache = _cache_dir()
     if cache is None:
         return CBuild(error="no private writable cache directory for the compiled kernel")
     errors = []
     for flags in _C_FLAGS:
-        key = hashlib.sha256("\0".join(
-            (_C_SOURCE, " ".join(flags), version, platform.machine(),
-             _cpu_flags() if "-march=native" in flags else "")
-        ).encode()).hexdigest()[:24]
-        path = os.path.join(cache, f"mont_{key}.so")
+        path = os.path.join(cache, _object_name(compiler, flags))
         if not os.path.exists(path):
             err = _compile(cc, flags, path)
             if err:
@@ -707,7 +855,7 @@ def count_blocks(q: int, tables, free, grid, bases, offsets, rows, work, counts)
     status = c_build().count_fn(tables, tablen, n, m, free, len(free), grid, T, k, bases, nb,
                                 offsets, rows, len(rows), O, q, qm, work, counts)
     if status != 0:
-        raise MemoryError(f"C count kernel could not allocate {m * len(free)} table pointers")
+        raise MemoryError("C count kernel could not allocate its scratch")
 
 
 def _count_numpy(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:

@@ -396,12 +396,33 @@ def _exhaustive_state(spec):
 
 def _count_blocks():
     """(spec, pivots, bases, offsets, partner, subspaces) for one counts() call each:
-    every EDGE_SHAPES entry, then runs of up to 3 consecutive blocks of one
-    pivot pattern of exhaustive 7/3/k2/m2, 7 offsets each, with their +-
-    pairs; subspaces in row order (basis-major)."""
+    every EDGE_SHAPES entry; then exhaustive runs, every offset with its +-
+    pair: at m = 1, 3 bases whose row 0 changes at the second and not at the
+    third, which the C kernel counts by lines, at 7/3/k2, 7/4/k2 (n - k = 2),
+    5/4/k3 (k = 3) and 7/3/k3 (k = n, whose one basis, the identity, is taken
+    twice); then up to 3 consecutive blocks of one pivot pattern of
+    7/3/k2/m2, 7 offsets each.  Subspaces in row order (basis-major).  At
+    m = 1 a basis row that is zero on the free columns makes every count of
+    its planes uniform, which a wrong line table would not change, so the
+    m = 1 bases have no such row."""
     for spec_args, V in EDGE_SHAPES:
         yield (build_spec(*spec_args), V.pivots, V.basis_array()[None],
                V.offset_array().reshape(1, -1), None, [V])
+    for q, n, k in ((7, 3, 2), (7, 4, 2), (5, 4, 3), (7, 3, 3)):
+        spec, block = build_spec(q, n, k, 1), pattern_blocks(n, k, q)[0]
+        if block.cells:  # row 0's cells come first: row 0 changes every q**rest bases
+            step = q ** sum(row > 0 for row, _ in block.cells)
+            ones = (step - 1) // (q - 1)  # every cell below row 0 is 1
+            bases = np.concatenate([basis_at(block, i, i + 1, q, n)
+                                    for i in (step + ones, 2 * step + ones, 2 * step + 2 * ones)])
+            assert (bases[1, 0] != bases[0, 0]).any() and (bases[2, 0] == bases[1, 0]).all()
+            assert np.delete(bases, block.pattern, axis=2).any(axis=2).all()
+        else:
+            bases = np.stack([basis_at(block, 0, 1, q, n)[0]] * 2)
+        offsets, partner = _exhaustive_state(spec).pattern(block.pattern).offsets
+        subspaces = [canonicalize(tuple(o), basis.tolist(), q)
+                     for basis in bases for o in offsets.tolist()]
+        yield spec, block.pattern, bases, offsets, partner, subspaces
     spec, blocks = build_spec(7, 3, 2, 2), pattern_blocks(3, 2, 7)
     state = _exhaustive_state(spec)
     for linear in range(0, count_affine_subspaces(3, 2, 7) // 7, 8):
@@ -415,7 +436,8 @@ def _count_blocks():
 
 class TestChangeOfVars:
     def test_direct_route_matches_reference_distribution(self, monkeypatch):
-        # every count route: the C kernel where a compiler exists, then numpy
+        # every count route: the C kernel where a compiler exists, then numpy;
+        # on the direct grid and the substituted one, a permutation of it
         for route in ["c"] * HAVE_CC + ["numpy"]:
             if route == "numpy":
                 monkeypatch.setattr(batch, "count_route", lambda: "numpy (forced)")
@@ -423,11 +445,15 @@ class TestChangeOfVars:
             runs = 0
             for spec, pivots, bases, offsets, partner, subspaces in _count_blocks():
                 counter = _PointCounts(spec, 10**8)
-                got = counter.counts(pivots, bases, offsets, counter.grid(len(pivots)), partner)
                 want = np.array([output_distribution(spec, V).counts for V in subspaces])
-                assert got.shape == want.shape and (got == want).all(), (route, spec, bases)
+                for grid in (counter.grid(len(pivots)),
+                             _exhaustive_state(spec).pattern(pivots).substituted):
+                    got = counter.counts(pivots, bases, offsets, grid, partner)
+                    assert got.shape == want.shape and (got == want).all(), (route, spec, bases)
                 runs += len(bases) > 1
-            assert runs == 6  # multi-basis runs, one per 8 linear subspaces below 49
+            # multi-basis runs: 4 of m = 1, and 6 of 7/3/k2/m2, one per 8
+            # linear subspaces below 49
+            assert runs == 10
 
     def test_exact_equality_on_random_subspaces(self, spec13):
         # every nonzero c of every subspace: no residue-count gap at all
@@ -1917,11 +1943,15 @@ def _sweep(spec, source, checks=("sd",), **budgets):
     return verify_extractor(spec, source, checks=checks, budgets=Budgets(**budgets))
 
 
-def _count_one_plane(spec, budget):
-    """counts() of one plane on a grid built outside the counter's budget."""
-    V = random_subspace(spec.n, 2, spec.modulus, seed=0)
-    return _PointCounts(spec, budget).counts(V.pivots, V.basis_array(), V.offset_array()[None],
-                                             analysis._lex_grid(spec.modulus, 2))
+def _count_one_plane(spec, budget, every_offset=False):
+    """counts() of one plane on a grid built outside the counter's budget;
+    with every_offset, of all its parallel planes, as the line loop counts
+    them."""
+    V, q = random_subspace(spec.n, 2, spec.modulus, seed=0), spec.modulus
+    offsets = (offsets_for_pattern(V.pivots, spec.n, q) if every_offset
+               else V.offset_array()[None])
+    return _PointCounts(spec, budget).counts(V.pivots, V.basis_array(), offsets,
+                                             analysis._lex_grid(q, 2))
 
 
 # Each budget guard: what it counts for its inputs, a run at a given budget,
@@ -1949,6 +1979,9 @@ _BUDGET_GUARDS = {
     "count_work_rows": (
         169, lambda b: _count_one_plane(build_spec(13, 3, 2, 1), b),
         "count work needs 169 rows of 2 entries"),
+    "line_tables": (
+        2 * 13 * 13, lambda b: _count_one_plane(build_spec(13, 3, 2, 1), b, every_offset=True),
+        "line tables need 338 entries"),
     "deligne_grid": (
         13, lambda b: deligne_bound_check(DiagonalPolynomial(13, 1, 2, (1,)), 1, budget=b),
         "grid has 13 points"),

@@ -430,6 +430,36 @@ class TestCKernel:
         assert batch.c_build().path == first.path
 
     @needs_cc
+    def test_loading_the_cached_library_starts_no_process(self, fresh_c_build, monkeypatch,
+                                                          tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert batch.c_build().fn is not None  # built into the cache the child reads
+        code = ("import sys; from affext import batch; assert batch.c_build().fn is not None; "
+                "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    def test_a_one_byte_change_of_the_key_names_a_new_library(self, monkeypatch, tmp_path):
+        cc = tmp_path / "cc"
+        cc.write_bytes(b"compiler")
+        compiler, flags = batch._compiler_id(str(cc)), batch._C_FLAGS[0]
+        name = batch._object_name(compiler, flags)
+        assert name == batch._object_name(compiler, flags)
+        names = {name, batch._object_name(compiler, (*flags[:-1], flags[-1][:-1] + "x"))}
+        stat = cc.stat()
+        os.utime(cc, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        names.add(batch._object_name(batch._compiler_id(str(cc)), flags))
+        cc.write_bytes(b"compilers")
+        os.utime(cc, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        names.add(batch._object_name(batch._compiler_id(str(cc)), flags))
+        source = batch._C_SOURCE
+        monkeypatch.setattr(batch, "_C_SOURCE", source[:-1] + chr(ord(source[-1]) ^ 1))
+        names.add(batch._object_name(compiler, flags))
+        assert len(names) == 5
+
+    @needs_cc
     def test_concurrent_builds_leave_one_whole_library(self, tmp_path):
         # 2**3 + 3**5 = 251 = 4 mod 13
         code = ("import numpy as np; from affext import batch; "
