@@ -46,7 +46,7 @@ Checks
   zero_coordinate    every c^T A has at most m-1 zeros on pivot coordinates
   change_of_vars     substituting s_i**(D/d_{j_i}) for t_i permutes inputs:
                      output counts along both routes agree exactly (the
-                     same primitive on the grid with t_i -> t_i**D_i); the
+                     same primitive on the value rows t_i -> t_i**D_i); the
                      quantity is the largest count gap, c_encoded the first
                      output z attaining it
   substitution_form  after that substitution each pivot coordinate powers to
@@ -322,13 +322,15 @@ class _PointCounts:
     offsets and a parameter grid, every point offset + (t.B mod q) is read
     through A-weighted power tables, tables[i, j][x] = A[i, j] * x**d_j mod q
     over [0, 2q-2], so the unreduced sum of two residues indexes a term of
-    output i directly.  The direct route uses the lexicographic grid; the
-    change of variables runs the same lookups on the grid with t_i -> t_i**D_i.
+    output i directly.  The grid comes as one value row per parameter: grid
+    point t is (values[0][t_0], .., values[k-1][t_{k-1}]), in lexicographic
+    order, parameter 0 slowest.  The direct route takes the identity rows;
+    the change of variables, the rows s -> s**D_i (_Pattern.direct, .substituted).
 
     In canonical form each basis is the identity on the pivot columns and each
-    offset is zero there, so pivot coordinate j_i of offset + t.B is t_i on
-    either grid.  The pivot terms of each output, P[t, i], are then summed
-    once per call from the grid alone; per basis only the n - k free
+    offset is zero there, so pivot coordinate j_i of offset + t.B is the grid
+    value t_i.  The pivot terms of each output, P[t, i], are then summed
+    once per call from the value rows alone; per basis only the n - k free
     coordinates of t.B are formed, and per point only they are looked up.
     counts() takes the pivot pattern from its caller and refuses a basis that
     is not the identity on it, or an offset that is nonzero on it.
@@ -338,27 +340,28 @@ class _PointCounts:
     offset's negation (an exhaustive block's offsets are closed under it),
     counts() tallies only the representative rows and fills each partner
     row as a column permutation of its representative through negenc, the
-    encoding of -z per output z.  That needs an odd grid too: the
-    lexicographic one is, and so is the substituted one, since each D_i =
-    D / d_j divides the odd D = lcm of the pivot exponents.
+    encoding of -z per output z.  That needs odd value rows too: the
+    identity is, and so is s -> s**D_i, since each D_i = D / d_j divides the
+    odd D = lcm of the pivot exponents.
 
     counts() makes one call, batch.count_blocks, on batch.count_route(): the
     C count kernel, one compiled loop per run of blocks, or else a numpy
-    loop.  At m = 1 the C kernel counts an exhaustive block line by line,
-    from one table per class of free coordinates (see batch.py).  It picks
-    that loop itself; counts() budgets the tables, 2q * q**(n-k) entries,
-    whenever the kernel's rule on m, k and the counted rows admits the loop.
-    Both sum rows in int64, so counts() raises ValueError before any work
-    unless n*(q-1)**2 < 2**63, then unless every grid, basis and offset
-    entry lies in [0, q), and then unless the pivot columns are as above;
-    past those checks both give the same integers and share the tables, P
-    and the +- fill.  The per-point evaluate() of output_distribution is
-    their oracle.
+    loop.  counts() alone decides whether the C kernel counts by lines at
+    m = 1 (see batch.py), and budgets the line tables, 2q * q**(n-k) entries,
+    on either route by that one result.  The grid splits at parameter 0, as
+    that loop needs, because every value row fixes 0 and every table is 0 at
+    0 (each d_j >= 1).  Both routes sum rows in int64, so counts() raises
+    ValueError before any work unless n*(q-1)**2 < 2**63, then unless every
+    value, basis and offset entry lies in [0, q), every value row fixes 0
+    and, given partners, is odd, and then unless the pivot columns are as
+    above; past those checks both give the same integers and share the
+    tables, P and the +- fill.  The per-point evaluate() of
+    output_distribution is their oracle.
 
     The point budget counts grid points, and a sweep admits a subspace of up
-    to that many; the grid and the work rows (P, then the free coordinates)
-    hold one row per grid point, so their guards count rows.  The line
-    tables' guard counts entries.
+    to that many; the work rows (P, then the free coordinates) hold one row
+    per grid point, so their guard counts rows.  The line tables' guard
+    counts entries.
     """
 
     def __init__(self, spec: ExtractorSpec, budget: int) -> None:
@@ -373,43 +376,39 @@ class _PointCounts:
         powers = np.stack([_pow_column(dj, q)[wrap] for dj in spec.d])
         # A[i, j] * x**d_j < q**2, exact wherever counts() passes its int64 guard
         self.tables = self.A[:, :, None] * powers % q  # C order, as the C kernel reads it
-        self.grids: dict[int, np.ndarray] = {}
-
-    def grid(self, k: int) -> np.ndarray:
-        if k not in self.grids:
-            T = self.q**k
-            check_budget(T, self.budget, f"parameter grid has {T} points")
-            self.grids[k] = _lex_grid(self.q, k)
-        return self.grids[k]
 
     def counts(
         self,
         pivots: Sequence[int],
         bases: np.ndarray,
         offsets: np.ndarray,
-        grid: np.ndarray,
+        values: np.ndarray,
         partner: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Output counts over offset + t.B for t in grid, for each basis B of
-        bases, (nb, k, n) or one (k, n) basis, all in canonical form with the
-        given pivot columns: shape (nb * offsets, q**m), rows basis-major.
-        partner, if given, is the row of each offset's negation, and only
-        _representatives(partner) are counted."""
+        """Output counts over offset + t.B for t in the grid of the (k, q)
+        values, for each basis B of bases, (nb, k, n) or one (k, n) basis, all
+        in canonical form with the given pivot columns: shape (nb * offsets,
+        q**m), rows basis-major.  partner, if given, is the row of each
+        offset's negation, and only _representatives(partner) are counted."""
         q, n, m, qm = self.q, self.n, self.m, self.qm
         _check_int64_sums(q, n)
-        bases, offsets, grid = (np.ascontiguousarray(a, dtype=np.int64)
-                                for a in (bases, offsets, grid))
+        bases, offsets, values = (np.ascontiguousarray(a, dtype=np.int64)
+                                  for a in (bases, offsets, values))
         if bases.ndim == 2:
             bases = bases[None]
         nb, k = bases.shape[:2]
-        O, T = offsets.shape[0], grid.shape[0]
-        if offsets.shape != (O, n) or bases.shape[2] != n or grid.shape != (T, k) or k > n:
+        O = offsets.shape[0]
+        if offsets.shape != (O, n) or bases.shape[2] != n or values.shape != (k, q) or k > n:
             raise ValueError(f"offsets and basis rows must have {n} coordinates, "
-                             f"grid rows one per basis row")
+                             f"and values one row of {q} per basis row")
         if partner is not None and partner.shape != (O,):
             raise ValueError(f"partner must give one row per offset, {O}")
-        if any(a.size and (a.min() < 0 or a.max() >= q) for a in (grid, bases, offsets)):
-            raise ValueError(f"a grid, basis or offset entry lies outside [0, {q})")
+        if any(a.size and (a.min() < 0 or a.max() >= q) for a in (values, bases, offsets)):
+            raise ValueError(f"a value, basis or offset entry lies outside [0, {q})")
+        if values[:, 0].any():
+            raise ValueError("a value row does not map 0 to 0")
+        if partner is not None and (values[:, -np.arange(q) % q] != -values % q).any():
+            raise ValueError("a value row is not odd, as the +- fill of partner rows needs")
         pivots = [int(j) for j in pivots]
         free = np.array([j for j in range(n) if j not in pivots], dtype=np.int64)
         if len(pivots) != k or len(free) != n - k:
@@ -417,19 +416,26 @@ class _PointCounts:
         if (bases[:, :, pivots] != np.eye(k, dtype=np.int64)).any() or offsets[:, pivots].any():
             raise ValueError(f"a basis is not the identity or an offset not zero "
                              f"on the pivot columns {tuple(pivots)}")
+        T = q**k
         check_budget(T, self.budget, f"count work needs {T} rows of {m + n - k} entries")
         rows = np.arange(O, dtype=np.int64) if partner is None else _representatives(partner)
-        if m == 1 and k >= 2 and 2 * len(rows) >= q ** (n - k):  # the C line loop's rule
-            cells = 2 * q ** (n - k + 1)
-            check_budget(cells, self.budget, f"line tables need {cells} entries")
+        # the C line loop's rule: m = 1 (else each add covers q**m cells), k >= 2
+        # (else each basis needs its own tables), and half the q**(n-k) offset
+        # classes or more counted per basis, as in an exhaustive block (a lone
+        # plane would pay q**(n-k+1) lookups for tables to count q**k points);
+        # lines is then the class count, else 0
+        lines = q ** (n - k) if m == 1 and k >= 2 and 2 * len(rows) >= q ** (n - k) else 0
+        if lines:
+            check_budget(cells := 2 * q * lines, self.budget, f"line tables need {cells} entries")
         counts = np.zeros((nb, O, qm), dtype=np.int64)
         work = np.empty((T, m + n - k), dtype=np.int64)  # per grid row: P, then free coordinates
-        tabs = self.tables
-        work[:, :m] = sum((tabs[:, j, grid[:, i]] for i, j in enumerate(pivots)),
-                          np.zeros((m, T), dtype=np.int64)).T % q
+        P = np.zeros((1, m), dtype=np.int64)
+        for i, j in enumerate(pivots):  # P over parameters 0..i, parameter 0 slowest
+            P = ((P[:, None] + self.tables[:, j, values[i]].T) % q).reshape(-1, m)
+        work[:, :m] = P
         from . import batch
 
-        batch.count_blocks(q, tabs, free, grid, bases, offsets, rows, work, counts)
+        batch.count_blocks(q, self.tables, free, values, bases, offsets, rows, lines, work, counts)
         if partner is not None:  # the counts of -o are those of o under z -> -z
             fill = np.flatnonzero(np.arange(O) > partner)
             counts[:, fill] = counts[:, partner[fill][:, None], self.negenc]
@@ -913,13 +919,17 @@ class _Pattern:
         return _pivot_degrees(self.state.spec, self.pivots)
 
     @cached_property
+    def direct(self) -> np.ndarray:
+        """The identity value rows, one per pivot: the lexicographic grid."""
+        return np.tile(np.arange(self.state.q, dtype=np.int64), (len(self.pivots), 1))
+
+    @cached_property
     def substituted(self) -> np.ndarray:
-        """The grid with t_i -> t_i**D_i, odd as _PointCounts.counts needs:
-        every D_i divides the odd D (see _PointCounts)."""
-        grid = self.state.counter.grid(len(self.pivots)).copy()
-        for i, Di in enumerate(self.degrees[1]):
-            grid[:, i] = _pow_column(Di, self.state.q)[grid[:, i]]
-        return grid
+        """The value rows s -> s**D_i, one per pivot, odd as _PointCounts.counts
+        needs: every D_i divides the odd D (see _PointCounts)."""
+        q = self.state.q
+        rows = [_pow_column(Di, q) for Di in self.degrees[1]]
+        return np.array(rows, dtype=np.int64).reshape(-1, q)  # (0, q) at k = 0
 
     @cached_property
     def substitution_form(self) -> int:
@@ -927,13 +937,13 @@ class _Pattern:
         basis is the identity on the pivot columns and the offset is zero
         there, so pivot coordinate j_i of offset + u.B is u_i on every
         subspace of the pattern, and the count is one number."""
-        spec, counter = self.state.spec, self.state.counter
+        spec, q, k = self.state.spec, self.state.q, len(self.pivots)
         D, D_per_pivot = self.degrees
-        s, u = counter.grid(len(self.pivots)), self.substituted
-        top = _pow_column(D, self.state.q)[s]
-        # (a) pivot coordinate j_i, raised to d_{j_i}, is s_i**D at every grid point s
-        bad = sum(int((_pow_column(spec.d[j], self.state.q)[u[:, i]] != top[:, i]).sum())
-                  for i, j in enumerate(self.pivots))
+        top = _pow_column(D, q)
+        # (a) pivot coordinate j_i, raised to d_{j_i}, is s_i**D at every grid
+        # point s; a value of s_i that fails fails at q**(k-1) grid points
+        bad = sum(q ** (k - 1) * int((_pow_column(spec.d[j], q)[u] != top).sum())
+                  for u, j in zip(self.substituted, self.pivots))
         # (b) a non-pivot x_j between pivot i and the next has degree d_j * D_i,
         # below D; one left of every pivot is constant on V
         for i, (lo, hi) in enumerate(zip(self.pivots, (*self.pivots[1:], spec.n))):
@@ -946,10 +956,10 @@ class _SweepState:
     pool's threads; header is never tallied into: the sweep's result and
     every chunk's partial result are blank copies of it.
     patterns keeps the first record of each pattern (dict.setdefault is
-    atomic).  counter.grids and the _Pattern cached properties are built on
-    first use with no lock (cached_property has none since Python 3.12), so
-    two threads may build one twice: that is safe, as both give equal values
-    and no value is ever mutated in place."""
+    atomic).  The _Pattern cached properties are built on first use with no
+    lock (cached_property has none since Python 3.12), so two threads may
+    build one twice: that is safe, as both give equal values and no value is
+    ever mutated in place."""
 
     def __init__(
         self,
@@ -1017,8 +1027,8 @@ class _SweepState:
         O = len(ids)
         partial.runs += 1
 
-        def count(grid: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
-            out = self.counter.counts(pivots, bases, offsets, grid, partner)
+        def count(values: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
+            out = self.counter.counts(pivots, bases, offsets, values, partner)
             rows = len(offsets) if partner is None else len(_representatives(partner))
             partial.points_visited += nb * rows * T
             partial.points_covered += O * T
@@ -1026,7 +1036,7 @@ class _SweepState:
 
         counts = sd_f = eps = eps_c = absdev = None
         if self.need_counts:
-            counts = count(self.counter.grid(k), partner)
+            counts = count(pattern.direct, partner)
             absdev = np.abs(counts * qm - T).sum(axis=1)
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
@@ -1057,7 +1067,7 @@ class _SweepState:
             # exactly when the rows do: the quantity is the largest gap, and
             # a failing row names the first output z attaining it
             if counts is None:
-                counts = count(self.counter.grid(k), partner)
+                counts = count(pattern.direct, partner)
             gap = np.abs(counts - count(pattern.substituted, partner))
             worst = gap.max(axis=1)
             c_encoded = np.where(worst > 0, gap.argmax(axis=1), None)  # None where the rows agree

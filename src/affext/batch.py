@@ -40,19 +40,19 @@ of every entry, and then runs that kernel; the kernels check no input
 themselves.
 
 The same C source holds the count kernel, `affext_count_blocks`: one
-compiled loop over the parameter grid and a run of direction bases of one
-pivot pattern, in one of two loops.  The point loop forms per basis only
-the n - k free coordinates of t.B mod q, and per point looks up only those
-in the A-weighted power tables; the pivot terms come from the caller,
-summed once per grid row.  Its body is specialised for (m, n - k) in
-{1, 2} x {0, 1, 2}, with one generic body for every other shape.  The line
-loop counts each line along parameter 0 at once, for m = 1, k >= 2 and at
-least about half the q**(n-k) offset classes counted per basis, as in every
-exhaustive block: the histogram of a line depends only on basis row 0 and
-the line's class of free coordinates, up to a cyclic shift by the pivot
-terms of the other parameters, so one table per class, rebuilt when row 0
-changes, turns q scattered increments into q contiguous adds.  The kernel
-picks the loop from its own arguments; both give the same integers.
+compiled loop over a run of direction bases of one pivot pattern and the
+parameter grid, which it walks by an odometer over k value rows (the grid
+itself is never stored), in one of two loops.  The point loop forms per
+basis only the n - k free coordinates of t.B mod q, and per point looks up
+only those in the A-weighted power tables; the pivot terms come from the
+caller, summed once per grid row.  Its body is specialised for (m, n - k)
+in {1, 2} x {0, 1, 2}, with one generic body for every other shape.  The
+line loop counts each line along parameter 0 at once: the histogram of a
+line depends only on basis row 0 and the line's class of free coordinates,
+up to a cyclic shift by the pivot terms of the other parameters, so one
+table per class, rebuilt when row 0 changes, turns q scattered increments
+into q contiguous adds.  The caller decides which loop runs and passes it
+as a flag; both give the same integers.
 
 The third function, `affext_write_rows`, writes int64 cells in decimal and
 copies every other cell from a string table, one buffer of fixed size at a
@@ -292,28 +292,32 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
     return eval_body(0, base, total, n, exps, arows, m, q, qneg, r1, r2, out);
 }
 
-/* The count kernel.  Canonical form makes every basis the identity on the
-   pivot columns and every offset zero there, so pivot coordinate j_i of
-   off + t.B is t_i: the pivot terms of output i depend on the grid row alone.
-   The caller puts them in the first m columns of each work row (T rows of
-   w = m + nf): P[t, i] = sum_i' tabs[i, j_i'][t_i'] mod q.  The last nf columns
-   are the kernel's scratch for the free coordinates fcols[0..nf): per basis,
-   work[t, m + f] = (t.B)[fcols[f]] mod q.  Then for every counted offset row
-   o = rows[r] and grid row t,
+/* The count kernel.  Its grid is the product of k value rows, values[i * q
+   + s] for s < q: row t < T = q**k, with base-q digits t_0 (slowest) ..
+   t_{k-1}, is g(t) = (values[0][t_0], .., values[k-1][t_{k-1}]).  Canonical
+   form makes every basis the identity on the pivot columns and every offset
+   zero there, so pivot coordinate j_i of off + g(t).B is g(t)_i: the pivot
+   terms of output i depend on the grid row alone.  The caller puts them in
+   the first m columns of each work row (T rows of w = m + nf): P[t, i] =
+   sum_i' tabs[i, j_i'][g(t)_i'] mod q.  The last nf columns are the
+   kernel's scratch for the free coordinates fcols[0..nf): per basis,
+   work[t, m + f] = (g(t).B)[fcols[f]] mod q.  Then for every counted offset
+   row o = rows[r] and grid row t,
      v_i = P[t, i] + sum_f tabs[i, fcols[f]][off[o, fcols[f]] + work[t, m + f]] mod q
    and counts[b, o, v_0 q**(m-1) + ... + v_{m-1}] += 1.  tabs holds m * n
    A-weighted power tables, tabs[i, j][x] = A[i, j] * x**d_j mod q for x below
    tablen = 2q - 1, so each lookup needs no multiply, and one branchless
    conditional subtraction keeps the running sum below q: the per-point loop
    has no % and no data-dependent branch.  The caller guarantees what this
-   loop does not check: grid, bases, off and the tables hold residues below
-   q, the pivot columns are as above, n * (q-1)**2 < 2**63 (so the k-term
-   sums of t.B fit), every rows[r] < O, and counts has nb * O zeroed rows of
-   q**m cells.  count_body, the point loop, is inlined once per (m, nf) in
-   {1, 2} x {0, 1, 2} with constant loop bounds, and once more with runtime
-   bounds for every other shape.  count_lines, the line loop, counts the
-   same integers a line at a time; affext_count_blocks runs it when
-   lines_pay says so.  Returns -1 if scratch allocation fails. */
+   loop does not check: values, bases, off and the tables hold residues
+   below q, every value row fixes 0, the pivot columns are as above, n *
+   (q-1)**2 < 2**63 (so the k-term sums of g(t).B fit), every rows[r] < O,
+   counts has nb * O zeroed rows of q**m cells, and lines is 0 or, only at
+   m = 1 and k >= 2, q**nf.  count_body, the point loop, is inlined once per
+   (m, nf) in {1, 2} x {0, 1, 2} with constant loop bounds, and once more
+   with runtime bounds for every other shape.  count_lines, the line loop,
+   counts the same integers a line at a time, when lines is not 0.  Returns
+   -1 if scratch allocation fails. */
 /* The loops over f are short; vectorised into gathers they ran slower than
    scalar code, so GCC is told not to. */
 #if defined(__GNUC__) && !defined(__clang__)
@@ -322,9 +326,38 @@ int affext_mont_eval(const int64_t *base, int64_t total, int64_t n,
 #define NO_VECTORIZE
 #endif
 
+#define MAX_K 64 /* T = q**k < 2**63 with q >= 2 keeps k below this */
+
+/* The free coordinates of basis B at the grid rows t < rows, from parameter
+   i0 on: work[t * w + w - nf + f] = (g(t).B)[fcols[f]] mod q.  An odometer
+   walks the rows, the digits d[i] and values g[i] = values[i][d[i]] of row
+   t, one carry step per row (digit k - 1 fastest), with no division. */
+static inline NO_VECTORIZE void
+free_coords(const int64_t *B, const int64_t *values, int64_t rows, int64_t i0, int64_t k,
+            int64_t n, const int64_t *fcols, int64_t nf, int64_t q, int64_t w, int64_t *work)
+{
+    int64_t d[MAX_K] = {0}, g[MAX_K];
+    for (int64_t i = 0; i < k; i++)
+        g[i] = values[i * q];
+    for (int64_t t = 0; nf && t < rows; t++) {
+        for (int64_t f = 0; f < nf; f++) {
+            uint64_t s = 0;
+            for (int64_t i = i0; i < k; i++)
+                s += (uint64_t)(g[i] * B[i * n + fcols[f]]);
+            work[t * w + w - nf + f] = (int64_t)(s % (uint64_t)q);
+        }
+        for (int64_t i = k - 1; i >= 0; i--) { /* to row t + 1 */
+            d[i] = d[i] + 1 < q ? d[i] + 1 : 0;
+            g[i] = values[i * q + d[i]];
+            if (d[i])
+                break;
+        }
+    }
+}
+
 static inline __attribute__((always_inline)) NO_VECTORIZE void
 count_body(const int64_t M, const int64_t NF, const int64_t *tabs, int64_t tablen,
-           int64_t n, const int64_t *fcols, const int64_t *grid, int64_t T,
+           int64_t n, const int64_t *fcols, const int64_t *values, int64_t T,
            int64_t k, const int64_t *bases, int64_t nb, const int64_t *off,
            const int64_t *rows, int64_t R, int64_t O, int64_t q, int64_t qm,
            int64_t *work, const int64_t **tp, int64_t *counts)
@@ -332,13 +365,7 @@ count_body(const int64_t M, const int64_t NF, const int64_t *tabs, int64_t table
     const int64_t w = M + NF;
     for (int64_t b = 0; b < nb; b++) {
         const int64_t *B = bases + b * k * n;
-        for (int64_t t = 0; t < T; t++)
-            for (int64_t f = 0; f < NF; f++) {
-                uint64_t s = 0;
-                for (int64_t i = 0; i < k; i++)
-                    s += (uint64_t)(grid[t * k + i] * B[i * n + fcols[f]]);
-                work[t * w + M + f] = (int64_t)(s % (uint64_t)q);
-            }
+        free_coords(B, values, T, 0, k, n, fcols, NF, q, w, work);
         for (int64_t r = 0; r < R; r++) {
             const int64_t *oo = off + rows[r] * n;
             for (int64_t i = 0; i < M; i++)
@@ -364,20 +391,19 @@ count_body(const int64_t M, const int64_t NF, const int64_t *tabs, int64_t table
 
 #define COUNT_SHAPE(M, NF)                                                    \
     if (m == M && nf == NF)                                                   \
-        count_body(M, NF, tabs, tablen, n, fcols, grid, T, k, bases, nb, off,  \
-                   rows, R, O, q, qm, work, tp, counts);                      \
+        count_body(M, NF, tabs, tablen, n, fcols, values, T, k, bases, nb,    \
+                   off, rows, R, O, q, qm, work, tp, counts);                 \
     else
 
-/* The line loop, for m = 1, on a grid that splits at parameter 0.  With
-   T1 = T / q, that is: row 0 is zero, row s*T1 + t is (grid[s*T1][0],
-   grid[t][1..k)) for s < q and t < T1, and P[s*T1 + t] = P[s*T1] + P[t]
-   mod q.  Both grids of the caller split (each is a product grid with
-   parameter 0 slowest, and every pivot table is 0 at 0); lines_pay checks
-   it.  Then, by linearity, point s*T1 + t of offset o has free coordinates
-   c + (g(s) B0 mod q), where g(s) = grid[s*T1][0], B0 is basis row 0 on
-   the free columns, and c = o + (grid[t].B mod q) mod q is the point's
-   class in F_q^nf; its output is y + P[t] mod q with
-     y = P[s*T1] + sum_f tabs[fcols[f]][c_f + (g(s) B0_f mod q)] mod q.
+/* The line loop, for m = 1 and k >= 2.  The grid splits at parameter 0 by
+   construction: with T1 = T / q, row s*T1 + t is (values[0][s], g(t)_1, ..,
+   g(t)_{k-1}) for s < q and t < T1, since each value row fixes 0, and P[s*T1
+   + t] = P[s*T1] + P[t] mod q, since every pivot table is 0 at 0 (each
+   d_j >= 1).  So, by linearity, point s*T1 + t of offset o has free
+   coordinates c + (values[0][s] B0 mod q), where B0 is basis row 0 on the
+   free columns, and c = o + (g(t).B mod q) mod q is the point's class in
+   F_q^nf; its output is y + P[t] mod q with
+     y = P[s*T1] + sum_f tabs[fcols[f]][c_f + (values[0][s] B0_f mod q)] mod q.
    So the q points s of a line (o, t) are counted by one line table of the
    class, L[c][y] = #{s : y as above}, kept twice over in 2q cells
    (L[c][y + q] = L[c][y]): counts[o][v] += L[c][v - P[t] mod q], the q
@@ -390,7 +416,7 @@ count_body(const int64_t M, const int64_t NF, const int64_t *tabs, int64_t table
    are the loop to vectorise.  Returns -1 if L cannot be allocated. */
 static __attribute__((noinline)) int
 count_lines(const int64_t *tabs, int64_t tablen, int64_t n, const int64_t *fcols,
-            int64_t nf, const int64_t *grid, int64_t T, int64_t k,
+            int64_t nf, const int64_t *values, int64_t T, int64_t k,
             const int64_t *bases, int64_t nb, const int64_t *off,
             const int64_t *rows, int64_t R, int64_t O, int64_t q, int64_t nc,
             int64_t *work, int64_t *counts)
@@ -414,22 +440,16 @@ count_lines(const int64_t *tabs, int64_t tablen, int64_t n, const int64_t *fcols
                     digit[f] = rest % q;
                 memset(Lc, 0, (size_t)q * sizeof *Lc);
                 for (int64_t s = 0; s < q; s++) {
-                    int64_t v = work[s * T1 * w], g = grid[s * T1 * k];
+                    int64_t v = work[s * T1 * w];
                     for (int64_t f = 0; f < nf; f++) {
-                        v += tabs[fcols[f] * tablen + digit[f] + g * B[fcols[f]] % q] - q;
+                        v += tabs[fcols[f] * tablen + digit[f] + values[s] * B[fcols[f]] % q] - q;
                         v += q & (v >> 63); /* from [-q, q) into [0, q) */
                     }
                     Lc[v]++;
                 }
                 memcpy(Lc + q, Lc, (size_t)q * sizeof *Lc);
             }
-        for (int64_t t = 0; t < T1; t++)
-            for (int64_t f = 0; f < nf; f++) {
-                uint64_t s = 0;
-                for (int64_t i = 1; i < k; i++)
-                    s += (uint64_t)(grid[t * k + i] * B[i * n + fcols[f]]);
-                work[t * w + 1 + f] = (int64_t)(s % (uint64_t)q);
-            }
+        free_coords(B, values, T1, 1, k, n, fcols, nf, q, w, work);
         for (int64_t r = 0; r < R; r++) {
             const int64_t *oo = off + rows[r] * n;
             int64_t *row = counts + (b * O + rows[r]) * q;
@@ -450,56 +470,19 @@ count_lines(const int64_t *tabs, int64_t tablen, int64_t n, const int64_t *fcols
     return 0;
 }
 
-/* Whether the line loop runs, and then its class count q**nf in *nc.  Its
-   rule, from the call's own arguments:
-     - m = 1: at m >= 2 each shifted add would cover q**m cells, q**(m-1)
-       times the point loop's work;
-     - k >= 2: at k = 1 every basis would need its own L;
-     - 2R >= q**nf, about half the classes counted per basis or more, as in
-       every exhaustive block (its representatives are (q**nf + 1) / 2): a
-       lone sampled or explicit subspace would pay q**(nf+1) lookups for L
-       to count q**k points;
-     - the grid splits at parameter 0 (see count_lines), checked in O(T k). */
-static int lines_pay(int64_t m, int64_t nf, const int64_t *grid, int64_t T, int64_t k,
-                     int64_t R, int64_t q, const int64_t *work, int64_t *nc)
-{
-    if (m != 1 || k < 2 || T == 0 || T % q)
-        return 0;
-    *nc = 1;
-    for (int64_t f = 0; f < nf; f++) {
-        if (*nc > 2 * R / q)
-            return 0;
-        *nc *= q;
-    }
-    const int64_t w = 1 + nf, T1 = T / q;
-    for (int64_t i = 0; i < k; i++)
-        if (grid[i])
-            return 0;
-    for (int64_t s = 0; s < q; s++)
-        for (int64_t t = 0; t < T1; t++) {
-            const int64_t *g = grid + (s * T1 + t) * k;
-            int64_t p = work[s * T1 * w] + work[t * w];
-            if (g[0] != grid[s * T1 * k] || work[(s * T1 + t) * w] != (p >= q ? p - q : p))
-                return 0;
-            for (int64_t i = 1; i < k; i++)
-                if (g[i] != grid[t * k + i])
-                    return 0;
-        }
-    return 1;
-}
-
 NO_VECTORIZE int
 affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
-                    const int64_t *fcols, int64_t nf, const int64_t *grid,
+                    const int64_t *fcols, int64_t nf, const int64_t *values,
                     int64_t T, int64_t k, const int64_t *bases, int64_t nb,
                     const int64_t *off, const int64_t *rows, int64_t R,
-                    int64_t O, int64_t q, int64_t qm, int64_t *work,
-                    int64_t *counts)
+                    int64_t O, int64_t q, int64_t qm, int64_t lines,
+                    int64_t *work, int64_t *counts)
 {
-    int64_t nc;
-    if (lines_pay(m, nf, grid, T, k, R, q, work, &nc))
-        return count_lines(tabs, tablen, n, fcols, nf, grid, T, k, bases, nb, off,
-                           rows, R, O, q, nc, work, counts);
+    if (k >= MAX_K)
+        return -1;
+    if (lines)
+        return count_lines(tabs, tablen, n, fcols, nf, values, T, k, bases, nb, off,
+                           rows, R, O, q, lines, work, counts);
     if ((uint64_t)(m * nf) >= SIZE_MAX / sizeof(int64_t *))
         return -1;
     const int64_t **tp = malloc((size_t)(m * nf + 1) * sizeof *tp);
@@ -507,7 +490,7 @@ affext_count_blocks(const int64_t *tabs, int64_t tablen, int64_t n, int64_t m,
         return -1;
     COUNT_SHAPE(1, 0) COUNT_SHAPE(1, 1) COUNT_SHAPE(1, 2)
     COUNT_SHAPE(2, 0) COUNT_SHAPE(2, 1) COUNT_SHAPE(2, 2)
-    count_body(m, nf, tabs, tablen, n, fcols, grid, T, k, bases, nb, off, rows,
+    count_body(m, nf, tabs, tablen, n, fcols, values, T, k, bases, nb, off, rows,
                R, O, q, qm, work, tp, counts);
     free(tp);
     return 0;
@@ -711,7 +694,7 @@ def _build() -> CBuild:
         arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")  # checked per call
         count_fn.restype = ctypes.c_int
         count_fn.argtypes = [arr, i64, i64, i64, arr, i64, arr, i64, i64, arr, i64, arr,
-                             arr, i64, i64, i64, i64, arr, arr]
+                             arr, i64, i64, i64, i64, i64, arr, arr]
         write_fn.restype = i64
         write_fn.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
         return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, flags=flags, path=path)
@@ -844,24 +827,27 @@ def batch_apply(xs, exps, rows, q: int) -> np.ndarray:
 _ELEM_SLICE = 1 << 24  # max elements in one offsets-by-points buffer of _count_numpy
 
 
-def count_blocks(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:
+def count_blocks(q: int, tables, free, values, bases, offsets, rows, lines, work, counts) -> None:
     """Tally the arrays of analysis._PointCounts.counts into counts, (nb, O,
-    q**m) and zeroed, on count_route().  Each is C-contiguous int64 (ctypes
-    refuses any other); the caller checks every other precondition."""
+    q**m) and zeroed, on count_route(); the C kernel counts by lines unless
+    lines, their class count q**(n-k), is 0.  Each array is C-contiguous
+    int64 (ctypes refuses any other); the caller checks every other
+    precondition."""
     if count_route() != "c":
-        return _count_numpy(q, tables, free, grid, bases, offsets, rows, work, counts)
+        return _count_numpy(q, tables, free, values, bases, offsets, rows, work, counts)
     m, n, tablen = tables.shape
-    (nb, k, _), T, (O, qm) = bases.shape, len(grid), counts.shape[1:]
-    status = c_build().count_fn(tables, tablen, n, m, free, len(free), grid, T, k, bases, nb,
-                                offsets, rows, len(rows), O, q, qm, work, counts)
+    (nb, k, _), T, (O, qm) = bases.shape, len(work), counts.shape[1:]
+    status = c_build().count_fn(tables, tablen, n, m, free, len(free), values, T, k, bases, nb,
+                                offsets, rows, len(rows), O, q, qm, lines, work, counts)
     if status != 0:
         raise MemoryError("C count kernel could not allocate its scratch")
 
 
-def _count_numpy(q: int, tables, free, grid, bases, offsets, rows, work, counts) -> None:
+def _count_numpy(q: int, tables, free, values, bases, offsets, rows, work, counts) -> None:
     """One gather per free coordinate and a bincount per slice of offsets."""
     m, n, _ = tables.shape
-    T, qm = len(grid), counts.shape[2]
+    k, T, qm = len(values), len(work), counts.shape[2]
+    grid = values[np.arange(k), np.indices((q,) * k).reshape(k, T).T]  # (T, k), lex order
     slice_rows = max(1, _ELEM_SLICE // max(1, n * T))
     for b, basis in enumerate(bases):
         work[:, m:] = (grid @ basis[:, free]) % q

@@ -257,7 +257,7 @@ class TestCharacterSums:
                 bases = basis_at(block, 0, 3, q, n)
                 offsets, partner = state.pattern(block.pattern).offsets
                 counts = state.counter.counts(block.pattern, bases, offsets,
-                                              state.counter.grid(k), partner)
+                                              state.pattern(block.pattern).direct, partner)
                 yield q, m, counts.reshape(3, len(offsets), -1), q**k
             # the edge shapes: V's counts, and two rearrangements of them as blocks
             for (q, n, k, m), V in EDGE_SHAPES:
@@ -394,6 +394,11 @@ def _exhaustive_state(spec):
     return analysis._SweepState(spec, ExhaustiveSubspaces(), Budgets(), header)
 
 
+def _identity(q, k):
+    """The identity value rows of k parameters: the lexicographic grid."""
+    return np.tile(np.arange(q, dtype=np.int64), (k, 1))
+
+
 def _count_blocks():
     """(spec, pivots, bases, offsets, partner, subspaces) for one counts() call each:
     every EDGE_SHAPES entry; then exhaustive runs, every offset with its +-
@@ -437,18 +442,17 @@ def _count_blocks():
 class TestChangeOfVars:
     def test_direct_route_matches_reference_distribution(self, monkeypatch):
         # every count route: the C kernel where a compiler exists, then numpy;
-        # on the direct grid and the substituted one, a permutation of it
+        # on the direct value rows and the substituted ones, a permutation of them
         for route in ["c"] * HAVE_CC + ["numpy"]:
             if route == "numpy":
                 monkeypatch.setattr(batch, "count_route", lambda: "numpy (forced)")
             assert batch.count_route().startswith(route)
             runs = 0
             for spec, pivots, bases, offsets, partner, subspaces in _count_blocks():
-                counter = _PointCounts(spec, 10**8)
+                counter, record = _PointCounts(spec, 10**8), _exhaustive_state(spec).pattern(pivots)
                 want = np.array([output_distribution(spec, V).counts for V in subspaces])
-                for grid in (counter.grid(len(pivots)),
-                             _exhaustive_state(spec).pattern(pivots).substituted):
-                    got = counter.counts(pivots, bases, offsets, grid, partner)
+                for values in (record.direct, record.substituted):
+                    got = counter.counts(pivots, bases, offsets, values, partner)
                     assert got.shape == want.shape and (got == want).all(), (route, spec, bases)
                 runs += len(bases) > 1
             # multi-basis runs: 4 of m = 1, and 6 of 7/3/k2/m2, one per 8
@@ -473,17 +477,17 @@ class TestChangeOfVars:
         assert [(r.subspace_id, r.quantity, r.satisfied) for r in res.reports] == [
             (0, 0, True), (0, 0, True), (1, 0, True), (1, 0, True)]
         assert [r.detail for r in list(res.reports)[1::2]] == [f"D={math.lcm(*spec.d)}", "D=1"]
-        # the counts of both, on either grid and either route: the kernel body
+        # the counts of both, on either value rows and either route: the kernel body
         # for (m, n - k) = (1, 0), then the generic one at n - k = 3
         state = _exhaustive_state(spec)
         for W in (V, point):
             want = output_distribution(spec, W).counts
-            grids = (state.counter.grid(W.k), state.pattern(W.pivots).substituted)
+            record = state.pattern(W.pivots)
             for route, kernel in _count_routes().items():
                 with mock.patch.object(batch, "count_route", kernel):
-                    for grid in grids:
+                    for values in (record.direct, record.substituted):
                         got = state.counter.counts(W.pivots, W.basis_array(),
-                                                   W.offset_array()[None], grid)
+                                                   W.offset_array()[None], values)
                         assert (got[0] == want).all(), (route, W.k)
 
     def test_encodes_c(self, spec13_m2, doubled_degrees):
@@ -533,16 +537,17 @@ class TestCountRoutes:
         for route in (batch.count_route, lambda: "numpy (forced)"):
             monkeypatch.setattr(batch, "count_route", route)
             with pytest.raises(ValueError, match="guard"):
-                counter.counts(V.pivots, V.basis_array(), np.array([(13, 12, 12)]), counter.grid(2))
+                counter.counts(V.pivots, V.basis_array(), np.array([(13, 12, 12)]),
+                               _identity(13, 2))
         assert seen == [(13, 3), (13, 3)]
 
     def test_malformed_points_are_rejected(self, monkeypatch):
         spec = build_spec(13, 3, 2, 1)
         counter = _PointCounts(spec, 10**8)
         V = random_subspace(3, 2, 13, seed=1)
-        basis, grid, origin = V.basis_array(), counter.grid(2), np.zeros((1, 3), dtype=np.int64)
+        basis, grid, origin = V.basis_array(), _identity(13, 2), np.zeros((1, 3), dtype=np.int64)
         big, negative = basis.copy(), grid.copy()
-        big[1, 2], negative[5, 1] = 13, -1
+        big[1, 2], negative[1, 5] = 13, -1
         # a precondition of both routes: the C kernel reads these unchecked
         for route in (batch.count_route, lambda: "numpy (forced)"):
             monkeypatch.setattr(batch, "count_route", route)
@@ -554,7 +559,10 @@ class TestCountRoutes:
                     counter.counts(V.pivots, bases, origin, points)
             assert counter.counts(V.pivots, basis, origin, grid).sum() == 13**2
         with pytest.raises(ValueError, match="3 coordinates"):
-            counter.counts(V.pivots, V.basis_array(), np.array([[1, 2]]), counter.grid(2))
+            counter.counts(V.pivots, V.basis_array(), np.array([[1, 2]]), grid)
+        for rows in (grid[:1], grid[:, :12], grid.T):
+            with pytest.raises(ValueError, match="one row of 13 per basis row"):
+                counter.counts(V.pivots, basis, origin, rows)
         with pytest.raises(ValueError, match="one row per offset"):
             counter.counts(V.pivots, basis, origin, grid, partner=np.array([0, 0]))
 
@@ -565,7 +573,7 @@ class TestCountRoutes:
         spec = build_spec(13, 3, 2, 1)
         counter = _PointCounts(spec, 10**8)
         V = random_subspace(3, 2, 13, seed=1)
-        basis, offset, grid = V.basis_array(), V.offset_array()[None], counter.grid(2)
+        basis, offset, grid = V.basis_array(), V.offset_array()[None], _identity(13, 2)
         (free,) = set(range(3)) - set(V.pivots)
         scaled, swapped, moved = basis.copy(), basis[::-1].copy(), offset.copy()
         scaled[0, V.pivots[0]] = 2
@@ -591,6 +599,43 @@ class TestCountRoutes:
                     counter.counts(pivots, basis, offset, grid)
         assert ran == []
 
+    def test_value_rows_are_a_precondition(self, monkeypatch):
+        # the kernel reads the value rows unchecked, the line loop needs each
+        # to fix 0, and the +- fill needs each to be odd: a row that is not
+        # is refused before any work, on both routes.  On this exhaustive
+        # block of 11/3/k2/m1, s -> s**2 (which fixes 0 but is even) with
+        # partners would fill 5 of the basis's 11 rows wrongly
+        spec = build_spec(11, 3, 2, 1)
+        counter, block = _PointCounts(spec, 10**8), pattern_blocks(3, 2, 11)[0]
+        basis = basis_at(block, 5, 6, 11, 3)
+        offsets, partner = _exhaustive_state(spec).pattern(block.pattern).offsets
+        s = np.arange(11)
+        cases = []  # (value rows, partner, what the refusal says)
+        for i, cell, bad in ((1, 4, 11), (0, 2, -1), (1, 10, 2**40)):
+            rows = _identity(11, 2)
+            rows[i, cell] = bad
+            cases += [(rows, None, "outside"), (rows, partner, "outside")]
+        for shifted in ((s + 1) % 11, (s + 3) % 11):
+            cases.append((np.stack([s, shifted]), None, "does not map 0 to 0"))
+        squared = np.stack([s**2 % 11, s])
+        cases += [(squared, partner, "is not odd"), (squared[::-1], partner, "is not odd")]
+        ran = []
+
+        def spy(*args):
+            ran.append(args)
+            return 0
+
+        monkeypatch.setattr(batch, "count_blocks", spy)  # both routes run inside it
+        for route in (lambda: "c", lambda: "numpy (forced)"):
+            monkeypatch.setattr(batch, "count_route", route)
+            for rows, pair, what in cases:
+                with pytest.raises(ValueError, match=what):
+                    counter.counts(block.pattern, basis, offsets, rows, pair)
+        assert ran == []
+        # an even row counts every offset itself, and then runs
+        counter.counts(block.pattern, basis, offsets, squared)
+        assert len(ran) == 1
+
     def test_numpy_route_over_several_slices(self, monkeypatch):
         # at two offset rows per slice (n * T = 3 * 49 elements each), each basis of
         # a 7/3/k2/m2 run takes 4 slices of its 7 offsets, or 2 of its 4 representatives
@@ -605,7 +650,7 @@ class TestCountRoutes:
                 for route, kernel in _count_routes().items():
                     slices.clear()
                     with mock.patch.object(batch, "count_route", kernel):
-                        got = counter.counts(pivots, bases, offsets, counter.grid(2), pair)
+                        got = counter.counts(pivots, bases, offsets, _identity(7, 2), pair)
                     assert (got == want).all(), (route, pair is None)
                     assert len(slices) == (route == "numpy") * len(bases) * (4 if pair is None else 2)
 
@@ -682,14 +727,13 @@ class TestTransformProperties:
         q, n, k, m, seed = shape
         spec, V = build_spec(q, n, k, m), random_subspace(n, k, q, seed=seed)
         want = output_distribution(spec, V)
-        counter = _PointCounts(spec, 10**6)
-        substituted = _exhaustive_state(spec).pattern(V.pivots).substituted
+        counter, record = _PointCounts(spec, 10**6), _exhaustive_state(spec).pattern(V.pivots)
         for route, kernel in _count_routes().items():
             with mock.patch.object(batch, "count_route", kernel):
                 assert batch.count_route().startswith(route)
-                for grid in (counter.grid(k), substituted):  # the substitution permutes the grid
+                for values in (record.direct, record.substituted):  # a permutation of the grid
                     counts = counter.counts(V.pivots, V.basis_array(),
-                                            V.offset_array().reshape(1, -1), grid)
+                                            V.offset_array().reshape(1, -1), values)
                     assert (counts[0] == want.counts).all(), route
         mags = _spectrum(want)
         for enc in np.random.default_rng(seed).integers(1, q**m, size=4).tolist():
@@ -726,16 +770,15 @@ class TestNegationPairs:
         assert partner[0] == 0 and len(reps) == (O + 1) // 2  # 0 and one of each pair
         assert sorted([*reps, *partner[reps]]) == [0, *range(O)]
         counter = state.counter
-        substituted = record.substituted
         want = np.array([output_distribution(spec, canonicalize(tuple(o), basis.tolist(), q)).counts
                          for o in offsets.tolist()])
         for route, kernel in _count_routes().items():
             with mock.patch.object(batch, "count_route", kernel):
                 assert batch.count_route().startswith(route)
-                for grid in (counter.grid(k), substituted):
-                    full = counter.counts(block.pattern, basis, offsets, grid)
+                for values in (record.direct, record.substituted):
+                    full = counter.counts(block.pattern, basis, offsets, values)
                     assert (full[partner] == full[:, counter.negenc]).all(), route
-                    assert (counter.counts(block.pattern, basis, offsets, grid, partner)
+                    assert (counter.counts(block.pattern, basis, offsets, values, partner)
                             == full).all(), route
                     assert (full == want).all(), route  # the substitution permutes the grid
 
@@ -743,20 +786,19 @@ class TestNegationPairs:
     def test_every_pivot_pattern_has_odd_degrees(self, q):
         # for odd q every d_j is coprime to the even q - 1, so D = lcm of the
         # pivot exponents and each D_i = D / d_j are odd, and t -> t**D_i
-        # commutes with negation: the substituted grid is odd, and
+        # commutes with negation: the substituted value rows are odd, and
         # change_of_vars may fill partner rows on it.  q = 2 admits only
         # n = 1, so D_i = 1 (while D = d_0 = 2)
         for n in range(1, min(q - 1, 6) + 1):
             for k in range(1, n + 1):
                 spec = build_spec(q, n, k, 1)
-                state = _exhaustive_state(spec) if q**k <= 10**4 else None
+                state = _exhaustive_state(spec) if q < 10**4 else None
                 for pivots in itertools.combinations(range(n), k):
                     D, D_per_pivot = analysis._pivot_degrees(spec, pivots)
                     assert all(Di % 2 for Di in D_per_pivot) and (D % 2 or q == 2), (n, pivots)
                     if state is not None:
-                        grid, u = state.counter.grid(k), state.pattern(pivots).substituted
-                        negated = (-grid % q) @ q ** np.arange(k - 1, -1, -1)  # the row of -t
-                        assert (u[negated] == -u % q).all(), (n, pivots)
+                        u = state.pattern(pivots).substituted
+                        assert (u[:, -np.arange(q) % q] == -u % q).all(), (n, pivots)
 
 
 class TestSubstitutionForm:
@@ -769,6 +811,25 @@ class TestSubstitutionForm:
             assert rep.satisfied and rep.quantity == 0
             D = math.lcm(*(spec13.d[j] for j in V.pivots))
             assert rep.detail == f"D={D}"
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_count_matches_a_recount_over_the_full_grid(self, fault, request):
+        # the count reads each value row once and weighs a mismatch by the
+        # q**(k-1) grid points that share it; here every one of the q**k grid
+        # points is recounted, pivot by pivot
+        if fault:
+            request.getfixturevalue("doubled_degrees")
+        for (q, n, k, m), V in EDGE_SHAPES:
+            spec = build_spec(q, n, k, m)
+            record = _exhaustive_state(spec).pattern(V.pivots)
+            D, D_per_pivot = record.degrees
+            bad = sum(pow(pow(t, Di, q), spec.d[j], q) != pow(t, D, q)
+                      for point in itertools.product(range(q), repeat=V.k)
+                      for t, Di, j in zip(point, D_per_pivot, V.pivots))
+            for i, (lo, hi) in enumerate(zip(V.pivots, (*V.pivots[1:], n))):
+                bad += sum(spec.d[j] * D_per_pivot[i] >= D for j in range(lo + 1, hi))
+            assert type(record.substitution_form) is int and record.substitution_form == bad
+            assert bool(bad) == (fault and V.k > 0), (q, n, k, m, V.k)
 
     def test_pivot_identity_by_hand(self, spec13):
         # on the substituted parametrization, pivot coordinate j_i is
@@ -897,7 +958,17 @@ class TestStructuralChecksCanFail:
             quiet = verify_extractor(spec, src, checks=(name,), collect="none")
             assert quiet.violations == {name: 60} and quiet.processed == 60
 
-    def test_collect_violations_keeps_only_failed_rows(self, doubled_degrees):
+    def test_an_even_substitution_is_refused_where_offsets_pair(self, doubled_degrees):
+        # s -> s**(2 D_i) is even, so the +- fill of an exhaustive block's
+        # substituted counts would be wrong: the sweep stops instead.  A
+        # sampled sweep pairs no offsets and counts it (test_sweep_reports_the_fault)
+        with pytest.raises(ValueError, match="a value row is not odd"):
+            verify_extractor(build_spec(7, 3, 2, 2), ExhaustiveSubspaces(),
+                             checks=("change_of_vars",))
+
+    def test_collect_violations_keeps_only_failed_rows(self, tripled_degrees):
+        # tripled, not doubled: the exhaustive case pairs offsets, which needs
+        # odd D_i (test_an_even_substitution_is_refused_where_offsets_pair)
         cases = [
             (build_spec(13, 3, 2, 2), SampledSubspaces(60, seed=1)),
             (build_spec(7, 3, 2, 2), ExhaustiveSubspaces()),  # many offsets per block
@@ -1574,11 +1645,13 @@ class TestSweepEngine:
 
             monkeypatch.setattr(analysis, name, spy)
         spec = build_spec(7, 3, 2, 2)
-        every = {"offsets", "zero_coordinate", "degrees", "substituted", "substitution_form"}
+        every = {"offsets", "zero_coordinate", "direct", "degrees", "substituted",
+                 "substitution_form"}
         drawn = sorted({random_subspace(3, 2, 7, seed=i).pivots for i in range(40)})
         cases = [  # the parts built, then the calls: offsets per pattern, degrees per pattern
-            (ExhaustiveSubspaces(), analysis.DEFAULT_CHECKS, {"offsets", "zero_coordinate"}, 3, 0),
-            (ExhaustiveSubspaces(), ("sd",), {"offsets"}, 3, 0),
+            (ExhaustiveSubspaces(), analysis.DEFAULT_CHECKS,
+             {"offsets", "zero_coordinate", "direct"}, 3, 0),
+            (ExhaustiveSubspaces(), ("sd",), {"offsets", "direct"}, 3, 0),
             (ExhaustiveSubspaces(), CHECK_ORDER, every, 3, 3),
             (SampledSubspaces(40, 0), CHECK_ORDER, every - {"offsets"}, 0, len(drawn)),
         ]
@@ -1944,14 +2017,12 @@ def _sweep(spec, source, checks=("sd",), **budgets):
 
 
 def _count_one_plane(spec, budget, every_offset=False):
-    """counts() of one plane on a grid built outside the counter's budget;
-    with every_offset, of all its parallel planes, as the line loop counts
-    them."""
+    """counts() of one plane on the identity value rows; with every_offset,
+    of all its parallel planes, as the line loop counts them."""
     V, q = random_subspace(spec.n, 2, spec.modulus, seed=0), spec.modulus
     offsets = (offsets_for_pattern(V.pivots, spec.n, q) if every_offset
                else V.offset_array()[None])
-    return _PointCounts(spec, budget).counts(V.pivots, V.basis_array(), offsets,
-                                             analysis._lex_grid(q, 2))
+    return _PointCounts(spec, budget).counts(V.pivots, V.basis_array(), offsets, _identity(q, 2))
 
 
 # Each budget guard: what it counts for its inputs, a run at a given budget,
@@ -1973,9 +2044,6 @@ _BUDGET_GUARDS = {
     "power_tables_per_output": (
         2 * 3 * 25, lambda b: _PointCounts(build_spec(13, 3, 2, 2), b),
         "power tables need 150 entries"),
-    "parameter_grid": (
-        169, lambda b: _PointCounts(build_spec(13, 3, 2, 1), b).grid(2),
-        "parameter grid has 169 points"),
     "count_work_rows": (
         169, lambda b: _count_one_plane(build_spec(13, 3, 2, 1), b),
         "count work needs 169 rows of 2 entries"),

@@ -410,6 +410,43 @@ class TestCKernel:
             input=batch._C_SOURCE, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_oracle_tests_pass_on_a_sanitizer_build(self, tmp_path):
+        # the oracle tests of the three C functions, in a fresh interpreter on
+        # a build with AddressSanitizer and UBSan: a read one cell past a
+        # table or a row, which can leave every output right, fails here
+        cc = batch._find_compiler()
+        asan = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                                     text=True, timeout=60).stdout.strip()
+        if not asan or not os.path.isabs(asan):
+            pytest.skip("libasan.so is missing")
+        flags = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                 "-fno-omit-frame-pointer")
+        (tmp_path / "affext").mkdir(mode=0o700)
+        path = tmp_path / "affext" / batch._object_name(batch._compiler_id(cc), flags)
+        assert batch._compile(cc, flags, str(path)) == ""
+        here = os.path.dirname(__file__)
+        tests = [os.path.join(here, t) for t in (
+            "test_analysis.py::TestChangeOfVars::test_direct_route_matches_reference_distribution",
+            "test_analysis.py::TestTransformProperties::"
+            "test_count_routes_and_transform_match_the_oracles",
+            "test_analysis.py::TestNegationPairs::test_partner_rows_are_negated_representatives",
+            "test_extractor.py::TestMersenneBody::test_matches_the_oracle_at_the_edges",
+            "test_analysis.py::TestColumnWriter::test_edge_cells_match_the_row_oracle_as_bytes",
+            "test_analysis.py::TestColumnWriter::test_a_report_longer_than_the_buffer")]
+        # the child loads the cached sanitizer build, as c_build() finds it, and
+        # compiles nothing; --capture=sys leaves a sanitizer report on its stderr
+        code = (f"import sys, pytest; from affext import batch; batch._C_FLAGS = ({flags!r},); "
+                f"assert batch.c_build().path == {str(path)!r}, batch.c_build().error; "
+                f"sys.exit(pytest.main(['-q', '-x', '-p', 'no:cacheprovider', '--capture=sys', "
+                f"*{tests!r}]))")
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), LD_PRELOAD=asan,
+                   ASAN_OPTIONS="detect_leaks=0:allocator_may_return_null=1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+        assert "11 passed" in done.stdout, done.stdout[-3000:]  # the Mersenne test runs 6 cases
+
     @needs_cc
     def test_failed_compile_falls_back(self, fresh_c_build, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
