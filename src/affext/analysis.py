@@ -17,8 +17,9 @@ sweep runs every count-based check on it, change_of_vars included (a single
 subspace is ExplicitSubspaces((V,))); the per-point output_distribution /
 evaluate route is kept as its oracle.  What a pivot pattern alone determines
 lives in one record per pattern, `_Pattern`.
-There is one character transform, `_Characters`, and the sweep is its only
-caller: char_max and xor run only there, and the per-point
+There is one character transform, `_Characters`, over one character c of
+each +- pair, and the sweep is its only caller: char_max and xor run only
+there, once per +- pair of offsets in an exhaustive sweep, and the per-point
 character_sum_subspace / character_magnitude route is kept as its oracle.
 
 `verify_extractor` sweeps a set of affine subspaces (exhaustive, seeded
@@ -99,6 +100,7 @@ THEOREM_CHECKS = ("xor", "zero_coordinate", "change_of_vars", "substitution_form
 DEFAULT_CHECKS = ("sd", "char_max", "xor", "zero_coordinate")
 
 _CHAR_CHUNK = 256  # character columns per matmul; fixed so results never vary
+_CHAR_TILE = 1 << 15  # count cells per stacked matmul of blocks; any size gives the same bits
 _RUN_CELLS = 1 << 18  # max count cells (rows x q**m) in one run of blocks
 _RUN_POINTS = 1 << 23  # max points in one run; more only starves the pool
 _CHUNK_TARGET = 192  # sweep chunks; fixed so chunking is worker-independent
@@ -232,36 +234,57 @@ def character_sum_subspace(
 
 
 class _Characters:
-    """The one dense transform over the nonzero characters c of F_q^m: the
-    digits of all q**m outputs in lexicographic order (row z encodes output z
-    and character z), the powers of w, and phase tables <z, c> mod q,
-    _CHAR_CHUNK characters at a time.  The sweep state is its only caller,
-    and c = 0 is never read.  One table, q**m by min(_CHAR_CHUNK, q**m - 1),
-    must fit the budget; magnitudes() builds each table once per call, a
-    whole run of blocks, and keeps none past it."""
+    """The one dense transform over the canonical characters c of F_q^m, one
+    of each +- pair: |S(-c)| = |S(c)| for real counts, so the sweep reads c
+    only where the last nonzero base-q digit of c lies in 1..(q-1)/2 (every
+    c != 0 at q = 2), self.c in encoded order.  It holds the digits of all
+    q**m outputs in lexicographic order (row z encodes output z and
+    character z) and the powers of w, and builds the phase tables <z, c> mod
+    q of _CHAR_CHUNK canonical c at a time.  The sweep state is its only
+    caller.  One table, q**m by min(_CHAR_CHUNK, len(self.c)), must fit the
+    budget; magnitudes() builds each table once per call, a whole run of
+    blocks, and keeps none past it."""
 
     def __init__(self, q: int, m: int, budget: int) -> None:
-        qm = q**m
-        cells = qm * min(_CHAR_CHUNK, qm - 1)
+        digits = _lex_grid(q, m)
+        last = digits[np.arange(len(digits)), m - 1 - (digits[:, ::-1] != 0).argmax(axis=1)]
+        self.c = np.flatnonzero((last > 0) & (2 * last <= q))  # last = 0 only at c = 0
+        cells = len(digits) * min(_CHAR_CHUNK, len(self.c))
         check_budget(cells, budget, f"character phase table needs {cells} entries")
-        self.q = q
-        self.digits = _lex_grid(q, m)
+        self.q, self.budget = q, budget
+        self.digits = digits
         self.omega = _omega_powers(q)
 
-    def magnitudes(self, counts: np.ndarray, total: int) -> np.ndarray:
-        """|E[w^<c,Z>]| along the last axis for every c != 0 (c = 1, 2, ...
-        encoded); counts is (q**m,), (rows, q**m) or a run (blocks, rows,
-        q**m).  Each phase table and its powers of w are built once, then
-        every block is multiplied in turn, so its rows go through the same
-        matmul shape as a lone block and get the same bits."""
-        run = counts.astype(np.float64).reshape(-1, *counts.shape[-2:])  # (blocks, rows, q**m)
-        out = np.empty((*run.shape[:-1], len(self.digits) - 1))
-        for lo in range(1, len(self.digits), _CHAR_CHUNK):
-            # the phase table <z, c> mod q of the next block of nonzero c
-            roots = self.omega[(self.digits @ self.digits[lo : lo + _CHAR_CHUNK].T) % self.q]
-            for block, mags in zip(run, out):
-                mags[..., lo - 1 : lo - 1 + roots.shape[1]] = np.abs(block @ roots) / total
-        return out.reshape(*counts.shape[:-1], out.shape[-1])
+    def magnitudes(self, counts: np.ndarray, total: int, rows=None) -> np.ndarray:
+        """|E[w^<c,Z>]| along the last axis for each c of self.c; counts is
+        (q**m,), (rows, q**m) or a run (blocks, rows, q**m), and rows, if
+        given, picks the rows of each block that are transformed.  Whole
+        blocks go through one stacked matmul per tile of at most _CHAR_TILE
+        count cells, or one block if that is larger (the one size the budget
+        checks), which np.matmul runs as one product per block, so each
+        block has the matmul shape and the bits of a lone block.  The tile's
+        complex copy of the counts and the product are two buffers, reused,
+        and the magnitudes are formed in place in the output."""
+        run = counts.reshape(-1, *counts.shape[-2:]) if counts.ndim > 1 else counts[None, None]
+        rows = slice(None) if rows is None else rows
+        nb, (R, qm) = len(run), run[0, rows].shape
+        check_budget(R * qm, self.budget, f"character tile needs {R * qm} entries")  # one block
+        tile = max(1, min(nb, _CHAR_TILE // (R * qm)))
+        width = min(_CHAR_CHUNK, len(self.c))
+        stack = np.zeros((tile, R, qm), dtype=np.complex128)  # imaginary parts stay 0
+        product = np.empty(tile * R * width, dtype=np.complex128)
+        out = np.empty((nb, R, len(self.c)))
+        for lo in range(0, len(self.c), _CHAR_CHUNK):
+            c = self.digits[self.c[lo : lo + _CHAR_CHUNK]]
+            roots = self.omega[(self.digits @ c.T) % self.q]  # the phase table of these c
+            for b in range(0, nb, tile):
+                blocks = run[b : b + tile, rows]  # a copy of one tile at most
+                stack.real[: len(blocks)] = blocks
+                prod = product[: len(blocks) * R * len(c)].reshape(len(blocks), R, len(c))
+                mags = out[b : b + tile, :, lo : lo + len(c)]
+                np.abs(np.matmul(stack[: len(blocks)], roots, out=prod), out=mags)
+                np.divide(mags, total, out=mags)
+        return out.reshape(*counts.shape[:-2], out.shape[1], -1) if counts.ndim > 1 else out[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +693,19 @@ SubspaceSource = ExhaustiveSubspaces | SampledSubspaces | ExplicitSubspaces
 # sweep result
 
 
-def _csv_cells(col: np.ndarray) -> tuple[list[str], np.ndarray | None]:
+def _csv_cells(col: np.ndarray, unique) -> tuple[list[str], np.ndarray | None]:
     """A report column as CSV cells: floats by repr, bools as true/false, None
     empty, else str.  A float64, bool or all-None column gives each distinct
-    cell once (sweeps repeat values) and each row's index into them; any
+    cell once (sweeps repeat values) and each row's index into them, the
+    float64 bit patterns deduplicated by unique (see batch.write_rows); any
     other column one cell per row, and None."""
     if col.dtype == np.float64:
-        bits, at = np.unique(col.view(np.int64), return_inverse=True)
+        bits, at = unique(col.view(np.int64))
         return list(map(repr, bits.view(np.float64).tolist())), at
     if col.dtype == bool:
         return ["false", "true"], col.astype(np.int64)
+    if col.dtype.kind == "i":
+        return list(map(str, col.tolist())), None
     values = col.tolist()
     if values.count(None) == len(values):
         return [""], np.broadcast_to(np.int64(0), len(values))  # no per-row memory
@@ -1037,15 +1063,25 @@ class _SweepState:
         counts = sd_f = eps = eps_c = absdev = None
         if self.need_counts:
             counts = count(pattern.direct, partner)
-            absdev = np.abs(counts * qm - T).sum(axis=1)
+            # the statistics of a +- pair are one: the counts of -o are those
+            # of o at -z, so |S_{-o}(c)| = |S_o(c)| and absdev is equal too;
+            # they are formed on the representative rows, and each row
+            # copies those of its pair's representative, bit for bit
+            run = counts.reshape(nb, -1, qm)
+            reps, pair = slice(None), np.arange(run.shape[1])
+            if partner is not None:
+                reps = _representatives(partner)
+                pair = np.searchsorted(reps, np.minimum(pair, partner))
+            dev = run[:, reps] * qm
+            dev -= T
+            absdev = np.abs(dev, out=dev).sum(axis=2)[:, pair].reshape(O)
             denom = 2 * T * qm
             sd_f = absdev / float(denom)
             if "char_max" in self.checks or "xor" in self.checks:
-                # (O, q**m - 1), no larger than counts; one call per run, each
-                # block through the same matmul shape as a lone block
-                mags = self.chars.magnitudes(counts.reshape(nb, -1, qm), T).reshape(O, -1)
-                best = mags.argmax(axis=1)  # the first maximum wins
-                eps, eps_c = mags[np.arange(O), best], best + 1
+                # (blocks, representatives, canonical c); one call per run
+                mags = self.chars.magnitudes(run, T, reps)
+                eps = mags.max(axis=2)[:, pair].reshape(O)
+                eps_c = self.chars.c[mags.argmax(axis=2)][:, pair].reshape(O)  # the first maximum
 
         # per check: (quantity, bound, satisfied, c_encoded, detail) columns
         cols: dict[str, tuple] = {}

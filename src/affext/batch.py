@@ -57,15 +57,18 @@ as a flag; both give the same integers.
 The third function, `affext_write_rows`, writes int64 cells in decimal and
 copies every other cell from a string table, one buffer of fixed size at a
 time, taking each check's rows in turn with one cursor per check, in the
-sweep order the caller sorted once.
+sweep order the caller sorted once.  The fourth, `affext_unique64`, finds
+the distinct bit patterns of a float column by one hash table, so the
+writer's caller formats each distinct value once.
 
 This is the only module that calls into the shared object, and it makes
-every choice between a C function and its fallback.  The three functions
+every choice between a C function and its fallback.  The four functions
 load or fail together (one `c_build()`), and `c_unavailable()` alone decides
 each route: `batch_route(q)`, `count_route()` for `count_blocks` (else a
-numpy loop) and `report_route()` for `write_rows` (else a Python join).  A
-failed build warns once per process, in one text for all three, and the
-fallbacks run instead, with the same results and the same bytes.
+numpy loop) and `report_route()` for `write_rows` with `affext_unique64`
+(else a Python join of slices, with `np.unique`).  A failed build warns
+once per process, in one text for all four, and the fallbacks run instead,
+with the same results and the same bytes.
 """
 
 from __future__ import annotations
@@ -555,6 +558,40 @@ int64_t affext_write_rows(const int64_t *desc, const int64_t *seq, int64_t nseq,
     }
     return p - buf;
 }
+
+/* The distinct values of bits[0..n), in order of first appearance: first[j]
+   gets the first row of value j and at[i] the value of row i.  One open-
+   addressing table of 2**b >= 2n slots holds j per used slot and -1 per
+   free one (all bytes 0xff, so the allocation is no calloc, a new import
+   that would move the code above), and a multiplicative hash picks its top
+   b bits.  Returns the count of distinct values, or -1 if the table cannot
+   be allocated. */
+int64_t affext_unique64(const int64_t *bits, int64_t n, int64_t *at, int64_t *first)
+{
+    int b = 1;
+    while (b < 62 && ((int64_t)1 << b) < 2 * n)
+        b++;
+    if (((int64_t)1 << b) < 2 * n)
+        return -1;
+    const uint64_t mask = ((uint64_t)1 << b) - 1;
+    int64_t *slot = malloc(((size_t)mask + 1) * sizeof *slot);
+    if (!slot)
+        return -1;
+    memset(slot, 0xff, ((size_t)mask + 1) * sizeof *slot);
+    int64_t distinct = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t h = ((uint64_t)bits[i] * 0x9e3779b97f4a7c15u) >> (64 - b);
+        while (slot[h] >= 0 && bits[first[slot[h]]] != bits[i])
+            h = (h + 1) & mask;
+        if (slot[h] < 0) {
+            first[distinct] = i;
+            slot[h] = distinct++;
+        }
+        at[i] = slot[h];
+    }
+    free(slot);
+    return distinct;
+}
 """
 
 # Compiler flags, tried in order; the first set the compiler accepts is used.
@@ -568,9 +605,10 @@ class CBuild:
     fn: object = None  # the loaded batch kernel (ctypes function), or None
     count_fn: object = None  # the loaded count kernel, or None
     write_fn: object = None  # the loaded report writer, or None
+    unique_fn: object = None  # the loaded float-cell deduplication, or None
     flags: tuple[str, ...] = ()
     path: str = ""  # the cached shared object
-    error: str = ""  # why fn, count_fn and write_fn are None
+    error: str = ""  # why every function above is None
 
 
 def _find_compiler() -> str | None:
@@ -631,7 +669,7 @@ def _compile(cc: str, flags: tuple[str, ...], path: str) -> str:
 @functools.lru_cache(maxsize=None)
 def c_build() -> CBuild:
     """Build the C functions (at most once per machine) and load them (once
-    per process).  A failed build warns once per process, for all three."""
+    per process).  A failed build warns once per process, for all four."""
     build = _build()
     if build.error:
         warnings.warn(f"C kernels unavailable ({build.error}); using the numpy batch and "
@@ -683,8 +721,8 @@ def _build() -> CBuild:
                 continue
         try:
             lib = ctypes.CDLL(path)
-            fn, count_fn, write_fn = (lib.affext_mont_eval, lib.affext_count_blocks,
-                                      lib.affext_write_rows)
+            fn, count_fn, write_fn, unique_fn = (lib.affext_mont_eval, lib.affext_count_blocks,
+                                                 lib.affext_write_rows, lib.affext_unique64)
         except (OSError, AttributeError) as exc:
             errors.append(f"loading {path} failed: {exc}")
             continue
@@ -697,7 +735,10 @@ def _build() -> CBuild:
                              arr, i64, i64, i64, i64, i64, arr, arr]
         write_fn.restype = i64
         write_fn.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
-        return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, flags=flags, path=path)
+        unique_fn.restype = i64
+        unique_fn.argtypes = [arr, i64, arr, arr]
+        return CBuild(fn=fn, count_fn=count_fn, write_fn=write_fn, unique_fn=unique_fn,
+                      flags=flags, path=path)
     return CBuild(error="; ".join(errors))
 
 
@@ -767,8 +808,9 @@ def _eval_python(xs, exps, rows, q: int) -> np.ndarray:
 
 def c_unavailable() -> str:
     """Why the C functions cannot run in this process, or "" when they load:
-    the one lookup for the batch kernel, the count kernel and the report
-    writer, which load or fail together (and warn once if they fail)."""
+    the one lookup for the batch kernel, the count kernel, the report writer
+    and its deduplication, which load or fail together (and warn once if
+    they fail)."""
     error = c_build().error
     return error and f"C kernels unavailable: {error}"
 
@@ -884,16 +926,36 @@ def _c_cell(col: np.ndarray, cells, hold: list) -> tuple[list[int], int]:
     return [_CELL_TABLE, index, pool.ctypes.data, off.ctypes.data], int(lens.max(initial=0))
 
 
+def _unique_c(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an int64 array, in order of first appearance,
+    and each entry's index into them, by affext_unique64."""
+    bits = np.ascontiguousarray(bits, dtype=np.int64)
+    at, first = np.empty(len(bits), dtype=np.int64), np.empty(len(bits), dtype=np.int64)
+    distinct = c_build().unique_fn(bits, len(bits), at, first)
+    if distinct < 0:
+        raise MemoryError(f"C deduplication could not allocate a table for {len(bits)} cells")
+    return bits[first[:distinct]], at
+
+
+def _unique_numpy(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unique_c's values, sorted, and the indices into them, by np.unique."""
+    return np.unique(bits, return_inverse=True)
+
+
 def write_rows(order, checks, cells, fh) -> None:
     """Write report rows to the binary fh on report_route(): by
     affext_write_rows, one fixed buffer at a time, or by _write_python, with
     the same bytes.  checks holds per check its name and its five columns
     after the name; order lists the rows of the checks, taken one check after
-    another, in sweep order.  cells(column) gives the strings of a column and
-    each row's index into them (None: row i takes string i); the C writer
-    writes an int column itself.  A column two checks share is read once."""
+    another, in sweep order.  cells(column, unique) gives the strings of a
+    column and each row's index into them (None: row i takes string i),
+    where unique(int64 array) gives its distinct values and each entry's
+    index into them: _unique_c on the C route, _unique_numpy on the other.
+    The C writer writes an int column itself.  A column two checks share is
+    read once."""
     if report_route() != "c":
-        return _write_python(order, checks, cells, fh)
+        return _write_python(order, checks, functools.partial(cells, unique=_unique_numpy), fh)
+    cells = functools.partial(cells, unique=_unique_c)
     hold, desc, done = [], [], {}
     for name, cols in checks:
         for c in cols:
@@ -904,8 +966,7 @@ def write_rows(order, checks, cells, fh) -> None:
         desc.append([label.ctypes.data, len(label), width,
                      *(f for c in cols for f in done[id(c)][0])])
     desc = np.array(desc, dtype=np.int64).reshape(-1, 23)  # 3 fields per check, 4 per cell
-    rows = [len(cols[0]) for _, cols in checks]  # per check, the length of its ids column
-    seq = np.repeat(np.arange(len(checks), dtype=np.int64), rows)[order]  # each line's check
+    seq = _line_checks(order, checks)[0]
     at = np.zeros(1 + len(desc), dtype=np.int64)  # the next line, then each check's next row
     buf = np.empty(max(_REPORT_BUFFER, desc[:, 2].max(initial=0)), dtype=np.uint8)  # a line fits
     write = c_build().write_fn
@@ -914,12 +975,49 @@ def write_rows(order, checks, cells, fh) -> None:
         fh.write(buf[:n])
 
 
+def _line_checks(order, checks) -> tuple[np.ndarray, np.ndarray]:
+    """The check of each line, in sweep order, and each check's first row in
+    order's numbering, the checks' rows taken one check after another."""
+    rows = [len(cols[0]) for _, cols in checks]  # per check, the length of its ids column
+    starts = np.cumsum([0, *rows[:-1]], dtype=np.int64)
+    return np.repeat(np.arange(len(checks), dtype=np.int64), rows)[order], starts
+
+
 def _write_python(order, checks, cells, fh) -> None:
-    done, rows = {}, []
-    for name, cols in checks:
-        for c in cols:
-            if id(c) not in done:
-                strings, at = cells(c)
-                done[id(c)] = strings if at is None else np.array(strings, dtype=object)[at].tolist()
-        rows += map(",".join, zip(repeat(name), *(done[id(c)] for c in cols)))
-    fh.write("".join(f"{rows[i]}\n" for i in order.tolist()).encode("ascii"))
+    """write_rows on the python route, a slice of lines at a time.  A float
+    or bool column, whose cells repeat, is formatted once through its
+    distinct strings; any other column a slice at a time.  Each slice
+    formats _REPORT_BUFFER // 8 lines at most (a line takes 7 bytes or more)
+    and writes them in pieces of at most _REPORT_BUFFER bytes, or one line
+    if it is longer."""
+    whole = {}
+    for c in (c for _, cols in checks for c in cols if c.dtype.kind not in "iO"):
+        strings, at = cells(c)
+        whole[id(c)] = np.array(strings, dtype=object), at
+
+    def text(c, a: int, b: int) -> list[str]:  # the cells of rows [a, b) of column c
+        if id(c) in whole:
+            strings, at = whole[id(c)]
+        else:
+            (strings, at), a, b = cells(c[a:b]), 0, b - a
+        return strings[a:b] if at is None else np.asarray(strings, dtype=object)[at[a:b]].tolist()
+
+    seq, starts = _line_checks(order, checks)
+    done = np.zeros(len(checks), dtype=np.int64)  # per check, the rows written
+    step = max(1, _REPORT_BUFFER // 8)
+    for lo in range(0, len(seq), step):
+        part = seq[lo : lo + step]
+        count = np.bincount(part, minlength=len(checks))
+        lines = [line for (name, cols), a, n in zip(checks, done.tolist(), count.tolist()) if n
+                 for line in map(",".join, zip(repeat(name), *(text(c, a, a + n) for c in cols)))]
+        first = np.cumsum(count) - count  # per check, its first line in lines
+        lines = np.array(lines, dtype=object)[order[lo : lo + step] - starts[part]
+                                              - done[part] + first[part]].tolist()
+        done += count
+        ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+        a = 0
+        while a < len(lines):  # the lines that fit the buffer after line a, and one at least
+            b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _REPORT_BUFFER,
+                                               side="right")))
+            fh.write("".join(f"{line}\n" for line in lines[a:b]).encode("ascii"))
+            a = b

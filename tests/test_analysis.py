@@ -6,6 +6,8 @@ exhaustive cases, and character magnitudes against direct complex sums.
 """
 
 import dataclasses
+import functools
+import io
 import itertools
 import math
 import re
@@ -71,16 +73,36 @@ def _count_routes():
     return routes
 
 
+def _canonical(c, q, m):
+    """The canonical c of the +- pair of each encoded c: c itself if its last
+    nonzero digit lies in 1..(q-1)/2, else -c."""
+    digits = np.array([decode_output(int(e), q, m) for e in np.ravel(c)]).reshape(-1, m)
+    last = np.array([next((d for d in row[::-1] if d), 0) for row in digits.tolist()])
+    neg = (-digits % q) @ (q ** np.arange(m - 1, -1, -1))
+    return np.where(2 * last <= q, np.ravel(c), neg).reshape(np.shape(c))
+
+
+def _half_spectrum(dist, budget=10**8):
+    """The sweep's transform of one exact distribution: its characters, and
+    |E[w^<c,Z>]| for each of them."""
+    chars = analysis._Characters(dist.q, dist.m, budget)
+    return chars, chars.magnitudes(dist.counts, dist.total)
+
+
 def _spectrum(dist, budget=10**8):
-    """The sweep's transform of one exact distribution: |E[w^<c,Z>]| for
-    c = 1, 2, ... encoded, q**m - 1 entries."""
-    return analysis._Characters(dist.q, dist.m, budget).magnitudes(dist.counts, dist.total)
+    """The sweep's transform read through the canonical map: |E[w^<c,Z>]|
+    for c = 1, 2, ... encoded, q**m - 1 entries, each read at the canonical
+    c of its +- pair."""
+    chars, half = _half_spectrum(dist, budget)
+    every = np.arange(1, dist.q**dist.m)
+    return half[np.searchsorted(chars.c, _canonical(every, dist.q, dist.m))]
 
 
 def _phase_tables(chars):
-    """The phase tables <z, c> mod q of chars, _CHAR_CHUNK nonzero c at a time."""
-    for lo in range(1, len(chars.digits), analysis._CHAR_CHUNK):
-        yield (chars.digits @ chars.digits[lo : lo + analysis._CHAR_CHUNK].T) % chars.q
+    """The phase tables <z, c> mod q of chars, _CHAR_CHUNK canonical c at a time."""
+    for lo in range(0, len(chars.c), analysis._CHAR_CHUNK):
+        c = chars.digits[chars.c[lo : lo + analysis._CHAR_CHUNK]]
+        yield (chars.digits @ c.T) % chars.q
 
 
 def _spy_phase_tables(chars):
@@ -221,13 +243,46 @@ class TestCharacterSums:
             )
 
     def test_parseval_identity(self, spec13_m2):
-        # sum_c |S_c|^2 = q**m * sum_z counts[z]**2 for exact counts; S_0 = total
+        # sum_c |S_c|^2 = q**m * sum_z counts[z]**2 for exact counts; S_0 = total,
+        # and the half spectrum holds one c of each +- pair, so counts it twice
         V = random_subspace(3, 2, 13, seed=4)
         dist = output_distribution(spec13_m2, V)
-        mags = _spectrum(dist)
-        lhs = ((mags * dist.total) ** 2).sum() + dist.total**2
+        chars, mags = _half_spectrum(dist)
+        assert len(chars.c) == (13**2 - 1) // 2
+        lhs = 2 * ((mags * dist.total) ** 2).sum() + dist.total**2
         rhs = 13**2 * float((dist.counts.astype(np.int64) ** 2).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @pytest.mark.parametrize("sweep", ("edge_shapes", "exhaustive", "sampled"))
+    def test_reported_c_is_canonical_and_attains_the_maximum(self, sweep):
+        # each char_max and xor row names one canonical c, the same for both,
+        # whose |S(c)| by the point oracle is within 1e-12 of the largest
+        # magnitude over every nonzero c, from a full dense spectrum
+        if sweep == "edge_shapes":
+            runs = [(build_spec(*args), ExplicitSubspaces((V,))) for args, V in EDGE_SHAPES]
+        elif sweep == "exhaustive":
+            runs = [(build_spec(5, 3, 2, 2), ExhaustiveSubspaces())]
+        else:
+            runs = [(build_spec(7, 3, 2, 1), SampledSubspaces(20, 3))]
+        for spec, source in runs:
+            q, m = spec.modulus, spec.m
+            res = verify_extractor(spec, source, checks=("char_max", "xor"), collect="full")
+            subspaces = (source.subspaces if isinstance(source, ExplicitSubspaces)
+                         else list(enumerate_subspaces(spec.n, spec.k, q))
+                         if isinstance(source, ExhaustiveSubspaces)
+                         else [random_subspace(spec.n, spec.k, q, seed=3 + i) for i in range(20)])
+            digits = np.array([decode_output(e, q, m) for e in range(q**m)])
+            phases = np.exp(2j * np.pi * ((digits @ digits.T) % q) / q)[:, 1:]  # every c != 0
+            rows = list(res.reports)
+            for char, xor in zip(rows[::2], rows[1::2]):
+                V, c = subspaces[char.subspace_id], char.c_encoded
+                assert (char.check, xor.check, xor.c_encoded) == ("char_max", "xor", c)
+                assert 0 < c < q**m and _canonical(c, q, m) == c
+                dist = output_distribution(spec, V)
+                top = (np.abs(dist.counts @ phases) / dist.total).max()
+                got = character_magnitude(character_sum_subspace(spec, V, decode_output(c, q, m)))
+                assert abs(got - top) <= 1e-12 and abs(char.quantity - top) <= 1e-12
+            assert _canonical(res.max_char_c, q, m) == res.max_char_c
 
     def test_character_index_length_checked(self, spec13):
         V = random_subspace(3, 2, 13, seed=1)
@@ -236,51 +291,58 @@ class TestCharacterSums:
                 character_sum_subspace(spec13, V, c)
 
     def test_character_table_budget(self, spec13_m2):
-        # the sweep's rule: 169 outputs by 168 nonzero characters = 28392 entries
+        # the sweep's rule: 169 outputs by 84 canonical characters = 14196 entries
         res = verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
-                               budgets=Budgets(points=28392))
+                               budgets=Budgets(points=14196))
         assert res.processed == 1
-        with pytest.raises(BudgetExceededError, match="phase table needs 28392 entries"):
+        with pytest.raises(BudgetExceededError, match="phase table needs 14196 entries"):
             verify_extractor(spec13_m2, SampledSubspaces(1, 0), checks=("char_max",),
-                             budgets=Budgets(points=28391))
+                             budgets=Budgets(points=14195))
 
-    def test_a_run_gets_the_bits_of_lone_blocks(self):
-        # magnitudes() on a run (blocks, rows, q**m) equals, bit for bit, the
-        # transform of each block alone as the sweep made it one block per call,
-        # and builds each phase table once per run, not once per block
+    def test_a_run_gets_the_bits_of_lone_blocks(self, monkeypatch):
+        # magnitudes() on a run (blocks, rows, q**m), on the representative
+        # rows of an exhaustive run or on every row, equals, bit for bit, the
+        # transform of each block alone over the canonical c, whether a tile
+        # stacks one block or the whole run, and builds each phase table once
+        # per run, not once per block
         def runs():
             # three consecutive blocks of an exhaustive sweep, all their offsets:
-            # one phase table at 13/3/k2/m1, two at 17/3/k2/m2 (288 > 256 nonzero c)
-            for q, n, k, m in ((13, 3, 2, 1), (17, 3, 2, 2)):
+            # one phase table at 13/3/k2/m1, two at 23/3/k2/m2 (264 > 256 canonical c)
+            for q, n, k, m in ((13, 3, 2, 1), (23, 3, 2, 2)):
                 state = _exhaustive_state(build_spec(q, n, k, m))
                 block = pattern_blocks(n, k, q)[0]
                 bases = basis_at(block, 0, 3, q, n)
                 offsets, partner = state.pattern(block.pattern).offsets
                 counts = state.counter.counts(block.pattern, bases, offsets,
                                               state.pattern(block.pattern).direct, partner)
-                yield q, m, counts.reshape(3, len(offsets), -1), q**k
+                run = counts.reshape(3, len(offsets), -1)
+                yield q, m, run, q**k, analysis._representatives(partner)
+                yield q, m, run, q**k, None
             # the edge shapes: V's counts, and two rearrangements of them as blocks
             for (q, n, k, m), V in EDGE_SHAPES:
                 c = output_distribution(build_spec(q, n, k, m), V).counts
-                yield q, m, np.stack([c, np.roll(c, 1), c[::-1]])[:, None], q**k
+                yield q, m, np.stack([c, np.roll(c, 1), c[::-1]])[:, None], q**k, None
 
-        for q, m, run, total in runs():
+        for (q, m, run, total, rows), tile in itertools.product(runs(), (1, analysis._CHAR_TILE)):
+            monkeypatch.setattr(analysis, "_CHAR_TILE", tile)
             chars = analysis._Characters(q, m, 10**8)
+            picked = run if rows is None else run[:, rows]
             lone = np.stack([np.concatenate([np.abs(block.astype(np.float64) @ chars.omega[phase])
                                              / total for phase in _phase_tables(chars)], axis=-1)
-                             for block in run])
+                             for block in picked])
             tables = _spy_phase_tables(chars)
-            got = chars.magnitudes(run, total)
-            assert len(tables) == math.ceil((q**m - 1) / 256), (q, m)
-            assert got.shape == (*run.shape[:2], q**m - 1)
+            got = chars.magnitudes(run, total, rows)
+            assert len(tables) == math.ceil(len(chars.c) / 256) == 1 + (q**m > 513), (q, m)
+            assert got.shape == (*picked.shape[:2], (q**m - 1) // 2)
             assert (got.view(np.int64) == lone.view(np.int64)).all(), (q, m)
             for block, want in zip(run, got):  # a lone block, and a lone row, keep their shapes
-                assert (chars.magnitudes(block, total).view(np.int64) == want.view(np.int64)).all()
-                assert chars.magnitudes(block[0], total).shape == (q**m - 1,)
+                alone = chars.magnitudes(block, total, rows)
+                assert (alone.view(np.int64) == want.view(np.int64)).all()
+                assert chars.magnitudes(block[0], total).shape == ((q**m - 1) // 2,)
 
     def test_phase_tables_stay_within_the_guard(self, monkeypatch):
-        # the guard counts q**m outputs by min(256, q**m - 1) nonzero characters;
-        # c = 0 is never read, so no table is wider than that
+        # the guard counts q**m outputs by min(256, (q**m - 1) / 2) canonical
+        # characters, one of each +- pair; no table is wider than that
         real = analysis._Characters.__init__
         shapes = []
 
@@ -290,13 +352,16 @@ class TestCharacterSums:
 
         monkeypatch.setattr(analysis._Characters, "__init__", spy)
         for (q, n, k, m), budget, want in [
-            ((13, 3, 2, 2), 169 * 168, [(169, 168)]),
-            ((7, 3, 3, 3), 343 * 256, [(343, 256), (343, 86)]),
+            ((13, 3, 2, 2), 169 * 84, [(169, 84)]),
+            ((7, 3, 3, 3), 343 * 171, [(343, 171)]),
+            ((11, 3, 3, 3), 1331 * 256, [(1331, 256), (1331, 256), (1331, 153)]),
         ]:
             dist = output_distribution(build_spec(q, n, k, m), random_subspace(n, k, q, seed=3))
             shapes.clear()
             mags = _spectrum(dist, budget=budget)
             assert shapes == [want] and mags.shape == (q**m - 1,)
+            with pytest.raises(BudgetExceededError, match=f"phase table needs {budget} entries"):
+                _spectrum(dist, budget=budget - 1)
 
 
 class TestXorBound:
@@ -782,6 +847,26 @@ class TestNegationPairs:
                             == full).all(), route
                     assert (full == want).all(), route  # the substitution permutes the grid
 
+    @pytest.mark.parametrize("shape", sorted({args for args, _ in EDGE_SHAPES}))
+    def test_partner_rows_copy_their_representative(self, shape):
+        # an exhaustive sweep forms sd, char_max and xor once per +- pair of
+        # offsets: each partner row's cells are its representative's, bit for bit
+        q, n, k, m = shape
+        spec, checks = build_spec(q, n, k, m), ("sd", "char_max", "xor")
+        res = verify_extractor(spec, ExhaustiveSubspaces(), checks=checks, collect="full")
+        cells = {(r.check, r.subspace_id): repr((r.c_encoded, r.quantity, r.bound, r.satisfied,
+                                                 r.detail)) for r in res.reports}
+        state, O = _exhaustive_state(spec), q ** (n - k)
+        pairs = 0
+        for block in pattern_blocks(n, k, q):
+            _, partner = state.pattern(block.pattern).offsets
+            for linear in range(block.start, block.start + block.count):
+                for o, p in enumerate(partner.tolist()):
+                    pairs += o < p
+                    for check in checks:
+                        assert cells[check, linear * O + p] == cells[check, linear * O + o]
+        assert 2 * pairs == res.processed - res.processed // O  # every row but o = 0 pairs
+
     @pytest.mark.parametrize("q", (2, 3, 5, 7, 11, 13, 17, 31, 101, 2**31 - 1))
     def test_every_pivot_pattern_has_odd_degrees(self, q):
         # for odd q every d_j is coprime to the even q - 1, so D = lcm of the
@@ -1242,8 +1327,8 @@ class TestSweepEngine:
             assert got["xor"].satisfied
 
     def test_char_max_keeps_the_first_of_tied_characters(self):
-        # F(0) = 0, so <c, F> = 0 for every c and each of the 7**3 - 1 = 342
-        # magnitudes, across both blocks of characters, is exactly 1.0
+        # F(0) = 0, so <c, F> = 0 for every c and each of the (7**3 - 1) / 2 =
+        # 171 canonical magnitudes is exactly 1.0; c = 1 = (0, 0, 1) is the first
         spec = build_spec(7, 4, 3, 3)
         origin = canonicalize((0, 0, 0, 0), [], 7)
         result = verify_extractor(
@@ -1574,21 +1659,21 @@ class TestSweepEngine:
         assert res.processed == 1
 
     def test_phase_table_guard_boundary(self):
-        # 7/3/k2/m2: 49 outputs by 48 characters = 2352 entries
+        # 7/3/k2/m2: 49 outputs by 24 canonical characters = 1176 entries
         spec = build_spec(7, 3, 2, 2)
         for checks in (("xor",), ("char_max",)):
             res = verify_extractor(spec, SampledSubspaces(2, 0), checks=checks,
-                                   budgets=Budgets(points=2352))
+                                   budgets=Budgets(points=1176))
             assert res.processed == 2
-            with pytest.raises(BudgetExceededError, match="phase table needs 2352 entries"):
+            with pytest.raises(BudgetExceededError, match="phase table needs 1176 entries"):
                 verify_extractor(spec, SampledSubspaces(2, 0), checks=checks,
-                                 budgets=Budgets(points=2351))
+                                 budgets=Budgets(points=1175))
         res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("sd", "zero_coordinate"),
-                               budgets=Budgets(points=2351))
+                               budgets=Budgets(points=1175))
         assert res.processed == 2
 
     def test_change_of_vars_sweep_builds_no_character_transform(self, monkeypatch):
-        # 7/3/k2/m2 at 2351 points, one below char_max's 49 x 48 = 2352-entry
+        # 7/3/k2/m2 at 1175 points, one below char_max's 49 x 24 = 1176-entry
         # phase table: change_of_vars reads its count rows directly
         states = []
         real = analysis._SweepState.__init__
@@ -1605,7 +1690,7 @@ class TestSweepEngine:
         spec = build_spec(7, 3, 2, 2)
         for workers in (1, 2):
             res = verify_extractor(spec, SampledSubspaces(2, 0), checks=("change_of_vars",),
-                                   workers=workers, budgets=Budgets(points=2351))
+                                   workers=workers, budgets=Budgets(points=1175))
             assert res.processed == 2 and res.violations == {"change_of_vars": 0}
         assert len(states) == 2 and all(state.chars is None for state in states)
 
@@ -1928,7 +2013,8 @@ class TestColumnWriter:
         for r in rows:
             res.reports.append(r)
         # the C writer formats ints; bools, None and every other cell come from a table
-        kinds = {name: [batch._c_cell(c, analysis._csv_cells, [])[0][0] for c in cols]
+        cells = functools.partial(analysis._csv_cells, unique=batch._unique_numpy)
+        kinds = {name: [batch._c_cell(c, cells, [])[0][0] for c in cols]
                  for name, cols in res.reports._columns(False, lambda c: c)[1]}
         INT, TABLE = batch._CELL_INT, batch._CELL_TABLE
         assert kinds["ints"] == [INT, INT, INT, INT, TABLE]  # id, c, quantity, bound, satisfied
@@ -1972,6 +2058,19 @@ class TestColumnWriter:
                     assert sum(fills) == 2 * sum(len(r) + 1 for r in rows) > 8 * max(caps)
                     assert fills.count(0) == 2 and len(caps) == 1  # the buffer fits every line
                     assert max(buffer, 1 + max(map(len, rows))) <= max(caps) <= max(buffer, 128)
+                else:  # the python writer: whole lines, in pieces no longer than the buffer
+                    pieces = []
+
+                    class Spy(io.BytesIO):
+                        def write(self, b):
+                            pieces.append(len(b))
+                            return super().write(b)
+
+                    analysis._write_reports(res, Spy())
+                    body = pieces[1:-1]  # between the header and the summary
+                    assert sum(body) == sum(len(r) + 1 for r in rows) > 8 * max(body)
+                    assert max(body) <= max(buffer, 1 + max(map(len, rows)))
+                    assert buffer > 1 or len(body) == len(rows)  # a line per piece
 
 
 class TestColumnWriterPythonRoute(TestColumnWriter):
@@ -2036,8 +2135,12 @@ _BUDGET_GUARDS = {
         169, lambda b: _sweep(build_spec(13, 3, 2, 2), SampledSubspaces(2, 0), points=b),
         "q**m = 169 outcome cells"),
     "character_phase_table": (
-        169 * 168, lambda b: analysis._Characters(13, 2, b),
-        "character phase table needs 28392 entries"),
+        169 * 84, lambda b: analysis._Characters(13, 2, b),
+        "character phase table needs 14196 entries"),
+    "character_tile": (
+        13 * 13, lambda b: analysis._Characters(13, 1, b).magnitudes(
+            np.zeros((1, 13, 13), dtype=np.int64), 169),
+        "character tile needs 169 entries"),
     "power_tables": (
         3 * 25, lambda b: _PointCounts(build_spec(13, 3, 2, 1), b),
         "power tables need 75 entries"),

@@ -320,7 +320,7 @@ class TestVerify:
             assert "count_points =" not in out
             assert all(b"count_points =" not in b for b in files.values())
             digests = {name: hashlib.sha256(b).hexdigest()[:12] for name, b in files.items()}
-            assert digests == {"verify_report.csv": "2f32b6558038",
+            assert digests == {"verify_report.csv": "24288dcd1885",
                                "verify_summary.txt": "5870d1df15e5"}, count_route
 
     def test_sweep_runs_go_to_stderr_and_leave_the_reports(self, tmp_path, capsys):

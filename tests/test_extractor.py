@@ -410,8 +410,25 @@ class TestCKernel:
             input=batch._C_SOURCE, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    @needs_cc
+    def test_unique64_matches_np_unique(self):
+        # affext_unique64 gives each distinct bit pattern once, in order of
+        # first appearance, and each row's index into them: np.unique's
+        # values, reordered; -0.0 and 0.0 are two values, as repr tells apart
+        rng = np.random.default_rng(0)
+        for col in (np.zeros(0), np.array([2.5]), np.full(1000, 0.1),
+                    np.array([-0.0, 0.0, -0.0, 0.0]),
+                    rng.integers(-(2**63), 2**63, 10**5, dtype=np.int64).view(np.float64),
+                    rng.integers(0, 1000, 10**5).astype(np.float64)):  # many repeats
+            bits = col.view(np.int64)
+            values, at = batch._unique_c(bits)
+            want, first = np.unique(bits, return_index=True)
+            assert (values == bits[np.sort(first)]).all() and len(values) == len(want)
+            assert at.shape == bits.shape and (values[at] == bits).all()
+        assert batch._unique_c(np.array([-0.0, 0.0]).view(np.int64))[1].tolist() == [0, 1]
+
     def test_oracle_tests_pass_on_a_sanitizer_build(self, tmp_path):
-        # the oracle tests of the three C functions, in a fresh interpreter on
+        # the oracle tests of the four C functions, in a fresh interpreter on
         # a build with AddressSanitizer and UBSan: a read one cell past a
         # table or a row, which can leave every output right, fails here
         cc = batch._find_compiler()
@@ -431,6 +448,7 @@ class TestCKernel:
             "test_count_routes_and_transform_match_the_oracles",
             "test_analysis.py::TestNegationPairs::test_partner_rows_are_negated_representatives",
             "test_extractor.py::TestMersenneBody::test_matches_the_oracle_at_the_edges",
+            "test_extractor.py::TestCKernel::test_unique64_matches_np_unique",
             "test_analysis.py::TestColumnWriter::test_edge_cells_match_the_row_oracle_as_bytes",
             "test_analysis.py::TestColumnWriter::test_a_report_longer_than_the_buffer")]
         # the child loads the cached sanitizer build, as c_build() finds it, and
@@ -445,7 +463,7 @@ class TestCKernel:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=600)
         assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
-        assert "11 passed" in done.stdout, done.stdout[-3000:]  # the Mersenne test runs 6 cases
+        assert "12 passed" in done.stdout, done.stdout[-3000:]  # the Mersenne test runs 6 cases
 
     @needs_cc
     def test_failed_compile_falls_back(self, fresh_c_build, monkeypatch, tmp_path):
